@@ -218,12 +218,12 @@ Result<DenseMatrix> TrainGae(const Graph& graph, const GaeConfig& config,
     // ---- Backward through the GCN.
     // mu = A_hat (h1 w1); A_hat symmetric => d(h1 w1) = A_hat dmu.
     DenseMatrix d_h1w1 = a_hat.MatMulDense(dmu);
-    DenseMatrix dw1 = h1.Transposed().MatMul(d_h1w1);
-    DenseMatrix dh1 = d_h1w1.MatMul(w1.Transposed());
+    DenseMatrix dw1 = h1.TransposedMatMul(d_h1w1);
+    DenseMatrix dh1 = d_h1w1.MatMulTransposed(w1);
     if (config.variational) {
       DenseMatrix d_h1w1lv = a_hat.MatMulDense(dlogvar);
-      DenseMatrix dw1lv = h1.Transposed().MatMul(d_h1w1lv);
-      dh1.Axpy(1.0f, d_h1w1lv.MatMul(w1_logvar.Transposed()));
+      DenseMatrix dw1lv = h1.TransposedMatMul(d_h1w1lv);
+      dh1.Axpy(1.0f, d_h1w1lv.MatMulTransposed(w1_logvar));
       opt.Step(w1lv_slot, dw1lv);
     }
     // ReLU gate.

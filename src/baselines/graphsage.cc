@@ -137,10 +137,10 @@ Result<DenseMatrix> TrainGraphSage(const Graph& graph,
 
     // ---- Backward.
     // z = H1 W2s + (A H1) W2n.
-    DenseMatrix dw2_self = h1.Transposed().MatMul(dz);
-    DenseMatrix dw2_neigh = ah1.Transposed().MatMul(dz);
-    DenseMatrix dh1 = dz.MatMul(w2_self.Transposed());
-    dh1.Axpy(1.0f, a_t.MatMulDense(dz).MatMul(w2_neigh.Transposed()));
+    DenseMatrix dw2_self = h1.TransposedMatMul(dz);
+    DenseMatrix dw2_neigh = ah1.TransposedMatMul(dz);
+    DenseMatrix dh1 = dz.MatMulTransposed(w2_self);
+    dh1.Axpy(1.0f, a_t.MatMulDense(dz).MatMulTransposed(w2_neigh));
     for (int64_t i = 0; i < dh1.size(); ++i) {
       if (pre1.data()[i] <= 0.0f) dh1.data()[i] = 0.0f;
     }

@@ -350,26 +350,29 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
       max_node = std::max(max_node, std::max(src, dst));
     }
   }
-  const int64_t resolved_nodes = std::max(options.num_nodes, max_node + 1);
-
-  GraphBuilder builder(resolved_nodes);
-  builder.AddEdges(edges);
+  // A declared node count is a contract: attribute and label ids past it
+  // (and past every edge endpoint) are out of range. Without one, isolated
+  // nodes may appear only in the attribute or label file, so the count
+  // resolves to max id + 1 over all three files once they are read.
+  const int64_t node_limit = options.num_nodes > 0
+                                 ? std::max(options.num_nodes, max_node + 1)
+                                 : id_limit;
 
   // --- Attributes. Missing observations are first-class data here: a
   // `nan` value or an empty trailing cell ("node index" with no value)
   // records a masked cell instead of quarantining the line, and a node
   // that never appears gets an unobserved mask row. Only *corrupt* values
   // (inf, unparsable tokens) go through the bad-line policy.
+  std::vector<SparseMatrix::Triplet> triplets;
+  // Cell keys are (node << 32 | col); attribute indices are capped far
+  // below 2^32 in practice so the packing is collision-free.
+  std::unordered_set<uint64_t> value_cells;
+  std::unordered_set<uint64_t> marker_cells;
+  std::vector<uint8_t> node_in_file;
+  int64_t max_attr = -1;
   if (!attributes_path.empty()) {
     LineScanner scanner;
     COANE_RETURN_IF_ERROR(scanner.Open(attributes_path, options));
-    std::vector<SparseMatrix::Triplet> triplets;
-    // Cell keys are (node << 32 | col); attribute indices are capped far
-    // below 2^32 in practice so the packing is collision-free.
-    std::unordered_set<uint64_t> value_cells;
-    std::unordered_set<uint64_t> marker_cells;
-    std::vector<uint8_t> node_in_file(static_cast<size_t>(resolved_nodes), 0);
-    int64_t max_attr = -1;
     std::vector<Token> row;
     int64_t line = 0;
     while (scanner.Next(&row, &line)) {
@@ -388,7 +391,7 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
       }
       Status st;
       int64_t node = 0, attr = 0;
-      if (!CheckNodeId(&diag, scanner, line, row[0], resolved_nodes,
+      if (!CheckNodeId(&diag, scanner, line, row[0], node_limit,
                        "node id", &node, &st)) {
         COANE_RETURN_IF_ERROR(st);
         continue;
@@ -441,7 +444,11 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
       }
       const uint64_t key = (static_cast<uint64_t>(node) << 32) |
                            (static_cast<uint64_t>(attr) & 0xFFFFFFFFULL);
+      if (node >= static_cast<int64_t>(node_in_file.size())) {
+        node_in_file.resize(static_cast<size_t>(node) + 1, 0);
+      }
       node_in_file[static_cast<size_t>(node)] = 1;
+      max_node = std::max(max_node, node);
       max_attr = std::max(max_attr, attr);
       if (is_missing) {
         // A value for the same cell wins over a missing marker, in either
@@ -460,6 +467,58 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
       triplets.push_back({node, attr, static_cast<float>(value)});
       ++summary->attributes_loaded;
     }
+  }
+
+  // --- Labels.
+  std::vector<std::pair<NodeId, int32_t>> label_lines;
+  if (!labels_path.empty()) {
+    LineScanner scanner;
+    COANE_RETURN_IF_ERROR(scanner.Open(labels_path, options));
+    std::vector<Token> row;
+    int64_t line = 0;
+    while (scanner.Next(&row, &line)) {
+      ++summary->lines_parsed;
+      if (summary->lines_parsed % kLinesPerContextCheck == 0) {
+        COANE_RETURN_IF_STOPPED(options.run_context, "graph_io.load");
+      }
+      if (row.size() != 2) {
+        COANE_RETURN_IF_ERROR(diag.Flag(
+            scanner.path(), line, row.empty() ? 1 : row[0].column,
+            "label line needs 'node label', got " +
+                std::to_string(row.size()) + " field(s)",
+            &LoadSummary::bad_tokens));
+        continue;
+      }
+      Status st;
+      int64_t node = 0;
+      if (!CheckNodeId(&diag, scanner, line, row[0], node_limit,
+                       "node id", &node, &st)) {
+        COANE_RETURN_IF_ERROR(st);
+        continue;
+      }
+      int64_t label = 0;
+      bool overflow = false;
+      if (!ParseId(row[1].text, &label, &overflow) || label < 0 ||
+          label > std::numeric_limits<int32_t>::max()) {
+        COANE_RETURN_IF_ERROR(diag.Flag(
+            scanner.path(), line, row[1].column,
+            "bad label '" + row[1].text +
+                "' (labels are non-negative integers)",
+            &LoadSummary::bad_tokens));
+        continue;
+      }
+      label_lines.emplace_back(static_cast<NodeId>(node),
+                               static_cast<int32_t>(label));
+      max_node = std::max(max_node, node);
+      ++summary->labels_loaded;
+    }
+  }
+
+  const int64_t resolved_nodes = std::max(options.num_nodes, max_node + 1);
+  GraphBuilder builder(resolved_nodes);
+  builder.AddEdges(edges);
+  if (!attributes_path.empty()) {
+    node_in_file.resize(static_cast<size_t>(resolved_nodes), 0);
     const int64_t resolved_attrs =
         std::max(options.num_attributes, max_attr + 1);
     if (resolved_attrs > 0) {
@@ -509,46 +568,10 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
     }
   }
 
-  // --- Labels.
   if (!labels_path.empty()) {
-    LineScanner scanner;
-    COANE_RETURN_IF_ERROR(scanner.Open(labels_path, options));
     std::vector<int32_t> labels(static_cast<size_t>(resolved_nodes), 0);
-    std::vector<Token> row;
-    int64_t line = 0;
-    while (scanner.Next(&row, &line)) {
-      ++summary->lines_parsed;
-      if (summary->lines_parsed % kLinesPerContextCheck == 0) {
-        COANE_RETURN_IF_STOPPED(options.run_context, "graph_io.load");
-      }
-      if (row.size() != 2) {
-        COANE_RETURN_IF_ERROR(diag.Flag(
-            scanner.path(), line, row.empty() ? 1 : row[0].column,
-            "label line needs 'node label', got " +
-                std::to_string(row.size()) + " field(s)",
-            &LoadSummary::bad_tokens));
-        continue;
-      }
-      Status st;
-      int64_t node = 0;
-      if (!CheckNodeId(&diag, scanner, line, row[0], resolved_nodes,
-                       "node id", &node, &st)) {
-        COANE_RETURN_IF_ERROR(st);
-        continue;
-      }
-      int64_t label = 0;
-      bool overflow = false;
-      if (!ParseId(row[1].text, &label, &overflow) || label < 0 ||
-          label > std::numeric_limits<int32_t>::max()) {
-        COANE_RETURN_IF_ERROR(diag.Flag(
-            scanner.path(), line, row[1].column,
-            "bad label '" + row[1].text +
-                "' (labels are non-negative integers)",
-            &LoadSummary::bad_tokens));
-        continue;
-      }
-      labels[static_cast<size_t>(node)] = static_cast<int32_t>(label);
-      ++summary->labels_loaded;
+    for (const auto& [node, label] : label_lines) {
+      labels[static_cast<size_t>(node)] = label;
     }
     builder.SetLabels(std::move(labels));
   }

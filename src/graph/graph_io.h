@@ -92,8 +92,12 @@ struct LoadSummary {
 Result<Graph> LoadEdgeList(const std::string& path, int64_t num_nodes = 0);
 
 /// Loads a full attributed graph from three files. `attributes_path` or
-/// `labels_path` may be empty to skip that component; `num_attributes` is
-/// inferred as max index + 1 unless a larger value is passed.
+/// `labels_path` may be empty to skip that component. With `num_nodes` 0,
+/// the node count is max id + 1 over edge endpoints, attribute rows and
+/// label rows, so isolated nodes may appear in the attribute or label file
+/// only; a non-zero `num_nodes` makes ids past it (and past every edge
+/// endpoint) kOutOfRange. `num_attributes` is inferred as max index + 1
+/// unless a larger value is passed.
 Result<Graph> LoadAttributedGraph(const std::string& edges_path,
                                   const std::string& attributes_path,
                                   const std::string& labels_path,

@@ -54,9 +54,26 @@ class DenseMatrix {
   /// Frobenius norm.
   double FrobeniusNorm() const;
 
-  /// Returns this * other (rows x other.cols). Plain triple loop with the
-  /// k-loop hoisted for cache friendliness; adequate at the scales used here.
+  /// Returns this * other (rows x other.cols).
+  ///
+  /// Accumulation-order contract (DESIGN.md section 5): every output element
+  /// is one float that starts at +0 and adds this(i,k) * other(k,j) for
+  /// ascending k, skipping every term whose this(i,k) == 0 (so a zero never
+  /// meets an inf or nan of `other`). Each element is computed wholly inside
+  /// one ParallelFor shard, so the product is byte-identical at every thread
+  /// count and to the plain row-axpy loop. The kernel holds a 4 x 16 output
+  /// tile in registers while k sweeps `other` packed into 16-column panels.
   DenseMatrix MatMul(const DenseMatrix& other) const;
+
+  /// Returns transpose(this) * other (cols x other.cols) without building
+  /// the transpose; this is read with a stride. Same contract as MatMul,
+  /// with this(k,i) as the skipped-when-zero factor.
+  DenseMatrix TransposedMatMul(const DenseMatrix& other) const;
+
+  /// Returns this * transpose(other) (rows x other.rows) without building
+  /// the transpose; `other` is transposed panel by panel as it is packed.
+  /// Same contract as MatMul.
+  DenseMatrix MatMulTransposed(const DenseMatrix& other) const;
 
   /// Returns the transpose.
   DenseMatrix Transposed() const;

@@ -3,8 +3,17 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/parallel/global_pool.h"
+#include "common/parallel/parallel_for.h"
 
 namespace coane {
+namespace {
+
+// Elements per Adam shard, at least: below this, dispatch costs more than
+// the update.
+constexpr int64_t kAdamGrain = 16384;
+
+}  // namespace
 
 size_t AdamOptimizer::Check(int id) const {
   COANE_CHECK_GE(id, 0);
@@ -39,14 +48,23 @@ void AdamOptimizer::Step(int id, const DenseMatrix& grad) {
   float* v = slot.v.data();
   const float* g = grad.data();
   const int64_t n = grad.size();
-  for (int64_t i = 0; i < n; ++i) {
-    m[i] = b1 * m[i] + (1.0f - b1) * g[i];
-    v[i] = b2 * v[i] + (1.0f - b2) * g[i] * g[i];
-    const float m_hat = m[i] / correction1;
-    const float v_hat = v[i] / correction2;
-    w[i] -= config_.learning_rate * m_hat /
-            (std::sqrt(v_hat) + config_.epsilon);
-  }
+  // Every element updates independently, so any sharding yields the same
+  // bytes; the grain keeps small tensors (biases) on the calling thread.
+  ThreadPool* pool = GlobalThreadPool();
+  (void)ParallelFor(
+      pool, nullptr, "nn.adam", n,
+      ElasticShards(pool, (n + kAdamGrain - 1) / kAdamGrain),
+      [&](int64_t, int64_t begin, int64_t end) -> Status {
+        for (int64_t i = begin; i < end; ++i) {
+          m[i] = b1 * m[i] + (1.0f - b1) * g[i];
+          v[i] = b2 * v[i] + (1.0f - b2) * g[i] * g[i];
+          const float m_hat = m[i] / correction1;
+          const float v_hat = v[i] / correction2;
+          w[i] -= config_.learning_rate * m_hat /
+                  (std::sqrt(v_hat) + config_.epsilon);
+        }
+        return Status::OK();
+      });
 }
 
 }  // namespace coane

@@ -30,12 +30,12 @@ DenseMatrix Linear::Backward(const DenseMatrix& dy) {
   COANE_CHECK_EQ(dy.rows(), cached_input_.rows());
   COANE_CHECK_EQ(dy.cols(), weight_.cols());
   // dW += x^T dy ; db += colsum(dy) ; dx = dy W^T.
-  weight_grad_.Axpy(1.0f, cached_input_.Transposed().MatMul(dy));
+  weight_grad_.Axpy(1.0f, cached_input_.TransposedMatMul(dy));
   for (int64_t i = 0; i < dy.rows(); ++i) {
     const float* row = dy.Row(i);
     for (int64_t j = 0; j < dy.cols(); ++j) bias_grad_.At(0, j) += row[j];
   }
-  return dy.MatMul(weight_.Transposed());
+  return dy.MatMulTransposed(weight_);
 }
 
 void Linear::ZeroGrad() {

@@ -181,5 +181,45 @@ TEST_F(GraphIoTest, AttributeNodeOutOfRangeFails) {
   EXPECT_EQ(g.status().code(), StatusCode::kOutOfRange);
 }
 
+// With no declared node count, isolated nodes whose ids exceed every edge
+// endpoint still load: the count is max id + 1 over all three files.
+TEST_F(GraphIoTest, IsolatedHighIdsOnlyInAttributesExtendNodeCount) {
+  {
+    std::ofstream out(edges_path_);
+    out << "0 1\n1 2\n";
+  }
+  {
+    std::ofstream out(attrs_path_);
+    out << "0 0 1.0\n1 1 1.0\n2 0 1.0\n5 1 0.5\n3 0 2.0\n";
+  }
+  LoadSummary summary;
+  auto g = LoadAttributedGraph(edges_path_, attrs_path_, "", LoadOptions(),
+                               &summary);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  const Graph& h = g.value();
+  EXPECT_EQ(h.num_nodes(), 6);
+  EXPECT_EQ(h.num_edges(), 2);
+  EXPECT_EQ(h.Degree(5), 0);
+  EXPECT_FLOAT_EQ(h.attributes().At(5, 1), 0.5f);
+  EXPECT_FLOAT_EQ(h.attributes().At(3, 0), 2.0f);
+  // Node 4 is named by no file: an unobserved attribute row.
+  EXPECT_EQ(summary.nodes_missing_attrs, 1);
+  ASSERT_EQ(h.attr_observed().size(), 6u);
+  EXPECT_EQ(h.attr_observed()[4], 0);
+  EXPECT_EQ(h.attr_observed()[5], 1);
+
+  // A label line can extend the count the same way.
+  {
+    std::ofstream out(labels_path_);
+    out << "0 1\n7 2\n";
+  }
+  auto with_labels =
+      LoadAttributedGraph(edges_path_, attrs_path_, labels_path_);
+  ASSERT_TRUE(with_labels.ok()) << with_labels.status().ToString();
+  EXPECT_EQ(with_labels.value().num_nodes(), 8);
+  ASSERT_EQ(with_labels.value().labels().size(), 8u);
+  EXPECT_EQ(with_labels.value().labels()[7], 2);
+}
+
 }  // namespace
 }  // namespace coane
