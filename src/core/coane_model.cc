@@ -59,15 +59,6 @@ Status ValidateConfig(const CoaneConfig& c) {
   return Status::OK();
 }
 
-bool AllFinite(const DenseMatrix& m) {
-  const float* p = m.data();
-  const int64_t n = m.size();
-  for (int64_t i = 0; i < n; ++i) {
-    if (!std::isfinite(p[i])) return false;
-  }
-  return true;
-}
-
 // One-hot identity features for the WF (no attributes) ablation.
 SparseMatrix IdentityFeatures(int64_t n) {
   std::vector<SparseMatrix::Triplet> triplets;
@@ -191,6 +182,7 @@ Status CoaneModel::Preprocess(const RunContext* ctx) {
   optimizer_.set_learning_rate(config_.learning_rate);
 
   z_ = DenseMatrix(graph_.num_nodes(), config_.embedding_dim, 0.0f);
+  dz_ = DenseMatrix(graph_.num_nodes(), config_.embedding_dim, 0.0f);
   in_batch_.assign(static_cast<size_t>(graph_.num_nodes()), 0);
   RenewEmbeddings();
   preprocessed_ = true;
@@ -283,9 +275,12 @@ Status CoaneModel::TrainBatch(const std::vector<NodeId>& batch,
   ThreadPool* pool = GlobalThreadPool();
   const int64_t batch_size = static_cast<int64_t>(batch.size());
 
-  // --- Embedding Updating: refresh z_v for batch nodes from the encoder.
-  // Row-disjoint writes (each batch node owns its z_ row and in_batch_
-  // flag), so elastic sharding stays bit-identical.
+  const int64_t dim = z_.cols();
+
+  // --- Embedding Updating: refresh z_v for batch nodes from the encoder,
+  // and zero their dL/dz_v rows — the only rows of dz_ this batch writes
+  // or reads. Row-disjoint writes (each batch node owns its z_ and dz_ rows
+  // and its in_batch_ flag), so elastic sharding stays bit-identical.
   (void)ParallelFor(
       pool, nullptr, "train.batch_encode", batch_size,
       ElasticShards(pool, batch_size),
@@ -293,6 +288,7 @@ Status CoaneModel::TrainBatch(const std::vector<NodeId>& batch,
         for (int64_t b = begin; b < end; ++b) {
           const NodeId v = batch[static_cast<size_t>(b)];
           encoder_->EncodeNode(*contexts_, features_, v, z_.Row(v));
+          std::fill_n(dz_.Row(v), dim, 0.0f);
           in_batch_[static_cast<size_t>(v)] = 1;
         }
         return Status::OK();
@@ -306,8 +302,6 @@ Status CoaneModel::TrainBatch(const std::vector<NodeId>& batch,
       for (NodeId v : batch) flags[static_cast<size_t>(v)] = 0;
     }
   } flag_reset{batch, in_batch_};
-
-  DenseMatrix dz(z_.rows(), z_.cols(), 0.0f);
 
   // --- Loss Updating. Negatives are drawn from rng_ on this thread, in
   // batch order — exactly the draws the sequential loop made — so the
@@ -327,11 +321,10 @@ Status CoaneModel::TrainBatch(const std::vector<NodeId>& batch,
       z_, config_.use_positive_loss ? &positive_pairs_ : nullptr,
       /*split_lr=*/!config_.skipgram_positive,
       use_negative ? &negatives : nullptr, config_.negative_weight, batch,
-      in_batch_, &dz);
+      in_batch_, &dz_);
   double positive = losses.positive, negative = losses.negative,
          attribute = 0.0;
 
-  encoder_->ZeroGrad();
   if (config_.use_attribute_loss) {
     decoder_->ZeroGrad();
     // L_att = gamma * MSE(MLP(z_batch), X_batch).
@@ -346,14 +339,14 @@ Status CoaneModel::TrainBatch(const std::vector<NodeId>& batch,
     DenseMatrix dz_batch = decoder_->Backward(dx_hat);
     for (size_t b = 0; b < batch.size(); ++b) {
       Axpy(1.0f, dz_batch.Row(static_cast<int64_t>(b)),
-           dz.Row(batch[b]), z_.cols());
+           dz_.Row(batch[b]), dim);
     }
   }
 
   if (fault::ShouldFail("train.batch_grad")) {
     // Simulated divergence: poison the batch gradient exactly like an
     // overflowing loss term would.
-    dz.Row(batch.front())[0] = std::numeric_limits<float>::quiet_NaN();
+    dz_.Row(batch.front())[0] = std::numeric_limits<float>::quiet_NaN();
   }
 
   // --- Numerical health: reject the batch before any parameter is
@@ -366,41 +359,42 @@ Status CoaneModel::TrainBatch(const std::vector<NodeId>& batch,
                               std::to_string(negative) + ", L_att=" +
                               std::to_string(attribute) + ")");
     }
-    if (!AllFinite(dz)) {
-      return Status::Internal("non-finite batch gradient dL/dZ");
+    for (NodeId v : batch) {
+      const float* row = dz_.Row(v);
+      if (!std::all_of(row, row + dim,
+                       [](float g) { return std::isfinite(g); })) {
+        return Status::Internal("non-finite batch gradient dL/dZ");
+      }
     }
   }
   if (config_.grad_clip_norm > 0.0f) {
-    const double norm = dz.FrobeniusNorm();
+    // dL/dZ is zero outside the batch rows (dz_ keeps stale rows there,
+    // never read), so summing the batch rows in ascending node-id order is
+    // the full n x d' matrix's row-major Frobenius sum to the last bit.
+    std::vector<NodeId> rows(batch);
+    std::sort(rows.begin(), rows.end());
+    double sum = 0.0;
+    for (NodeId v : rows) {
+      const float* row = dz_.Row(v);
+      for (int64_t j = 0; j < dim; ++j) {
+        sum += static_cast<double>(row[j]) * row[j];
+      }
+    }
+    const double norm = std::sqrt(sum);
     if (norm > config_.grad_clip_norm) {
-      dz.Scale(static_cast<float>(config_.grad_clip_norm / norm));
+      const float scale = static_cast<float>(config_.grad_clip_norm / norm);
+      for (NodeId v : rows) {
+        float* row = dz_.Row(v);
+        for (int64_t j = 0; j < dim; ++j) row[j] *= scale;
+      }
     }
   }
 
-  // --- Backprop dL/dz through the encoder for batch nodes and step.
-  // Shard-private gradient buffers folded in shard order: the parameter
-  // gradient handed to Adam has a fixed summation tree (fixed shard count),
-  // so the optimizer step — and every checkpoint taken after it — is
-  // bit-identical at every thread count.
-  std::vector<std::vector<DenseMatrix>> grad_shards(
-      static_cast<size_t>(kFixedReductionShards));
-  (void)ParallelFor(
-      pool, nullptr, "train.encoder_grad", batch_size,
-      kFixedReductionShards,
-      [&](int64_t shard, int64_t begin, int64_t end) -> Status {
-        if (begin == end) return Status::OK();
-        auto& buf = grad_shards[static_cast<size_t>(shard)];
-        buf = encoder_->MakeGradBuffer();
-        for (int64_t b = begin; b < end; ++b) {
-          const NodeId v = batch[static_cast<size_t>(b)];
-          encoder_->AccumulateGradientInto(*contexts_, features_, v,
-                                           dz.Row(v), &buf);
-        }
-        return Status::OK();
-      });
-  for (const auto& buf : grad_shards) {
-    if (!buf.empty()) encoder_->MergeGrad(buf);
-  }
+  // --- Backprop dL/dz through the encoder for batch nodes and step. The
+  // encoder reduces over a fixed shard count in shard order, so the
+  // parameter gradient handed to Adam — and every checkpoint taken after
+  // the step — is bit-identical at every thread count.
+  encoder_->ComputeBatchGradient(*contexts_, features_, batch, dz_);
   encoder_->ApplyGrad(&optimizer_);
   if (config_.use_attribute_loss) decoder_->ApplyGrad(&optimizer_);
 

@@ -191,6 +191,9 @@ class CoaneModel {
   std::unique_ptr<Mlp> decoder_;
   AdamOptimizer optimizer_;
   DenseMatrix z_;
+  // dL/dZ, n x d', kept across batches: each batch zeroes, writes and
+  // reads only its own rows.
+  DenseMatrix dz_;
   std::vector<uint8_t> in_batch_;
 };
 

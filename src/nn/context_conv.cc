@@ -1,5 +1,6 @@
 #include "nn/context_conv.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -91,9 +92,10 @@ std::vector<DenseMatrix> ContextEncoder::MakeGradBuffer() const {
   return buf;
 }
 
-void ContextEncoder::AccumulateGradientInto(
-    const ContextSet& contexts, const SparseMatrix& x, NodeId v,
-    const float* dz, std::vector<DenseMatrix>* grads) const {
+template <typename Fn>
+void ContextEncoder::ForEachGradTerm(const ContextSet& contexts,
+                                     const SparseMatrix& x, NodeId v,
+                                     Fn&& fn) const {
   const auto& node_contexts = contexts.Contexts(v);
   if (node_contexts.empty()) return;
   const float inv = 1.0f / static_cast<float>(node_contexts.size());
@@ -101,14 +103,20 @@ void ContextEncoder::AccumulateGradientInto(
     for (int p = 0; p < context_size_; ++p) {
       const NodeId u = context[static_cast<size_t>(p)];
       if (u == kPaddingNode) continue;
-      DenseMatrix& g =
-          (*grads)[static_cast<size_t>(position_index(p))];
       // dW_p[a, :] += inv * x_u[a] * dz.
       for (const SparseEntry& e : x.Row(u)) {
-        Axpy(inv * e.value, dz, g.Row(e.col), output_dim_);
+        fn(position_index(p), e.col, inv * e.value);
       }
     }
   }
+}
+
+void ContextEncoder::AccumulateGradientInto(
+    const ContextSet& contexts, const SparseMatrix& x, NodeId v,
+    const float* dz, std::vector<DenseMatrix>* grads) const {
+  ForEachGradTerm(contexts, x, v, [&](int m, int64_t a, float coeff) {
+    Axpy(coeff, dz, (*grads)[static_cast<size_t>(m)].Row(a), output_dim_);
+  });
 }
 
 void ContextEncoder::MergeGrad(const std::vector<DenseMatrix>& grads) {
@@ -116,6 +124,77 @@ void ContextEncoder::MergeGrad(const std::vector<DenseMatrix>& grads) {
   for (size_t i = 0; i < grads_.size(); ++i) {
     grads_[i].Axpy(1.0f, grads[i]);
   }
+}
+
+void ContextEncoder::ComputeBatchGradient(const ContextSet& contexts,
+                                          const SparseMatrix& x,
+                                          const std::vector<NodeId>& batch,
+                                          const DenseMatrix& dz) {
+  const int64_t d = output_dim_;
+  const int64_t keys =
+      static_cast<int64_t>(num_position_matrices()) * input_dim_;
+  if (grad_shards_.empty()) {
+    grad_shards_.resize(static_cast<size_t>(kFixedReductionShards));
+    for (GradShard& s : grad_shards_) {
+      s.slot.assign(static_cast<size_t>(keys), -1);
+    }
+  }
+  ThreadPool* pool = GlobalThreadPool();
+  const int64_t batch_size = static_cast<int64_t>(batch.size());
+  // Pass 1: the full-buffer path's shards over the batch, each adding its
+  // terms into compact rows with the same Axpy sequence. A row is zeroed
+  // when first touched, so it holds exactly the full buffer's row.
+  (void)ParallelFor(
+      pool, nullptr, "train.encoder_grad", batch_size,
+      kFixedReductionShards,
+      [&](int64_t shard, int64_t begin, int64_t end) -> Status {
+        GradShard& s = grad_shards_[static_cast<size_t>(shard)];
+        for (int64_t key : s.touched) s.slot[static_cast<size_t>(key)] = -1;
+        s.touched.clear();
+        for (int64_t b = begin; b < end; ++b) {
+          const NodeId v = batch[static_cast<size_t>(b)];
+          const float* dz_v = dz.Row(v);
+          ForEachGradTerm(contexts, x, v, [&](int m, int64_t a, float coeff) {
+            const int64_t key = m * input_dim_ + a;
+            int32_t& slot = s.slot[static_cast<size_t>(key)];
+            if (slot < 0) {
+              slot = static_cast<int32_t>(s.touched.size());
+              s.touched.push_back(key);
+              const size_t need = s.touched.size() * static_cast<size_t>(d);
+              if (s.rows.size() < need) s.rows.resize(need);
+              std::fill_n(s.rows.data() + need - d, d, 0.0f);
+            }
+            Axpy(coeff, dz_v, s.rows.data() + static_cast<int64_t>(slot) * d,
+                 d);
+          });
+        }
+        return Status::OK();
+      });
+  // Pass 2: per gradient row, +0 then each shard's row in shard order —
+  // MergeGrad's per-element sum without its untouched +0 terms, which
+  // never change a sum that started at +0. Rows are disjoint, so any
+  // sharding of this pass gives the same bytes. Shards past the batch
+  // size never ran and hold stale slots, so they are skipped.
+  const int64_t ran = std::min(kFixedReductionShards, batch_size);
+  (void)ParallelFor(
+      pool, nullptr, "train.encoder_grad_merge", keys,
+      ElasticShards(pool, keys),
+      [&](int64_t, int64_t begin, int64_t end) -> Status {
+        for (int64_t key = begin; key < end; ++key) {
+          float* out = grads_[static_cast<size_t>(key / input_dim_)].Row(
+              key % input_dim_);
+          std::fill_n(out, d, 0.0f);
+          for (int64_t shard = 0; shard < ran; ++shard) {
+            const GradShard& s = grad_shards_[static_cast<size_t>(shard)];
+            const int32_t slot = s.slot[static_cast<size_t>(key)];
+            if (slot >= 0) {
+              Axpy(1.0f, s.rows.data() + static_cast<int64_t>(slot) * d, out,
+                   d);
+            }
+          }
+        }
+        return Status::OK();
+      });
 }
 
 void ContextEncoder::ZeroGrad() {

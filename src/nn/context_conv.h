@@ -80,6 +80,19 @@ class ContextEncoder {
   /// Adds a buffer produced by MakeGradBuffer into the internal gradient.
   void MergeGrad(const std::vector<DenseMatrix>& grads);
 
+  /// Sets the internal gradient to the batch gradient for dL/dZ = `dz`
+  /// (rows indexed by node id; only batch rows are read). The result is
+  /// byte-identical to ZeroGrad, then one MakeGradBuffer +
+  /// AccumulateGradientInto buffer per kFixedReductionShards shard of
+  /// `batch`, then MergeGrad in shard order — that full-buffer path stays
+  /// the oracle — but costs what the batch touches: each shard keeps a
+  /// compact row per (weight matrix, attribute) row its nodes reach, in
+  /// scratch reused across calls, and one parallel pass writes every
+  /// gradient row as +0 plus the shards' rows in shard order.
+  void ComputeBatchGradient(const ContextSet& contexts, const SparseMatrix& x,
+                            const std::vector<NodeId>& batch,
+                            const DenseMatrix& dz);
+
   void ZeroGrad();
   void RegisterParams(AdamOptimizer* optimizer);
   void ApplyGrad(AdamOptimizer* optimizer);
@@ -94,6 +107,10 @@ class ContextEncoder {
   int num_weight_matrices() const { return num_position_matrices(); }
   const DenseMatrix& weight_matrix(int i) const {
     return weights_[static_cast<size_t>(i)];
+  }
+  /// Gradient of weight_matrix(i), as ApplyGrad hands it to Adam.
+  const DenseMatrix& grad(int i) const {
+    return grads_[static_cast<size_t>(i)];
   }
   DenseMatrix* mutable_weight_matrix(int i) {
     return &weights_[static_cast<size_t>(i)];
@@ -122,6 +139,22 @@ class ContextEncoder {
     return kind_ == Kind::kConvolution ? p : 0;
   }
 
+  // Calls fn(matrix, attribute, coeff) for every term of node v's
+  // gradient, dW_matrix[attribute, :] += coeff * dz_v, in batch-independent
+  // context -> position -> entry order.
+  template <typename Fn>
+  void ForEachGradTerm(const ContextSet& contexts, const SparseMatrix& x,
+                       NodeId v, Fn&& fn) const;
+
+  // One shard's scratch for ComputeBatchGradient, reused across batches.
+  struct GradShard {
+    // (matrix * input_dim + attribute) -> row index in `rows`; -1 when
+    // untouched. Reset only on `touched` at the shard's next batch.
+    std::vector<int32_t> slot;
+    std::vector<int64_t> touched;
+    std::vector<float> rows;  // grow-only, touched.size() x output_dim used
+  };
+
   int context_size_;
   int64_t input_dim_;
   int64_t output_dim_;
@@ -130,6 +163,7 @@ class ContextEncoder {
   std::vector<DenseMatrix> initial_weights_;
   std::vector<DenseMatrix> grads_;
   std::vector<int> slots_;
+  std::vector<GradShard> grad_shards_;
 };
 
 }  // namespace coane

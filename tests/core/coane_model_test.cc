@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "common/atomic_file.h"
+#include "common/checksum.h"
+#include "common/fault_injection.h"
+#include "common/parallel/global_pool.h"
 #include "datasets/attributed_sbm.h"
 #include "graph/graph_builder.h"
 #include "la/vector_ops.h"
@@ -187,6 +194,76 @@ TEST(CoaneModelTest, NoAttributesGraphRequiresWfFlag) {
   cfg.use_attributes = false;
   cfg.use_attribute_loss = false;
   EXPECT_TRUE(CoaneModel(bare, cfg).Preprocess().ok());
+}
+
+// Golden training bytes. Each case trains a tiny model for two epochs and
+// CRC-32s the checkpoint file: encoder filters, decoder weights, Adam
+// moments and step counts, RNG state, learning rate. The constants were
+// recorded before the batch-sized encoder-gradient reduction and dL/dZ
+// replaced the full-buffer path. A changed summation order in the
+// encoder-gradient merge, clipping that scales the wrong rows, or a
+// rollback-and-retry that leaves stale state changes these bytes, at any
+// thread count.
+uint32_t CheckpointCrc(const Graph& graph, const CoaneConfig& cfg,
+                       int threads, const std::string& name) {
+  SetGlobalParallelism(threads);
+  CoaneModel model(graph, cfg);
+  EXPECT_TRUE(model.Preprocess().ok());
+  auto history = model.Train();
+  EXPECT_TRUE(history.ok()) << history.status().ToString();
+  const std::string path = ::testing::TempDir() + "coane_golden_" + name +
+                           "_t" + std::to_string(threads) + ".ckpt";
+  EXPECT_TRUE(model.SaveCheckpoint(path).ok());
+  auto bytes = ReadFileToString(path);
+  std::remove(path.c_str());
+  SetGlobalParallelism(1);
+  EXPECT_TRUE(bytes.ok());
+  return bytes.ok() ? Crc32(bytes.value()) : 0;
+}
+
+TEST(CoaneModelGoldenTest, ConvolutionBatchNegatives) {
+  AttributedNetwork net = SmallNetwork();
+  CoaneConfig cfg = FastConfig();
+  cfg.negative_mode = NegativeSamplingMode::kBatch;
+  for (int threads : {1, 3, 8}) {
+    EXPECT_EQ(CheckpointCrc(net.graph, cfg, threads, "conv_batch"),
+              0xb6cfc28bu)
+        << "threads " << threads;
+  }
+}
+
+TEST(CoaneModelGoldenTest, FullyConnectedPreSampledNegatives) {
+  AttributedNetwork net = SmallNetwork();
+  CoaneConfig cfg = FastConfig();
+  cfg.encoder_kind = ContextEncoder::Kind::kFullyConnected;
+  cfg.negative_mode = NegativeSamplingMode::kPreSampled;
+  for (int threads : {1, 3, 8}) {
+    EXPECT_EQ(CheckpointCrc(net.graph, cfg, threads, "fc_presampled"),
+              0x32a118ceu)
+        << "threads " << threads;
+  }
+}
+
+TEST(CoaneModelGoldenTest, GradientClipping) {
+  AttributedNetwork net = SmallNetwork();
+  CoaneConfig cfg = FastConfig();
+  cfg.grad_clip_norm = 0.5f;
+  for (int threads : {1, 3, 8}) {
+    EXPECT_EQ(CheckpointCrc(net.graph, cfg, threads, "clip"), 0xf2be2d59u)
+        << "threads " << threads;
+  }
+}
+
+TEST(CoaneModelGoldenTest, PoisonedBatchRollsBackAndRetries) {
+  AttributedNetwork net = SmallNetwork();
+  CoaneConfig cfg = FastConfig();
+  for (int threads : {1, 3, 8}) {
+    fault::Reset();
+    fault::Arm("train.batch_grad", /*trigger_hit=*/1);
+    EXPECT_EQ(CheckpointCrc(net.graph, cfg, threads, "retry"), 0x3ae60ad8u)
+        << "threads " << threads;
+    fault::Reset();
+  }
 }
 
 }  // namespace
