@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/parallel/global_pool.h"
 #include "common/parallel/parallel_for.h"
+#include "la/vector_ops.h"
 
 namespace coane {
 
@@ -18,11 +19,8 @@ namespace {
 constexpr int64_t kTileRows = 4;
 constexpr int64_t kPanelCols = 16;
 
-// Four-lane float vector (GCC/Clang vector extension). The compiler maps it
-// onto the target's baseline SIMD registers; no intrinsics, no -march.
-typedef float Lanes __attribute__((vector_size(16)));
+// Lanes (la/vector_ops.h) reinterpreted as bits, to mask skipped terms.
 typedef int32_t LaneBits __attribute__((vector_size(16)));
-constexpr int64_t kLanes = 4;
 constexpr int64_t kPanelVecs = kPanelCols / kLanes;
 
 // Strided view of one GEMM operand: element (x, k) sits at
@@ -186,12 +184,10 @@ void DenseMatrix::GaussianInit(Rng* rng, float mean, float stddev) {
 
 void DenseMatrix::Axpy(float alpha, const DenseMatrix& other) {
   COANE_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
+  coane::Axpy(alpha, other.data(), data(), size());
 }
 
-void DenseMatrix::Scale(float alpha) {
-  for (float& x : data_) x *= alpha;
-}
+void DenseMatrix::Scale(float alpha) { coane::Scale(alpha, data(), size()); }
 
 double DenseMatrix::FrobeniusNorm() const {
   double sum = 0.0;

@@ -11,10 +11,6 @@ float Dot(const float* a, const float* b, int64_t n) {
   return sum;
 }
 
-void Axpy(float alpha, const float* x, float* y, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
 double Norm2(const float* a, int64_t n) {
   double sum = 0.0;
   for (int64_t i = 0; i < n; ++i) sum += static_cast<double>(a[i]) * a[i];

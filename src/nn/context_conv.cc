@@ -1,12 +1,11 @@
 #include "nn/context_conv.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 #include "common/logging.h"
 #include "common/parallel/global_pool.h"
 #include "common/parallel/parallel_for.h"
+#include "common/status.h"
 #include "la/vector_ops.h"
 
 namespace coane {
@@ -223,60 +222,6 @@ const DenseMatrix& ContextEncoder::InitialPositionWeights(int p) const {
   COANE_CHECK_GE(p, 0);
   COANE_CHECK_LT(p, context_size_);
   return initial_weights_[static_cast<size_t>(position_index(p))];
-}
-
-Status ContextEncoder::Save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << "coane-context-encoder v1\n";
-  out << (kind_ == Kind::kConvolution ? "conv" : "fc") << " "
-      << context_size_ << " " << input_dim_ << " " << output_dim_ << "\n";
-  for (const DenseMatrix& w : weights_) {
-    for (int64_t i = 0; i < w.size(); ++i) {
-      out << w.data()[i] << (i + 1 == w.size() ? '\n' : ' ');
-    }
-  }
-  if (!out) return Status::IoError("write failure on " + path);
-  return Status::OK();
-}
-
-Result<std::unique_ptr<ContextEncoder>> ContextEncoder::Load(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string magic, version;
-  in >> magic >> version;
-  if (magic != "coane-context-encoder" || version != "v1") {
-    return Status::InvalidArgument("not a v1 encoder file: " + path);
-  }
-  std::string kind_name;
-  int context_size = 0;
-  int64_t input_dim = 0, output_dim = 0;
-  in >> kind_name >> context_size >> input_dim >> output_dim;
-  if (!in || context_size < 1 || input_dim < 1 || output_dim < 1) {
-    return Status::InvalidArgument("corrupt encoder header in " + path);
-  }
-  Kind kind;
-  if (kind_name == "conv") {
-    kind = Kind::kConvolution;
-  } else if (kind_name == "fc") {
-    kind = Kind::kFullyConnected;
-  } else {
-    return Status::InvalidArgument("unknown encoder kind '" + kind_name +
-                                   "'");
-  }
-  Rng rng(0);  // init values are overwritten below
-  auto enc = std::make_unique<ContextEncoder>(context_size, input_dim,
-                                              output_dim, kind, &rng);
-  for (DenseMatrix& w : enc->weights_) {
-    for (int64_t i = 0; i < w.size(); ++i) {
-      if (!(in >> w.data()[i])) {
-        return Status::InvalidArgument("truncated encoder file " + path);
-      }
-    }
-  }
-  enc->initial_weights_ = enc->weights_;
-  return enc;
 }
 
 }  // namespace coane

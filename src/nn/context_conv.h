@@ -1,12 +1,9 @@
 #ifndef COANE_NN_CONTEXT_CONV_H_
 #define COANE_NN_CONTEXT_CONV_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/status.h"
 #include "la/dense_matrix.h"
 #include "la/sparse_matrix.h"
 #include "nn/adam.h"
@@ -120,16 +117,6 @@ class ContextEncoder {
   /// filter analyses can measure how far training moved each attribute's
   /// weights (Fig. 6b).
   const DenseMatrix& InitialPositionWeights(int p) const;
-
-  /// Writes the trained filters (kind, shape, weights) to a text file so a
-  /// trained encoder can be reloaded in another process — e.g. to serve
-  /// inductive embeddings without retraining.
-  Status Save(const std::string& path) const;
-
-  /// Reloads an encoder written by Save. The initial-weights snapshot of
-  /// the loaded encoder equals the loaded weights.
-  static Result<std::unique_ptr<ContextEncoder>> Load(
-      const std::string& path);
 
  private:
   int num_position_matrices() const {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "la/vector_ops.h"
 
 namespace coane {
 
@@ -20,8 +21,7 @@ DenseMatrix Linear::Forward(const DenseMatrix& x) {
   cached_input_ = x;
   DenseMatrix y = x.MatMul(weight_);
   for (int64_t i = 0; i < y.rows(); ++i) {
-    float* row = y.Row(i);
-    for (int64_t j = 0; j < y.cols(); ++j) row[j] += bias_.At(0, j);
+    Axpy(1.0f, bias_.Row(0), y.Row(i), y.cols());
   }
   return y;
 }
@@ -32,8 +32,7 @@ DenseMatrix Linear::Backward(const DenseMatrix& dy) {
   // dW += x^T dy ; db += colsum(dy) ; dx = dy W^T.
   weight_grad_.Axpy(1.0f, cached_input_.TransposedMatMul(dy));
   for (int64_t i = 0; i < dy.rows(); ++i) {
-    const float* row = dy.Row(i);
-    for (int64_t j = 0; j < dy.cols(); ++j) bias_grad_.At(0, j) += row[j];
+    Axpy(1.0f, dy.Row(i), bias_grad_.Row(0), dy.cols());
   }
   return dy.MatMulTransposed(weight_);
 }

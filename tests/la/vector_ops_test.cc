@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 namespace coane {
@@ -21,6 +23,113 @@ TEST(VectorOpsTest, Axpy) {
   Axpy(2.0f, x, y, 3);
   EXPECT_FLOAT_EQ(y[0], 3.0f);
   EXPECT_FLOAT_EQ(y[2], 5.0f);
+}
+
+// The scalar loops Axpy and Scale replaced; the oracles for their bytes.
+void ReferenceAxpy(float alpha, const float* x, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+}
+
+void ReferenceScale(float alpha, float* x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) x[i] *= alpha;
+}
+
+// n floats, starting at data() + offset, that mix ordinary values with
+// +-0, +-inf, quiet NaN and subnormals; `salt` varies the mix. A trailing
+// guard float catches a write past n.
+std::vector<float> OracleInput(int64_t n, int64_t offset, int salt) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            kInf,
+                            -kInf,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            1e-39f,
+                            -3e-40f,
+                            std::numeric_limits<float>::min()};
+  std::vector<float> v(static_cast<size_t>(n + offset + 1), 0.5f);
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t k = i * 7 + salt;
+    v[static_cast<size_t>(offset + i)] =
+        k % 3 == 0 ? specials[k % 10]
+                   : static_cast<float>(k % 101 - 50) / 16.0f + 0.1f;
+  }
+  return v;
+}
+
+// Every length up to four 8-float steps plus a tail, and a few long ones.
+std::vector<int64_t> OracleSizes() {
+  std::vector<int64_t> sizes;
+  for (int64_t n = 0; n <= 33; ++n) sizes.push_back(n);
+  for (int64_t n : {127, 128, 129, 6024}) sizes.push_back(n);
+  return sizes;
+}
+
+const int64_t kOracleOffsets[] = {0, 1, 3};
+const float kOracleAlphas[] = {0.0f,
+                               -0.0f,
+                               1.0f,
+                               -1.0f,
+                               1e-30f,
+                               std::numeric_limits<float>::infinity(),
+                               -std::numeric_limits<float>::infinity(),
+                               std::numeric_limits<float>::quiet_NaN()};
+
+TEST(VectorOpsTest, AxpyMatchesScalarLoopBytes) {
+  for (int64_t n : OracleSizes()) {
+    for (int64_t x_off : kOracleOffsets) {
+      for (int64_t y_off : kOracleOffsets) {
+        for (float alpha : kOracleAlphas) {
+          const std::vector<float> x = OracleInput(n, x_off, 1);
+          std::vector<float> want = OracleInput(n, y_off, 2);
+          std::vector<float> got = want;
+          ReferenceAxpy(alpha, x.data() + x_off, want.data() + y_off, n);
+          Axpy(alpha, x.data() + x_off, got.data() + y_off, n);
+          ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << "n=" << n << " x_off=" << x_off << " y_off=" << y_off
+              << " alpha=" << alpha;
+        }
+      }
+    }
+  }
+}
+
+TEST(VectorOpsTest, AxpyInPlaceMatchesScalarLoopBytes) {
+  for (int64_t n : OracleSizes()) {
+    for (int64_t off : kOracleOffsets) {
+      for (float alpha : kOracleAlphas) {
+        std::vector<float> want = OracleInput(n, off, 3);
+        std::vector<float> got = want;
+        ReferenceAxpy(alpha, want.data() + off, want.data() + off, n);
+        Axpy(alpha, got.data() + off, got.data() + off, n);
+        ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "n=" << n << " off=" << off << " alpha=" << alpha;
+      }
+    }
+  }
+}
+
+TEST(VectorOpsTest, ScaleMatchesScalarLoopBytes) {
+  for (int64_t n : OracleSizes()) {
+    for (int64_t off : kOracleOffsets) {
+      for (float alpha : kOracleAlphas) {
+        std::vector<float> want = OracleInput(n, off, 4);
+        std::vector<float> got = want;
+        ReferenceScale(alpha, want.data() + off, n);
+        Scale(alpha, got.data() + off, n);
+        ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "n=" << n << " off=" << off << " alpha=" << alpha;
+      }
+    }
+  }
 }
 
 TEST(VectorOpsTest, Norm2) {

@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <numeric>
 
@@ -161,57 +159,6 @@ TEST(ContextEncoderTest, FilterGradientMatchesFiniteDifference) {
       }
     }
   }
-}
-
-TEST(ContextEncoderTest, SaveLoadRoundTrip) {
-  for (auto kind : {ContextEncoder::Kind::kConvolution,
-                    ContextEncoder::Kind::kFullyConnected}) {
-    Rng rng(42);
-    ContextEncoder enc(3, 2, 4, kind, &rng);
-    const std::string path = "/tmp/coane_encoder_test.txt";
-    ASSERT_TRUE(enc.Save(path).ok());
-    auto loaded = ContextEncoder::Load(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    ContextEncoder& enc2 = *loaded.value();
-    EXPECT_EQ(enc2.context_size(), 3);
-    EXPECT_EQ(enc2.input_dim(), 2);
-    EXPECT_EQ(enc2.output_dim(), 4);
-    EXPECT_EQ(enc2.kind(), kind);
-    // Same encodings on the same contexts.
-    ContextSet cs(3, 3);
-    cs.Add(1, {0, 1, 2});
-    cs.Add(1, {kPaddingNode, 1, 0});
-    SparseMatrix x = MakeAttributes();
-    std::vector<float> z1(4), z2(4);
-    enc.EncodeNode(cs, x, 1, z1.data());
-    enc2.EncodeNode(cs, x, 1, z2.data());
-    for (int j = 0; j < 4; ++j) {
-      EXPECT_NEAR(z1[static_cast<size_t>(j)], z2[static_cast<size_t>(j)],
-                  1e-4f);
-    }
-    std::remove(path.c_str());
-  }
-}
-
-TEST(ContextEncoderTest, LoadRejectsCorruptFiles) {
-  const std::string path = "/tmp/coane_encoder_bad.txt";
-  {
-    std::ofstream out(path);
-    out << "not an encoder\n";
-  }
-  EXPECT_FALSE(ContextEncoder::Load(path).ok());
-  {
-    std::ofstream out(path);
-    out << "coane-context-encoder v1\nconv 3 2 4\n1.0 2.0\n";  // truncated
-  }
-  EXPECT_FALSE(ContextEncoder::Load(path).ok());
-  {
-    std::ofstream out(path);
-    out << "coane-context-encoder v1\nweird 3 2 4\n";
-  }
-  EXPECT_FALSE(ContextEncoder::Load(path).ok());
-  EXPECT_FALSE(ContextEncoder::Load("/no/such/file.txt").ok());
-  std::remove(path.c_str());
 }
 
 TEST(ContextEncoderTest, TrainingReducesLoss) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 namespace coane {
 namespace {
@@ -71,6 +73,55 @@ TEST(LinearTest, GradientsMatchFiniteDifference) {
       const double fd = (loss(layer, xp) - loss(layer, xm)) / (2.0 * eps);
       EXPECT_NEAR(dx.At(i, j), fd, 2e-2) << "dx[" << i << "," << j << "]";
     }
+  }
+}
+
+bool SameBytes(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Forward's bias add and Backward's gradient accumulation, against the
+// scalar loops they replaced, byte for byte. 19 output columns cover both
+// the vector steps and the scalar tail; the bias and dy carry +-0, inf and
+// NaN so the loops must agree on every special value too.
+TEST(LinearTest, BiasAndGradientsMatchScalarLoopBytes) {
+  Rng rng(4);
+  Linear layer(5, 19, &rng);
+  DenseMatrix* bias = layer.mutable_bias();
+  bias->GaussianInit(&rng, 0.0f, 1.0f);
+  bias->At(0, 1) = -0.0f;
+  bias->At(0, 9) = std::numeric_limits<float>::infinity();
+  bias->At(0, 17) = std::numeric_limits<float>::quiet_NaN();
+  DenseMatrix x(6, 5);
+  x.GaussianInit(&rng, 0.0f, 1.0f);
+
+  DenseMatrix want_y = x.MatMul(layer.weight());
+  for (int64_t i = 0; i < want_y.rows(); ++i) {
+    float* row = want_y.Row(i);
+    for (int64_t j = 0; j < want_y.cols(); ++j) row[j] += bias->At(0, j);
+  }
+  EXPECT_TRUE(SameBytes(layer.Forward(x), want_y));
+
+  DenseMatrix want_w_grad(5, 19, 0.0f);
+  DenseMatrix want_b_grad(1, 19, 0.0f);
+  layer.ZeroGrad();
+  for (int step = 0; step < 2; ++step) {
+    DenseMatrix dy(6, 19);
+    dy.GaussianInit(&rng, 0.0f, 1.0f);
+    dy.At(step, 3) = -0.0f;
+    dy.At(2, 11 + step) = -std::numeric_limits<float>::infinity();
+    const DenseMatrix xt_dy = x.TransposedMatMul(dy);
+    for (int64_t i = 0; i < xt_dy.size(); ++i) {
+      want_w_grad.data()[i] += 1.0f * xt_dy.data()[i];
+    }
+    for (int64_t i = 0; i < dy.rows(); ++i) {
+      const float* row = dy.Row(i);
+      for (int64_t j = 0; j < dy.cols(); ++j) want_b_grad.At(0, j) += row[j];
+    }
+    layer.Backward(dy);
+    EXPECT_TRUE(SameBytes(layer.weight_grad(), want_w_grad)) << step;
+    EXPECT_TRUE(SameBytes(layer.bias_grad(), want_b_grad)) << step;
   }
 }
 
