@@ -1,12 +1,12 @@
 #include "common/fault_injection.h"
 
-#include <charconv>
 #include <cstdlib>
 #include <map>
 #include <mutex>
 #include <utility>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/string_utils.h"
 
 namespace coane {
@@ -116,9 +116,7 @@ Status ArmFromEnv(const char* spec) {
       if (s != std::string::npos) {
         const std::string seed_part = rate_part.substr(s + 1);
         rate_part = rate_part.substr(0, s);
-        auto [ptr, ec] = std::from_chars(
-            seed_part.data(), seed_part.data() + seed_part.size(), p.seed);
-        if (ec != std::errc() || ptr != seed_part.data() + seed_part.size()) {
+        if (!flags::ParseWhole(seed_part, &p.seed)) {
           return Status::InvalidArgument(
               "COANE_FAULT token '" + token + "' has a bad rate seed");
         }
@@ -141,19 +139,13 @@ Status ArmFromEnv(const char* spec) {
       if (count == "*") {
         p.fail_count = -1;
       } else {
-        auto [ptr, ec] = std::from_chars(
-            count.data(), count.data() + count.size(), p.fail_count);
-        if (ec != std::errc() || ptr != count.data() + count.size() ||
-            p.fail_count < 1) {
+        if (!flags::ParseWhole(count, &p.fail_count) || p.fail_count < 1) {
           return Status::InvalidArgument(
               "COANE_FAULT token '" + token + "' has a bad fail count");
         }
       }
     }
-    auto [ptr, ec] =
-        std::from_chars(rest.data(), rest.data() + rest.size(), p.trigger_hit);
-    if (ec != std::errc() || ptr != rest.data() + rest.size() ||
-        p.trigger_hit < 1) {
+    if (!flags::ParseWhole(rest, &p.trigger_hit) || p.trigger_hit < 1) {
       return Status::InvalidArgument(
           "COANE_FAULT token '" + token + "' has a bad trigger hit");
     }

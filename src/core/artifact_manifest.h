@@ -28,9 +28,9 @@ struct ArtifactEntry {
 /// pipeline verifies each artifact against its entry before trusting it:
 /// valid artifacts are reused, corrupt or stale ones are recomputed.
 ///
-/// On-disk format (tab-separated text, one artifact per line, trailing
-/// CRC-32 footer over everything above it — the manifest guards the
-/// artifacts, the footer guards the manifest):
+/// On-disk format: a CRC-footered text file (DESIGN.md §6, "CRC-footered
+/// text files"), one tab-separated artifact per line — the manifest guards
+/// the artifacts, the footer guards the manifest:
 ///
 ///   COANE-MANIFEST v1
 ///   <kind>\t<path>\t<size>\t<crc32 hex8>\t<fingerprint hex16>
@@ -38,8 +38,9 @@ struct ArtifactEntry {
 ///   # crc32 <hex8>
 ///
 /// Paths containing tab or newline characters cannot be recorded
-/// (Record rejects them). Load returns kDataLoss for any structural or
-/// checksum defect, so a torn or hand-edited manifest is never trusted.
+/// (Record rejects them). Load returns kDataLoss naming `path:line` for
+/// any structural or checksum defect, so a torn or hand-edited manifest
+/// is never trusted.
 class ArtifactManifest {
  public:
   /// Inserts `entry`, replacing any existing entry with the same

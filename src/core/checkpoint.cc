@@ -4,6 +4,7 @@
 
 #include "common/atomic_file.h"
 #include "common/checksum.h"
+#include "common/fnv.h"
 #include "nn/serialize.h"
 
 namespace coane {
@@ -25,24 +26,16 @@ void AppendSection(std::string* out, uint32_t id,
   out->append(payload);
 }
 
-// FNV-1a over an arbitrary byte rendering of the config fields.
-void HashBytes(uint64_t* h, const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    *h ^= p[i];
-    *h *= 0x100000001B3ull;
-  }
-}
-
+// FNV-1a over the in-memory bytes of one config field.
 template <typename T>
 void HashValue(uint64_t* h, T v) {
-  HashBytes(h, &v, sizeof(v));
+  *h = FnvMixBytes(*h, &v, sizeof(v));
 }
 
 }  // namespace
 
 uint64_t ConfigFingerprint(const CoaneConfig& c) {
-  uint64_t h = 0xCBF29CE484222325ull;
+  uint64_t h = kFnvBasis;
   // Preprocessing determinism: anything that shifts the seeded RNG stream
   // or the generated contexts shifts the fingerprint.
   HashValue(&h, c.seed);

@@ -1,11 +1,11 @@
 #include "dist/round_log.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdio>
+#include <string_view>
 
 #include "common/atomic_file.h"
-#include "common/checksum.h"
+#include "common/flags.h"
+#include "common/record_file.h"
 #include "common/string_utils.h"
 
 namespace coane {
@@ -13,31 +13,6 @@ namespace dist {
 namespace {
 
 constexpr char kHeaderPrefix[] = "COANE-ROUNDS v1 ";
-constexpr char kFooterPrefix[] = "# crc32 ";
-
-std::string Hex32(uint32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x", v);
-  return buf;
-}
-
-std::string Hex64(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-template <typename T>
-bool ParseHex(const std::string& s, T* out) {
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out, 16);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-bool ParseInt(const std::string& s, int* out) {
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out, 10);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
 
 std::string ShardCsv(const std::vector<int>& shards) {
   if (shards.empty()) return "-";
@@ -54,7 +29,7 @@ bool ParseShardCsv(const std::string& csv, std::vector<int>* out) {
   if (csv == "-") return true;
   for (const std::string& field : Split(csv, ',')) {
     int shard = 0;
-    if (!ParseInt(field, &shard)) return false;
+    if (!flags::ParseWhole(field, &shard)) return false;
     out->push_back(shard);
   }
   return true;
@@ -78,7 +53,7 @@ std::string Render(uint64_t plan_fingerprint,
            Hex32(r.merged_model_crc) + "\t" +
            Hex32(r.merged_embeddings_crc) + "\n";
   }
-  out += kFooterPrefix + Hex32(Crc32(out)) + "\n";
+  AppendCrcFooter(&out);
   return out;
 }
 
@@ -88,68 +63,43 @@ Result<RoundLog> RoundLog::Load(const std::string& path,
                                 uint64_t plan_fingerprint) {
   auto raw = ReadFileToString(path);
   if (!raw.ok()) return raw.status();
-  const std::string& content = raw.value();
+  std::string_view header_value;
+  auto body = ReadRecordBody(path, raw.value(), kHeaderPrefix, &header_value);
+  if (!body.ok()) return body.status();
+  uint64_t recorded_fp = 0;
+  if (!ParseHex64(header_value, &recorded_fp)) {
+    return Status::DataLoss(path + ":1: unparsable plan fingerprint");
+  }
+  if (recorded_fp != plan_fingerprint) {
+    return Status::FailedPrecondition(
+        path + " belongs to plan " + Hex64(recorded_fp) +
+        ", this run is plan " + Hex64(plan_fingerprint));
+  }
 
   RoundLog log(plan_fingerprint);
-  bool saw_header = false, saw_footer = false;
-  size_t line_start = 0;
-  while (line_start < content.size()) {
-    size_t line_end = content.find('\n', line_start);
-    if (line_end == std::string::npos) line_end = content.size();
-    const std::string line =
-        content.substr(line_start, line_end - line_start);
-    if (!saw_header) {
-      if (!StartsWith(line, kHeaderPrefix)) {
-        return Status::DataLoss(path + ": not a round log (bad header)");
-      }
-      uint64_t recorded_fp = 0;
-      if (!ParseHex(line.substr(sizeof(kHeaderPrefix) - 1),
-                    &recorded_fp)) {
-        return Status::DataLoss(path + ": unparsable plan fingerprint");
-      }
-      if (recorded_fp != plan_fingerprint) {
-        return Status::FailedPrecondition(
-            path + " belongs to plan " + Hex64(recorded_fp) +
-            ", this run is plan " + Hex64(plan_fingerprint));
-      }
-      saw_header = true;
-    } else if (StartsWith(line, kFooterPrefix)) {
-      uint32_t recorded = 0;
-      if (!ParseHex(line.substr(sizeof(kFooterPrefix) - 1), &recorded) ||
-          recorded != Crc32(content.data(), line_start)) {
-        return Status::DataLoss(path + ": round log CRC mismatch");
-      }
-      saw_footer = true;
-    } else if (saw_footer) {
-      return Status::DataLoss(path + ": content after round log footer");
-    } else if (!line.empty()) {
-      const std::vector<std::string> fields = Split(line, '\t');
-      RoundRecord r;
-      int degraded = 0;
-      if (fields.size() != 7 || !ParseInt(fields[0], &r.round) ||
-          !ParseInt(fields[1], &r.end_epoch) ||
-          !ParseShardCsv(fields[2], &r.committed) ||
-          !ParseShardCsv(fields[3], &r.missing) ||
-          !ParseInt(fields[4], &degraded) ||
-          !ParseHex(fields[5], &r.merged_model_crc) ||
-          !ParseHex(fields[6], &r.merged_embeddings_crc)) {
-        return Status::DataLoss(path + ": malformed round line '" + line +
-                                "'");
-      }
-      r.degraded = degraded != 0;
-      if (r.round != log.next_round()) {
-        return Status::DataLoss(
-            path + ": round sequence broken at round " +
-            std::to_string(r.round) + " (expected " +
-            std::to_string(log.next_round()) + ")");
-      }
-      log.rounds_.push_back(std::move(r));
+  for (const RecordLine& line : body.value()) {
+    const std::vector<std::string> fields = Split(line.text, '\t');
+    RoundRecord r;
+    int degraded = 0;
+    if (fields.size() != 7 || !flags::ParseWhole(fields[0], &r.round) ||
+        !flags::ParseWhole(fields[1], &r.end_epoch) ||
+        !ParseShardCsv(fields[2], &r.committed) ||
+        !ParseShardCsv(fields[3], &r.missing) ||
+        !flags::ParseWhole(fields[4], &degraded) ||
+        !ParseHex32(fields[5], &r.merged_model_crc) ||
+        !ParseHex32(fields[6], &r.merged_embeddings_crc)) {
+      return RecordLineError(path, line,
+                             "malformed round line '" +
+                                 std::string(line.text) + "'");
     }
-    line_start = line_end + 1;
-  }
-  if (!saw_header) return Status::DataLoss(path + ": empty round log");
-  if (!saw_footer) {
-    return Status::DataLoss(path + ": round log footer missing");
+    r.degraded = degraded != 0;
+    if (r.round != log.next_round()) {
+      return RecordLineError(path, line,
+                             "round sequence broken at round " +
+                                 std::to_string(r.round) + " (expected " +
+                                 std::to_string(log.next_round()) + ")");
+    }
+    log.rounds_.push_back(std::move(r));
   }
   return log;
 }

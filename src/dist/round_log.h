@@ -34,7 +34,8 @@ struct RoundRecord {
 /// kFailedPrecondition, so a resurrected stale coordinator (or a replay
 /// of an old work dir) can never rewind or skip the round history.
 ///
-/// Format:
+/// Format: a CRC-footered text file (DESIGN.md §6, "CRC-footered text
+/// files") whose header carries the plan fingerprint:
 ///   COANE-ROUNDS v1 <plan fingerprint hex16>
 ///   <round>\t<end_epoch>\t<committed csv|->\t<missing csv|->\t
 ///       <degraded 0|1>\t<model crc hex8>\t<emb crc hex8>

@@ -4,13 +4,13 @@
 #include <sys/types.h>
 
 #include <cerrno>
-#include <charconv>
-#include <cstdio>
 
 #include "common/atomic_file.h"
+#include "common/flags.h"
+#include "common/fnv.h"
 #include "common/os_error.h"
-#include "common/checksum.h"
 #include "common/parallel/rng_split.h"
+#include "common/record_file.h"
 #include "common/string_utils.h"
 #include "core/checkpoint.h"
 
@@ -19,38 +19,6 @@ namespace dist {
 namespace {
 
 constexpr char kHeader[] = "COANE-PLAN v1";
-constexpr char kFooterPrefix[] = "# crc32 ";
-
-std::string Hex32(uint32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x", v);
-  return buf;
-}
-
-std::string Hex64(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-template <typename T>
-bool ParseHex(const std::string& s, T* out) {
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out, 16);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-bool ParseDec(const std::string& s, int64_t* out) {
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out, 10);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-void MixU64(uint64_t* h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    *h ^= (v >> (8 * i)) & 0xFFu;
-    *h *= 0x100000001B3ull;  // FNV-1a prime, same scheme as checkpoint.cc
-  }
-}
 
 }  // namespace
 
@@ -96,8 +64,8 @@ CoaneConfig ShardConfig(const ShardPlan& plan, int shard) {
 
 uint64_t PlanFingerprint(const ShardPlan& plan) {
   uint64_t h = ConfigFingerprint(plan.base);
-  MixU64(&h, static_cast<uint64_t>(plan.num_shards));
-  MixU64(&h, static_cast<uint64_t>(plan.round_epochs));
+  h = FnvMixU64(h, static_cast<uint64_t>(plan.num_shards));
+  h = FnvMixU64(h, static_cast<uint64_t>(plan.round_epochs));
   return h;
 }
 
@@ -181,7 +149,7 @@ Status SavePlanFile(const std::string& work_dir, const ShardPlan& plan) {
   out += "round_epochs\t" + std::to_string(plan.round_epochs) + "\n";
   out += "total_epochs\t" + std::to_string(plan.total_epochs()) + "\n";
   out += "fingerprint\t" + Hex64(PlanFingerprint(plan)) + "\n";
-  out += kFooterPrefix + Hex32(Crc32(out)) + "\n";
+  AppendCrcFooter(&out);
   return WriteFileAtomic(PlanPath(work_dir), out, "dist.plan_write");
 }
 
@@ -192,59 +160,40 @@ Status VerifyPlanFile(const std::string& work_dir, const ShardPlan& plan) {
     return Status::NotFound("plan file " + path +
                             " is missing: " + raw.status().message());
   }
-  const std::string& content = raw.value();
+  auto body = ReadRecordBody(path, raw.value(), kHeader);
+  if (!body.ok()) return body.status();
 
   int64_t num_shards = -1, quorum = -1, round_epochs = -1, total = -1;
   uint64_t fingerprint = 0;
-  bool saw_header = false, saw_footer = false, saw_fingerprint = false;
-  size_t line_start = 0;
-  while (line_start < content.size()) {
-    size_t line_end = content.find('\n', line_start);
-    if (line_end == std::string::npos) line_end = content.size();
-    const std::string line =
-        content.substr(line_start, line_end - line_start);
-    if (!saw_header) {
-      if (line != kHeader) {
-        return Status::DataLoss(path + ": not a plan file (bad header)");
-      }
-      saw_header = true;
-    } else if (StartsWith(line, kFooterPrefix)) {
-      uint32_t recorded = 0;
-      if (!ParseHex(line.substr(sizeof(kFooterPrefix) - 1), &recorded) ||
-          recorded != Crc32(content.data(), line_start)) {
-        return Status::DataLoss(path + ": plan file CRC mismatch");
-      }
-      saw_footer = true;
-    } else if (saw_footer) {
-      return Status::DataLoss(path + ": content after plan footer");
-    } else if (!line.empty()) {
-      const std::vector<std::string> fields = Split(line, '\t');
-      if (fields.size() != 2) {
-        return Status::DataLoss(path + ": malformed plan line '" + line +
-                                "'");
-      }
-      bool parsed = true;
-      if (fields[0] == "num_shards") {
-        parsed = ParseDec(fields[1], &num_shards);
-      } else if (fields[0] == "quorum") {
-        parsed = ParseDec(fields[1], &quorum);
-      } else if (fields[0] == "round_epochs") {
-        parsed = ParseDec(fields[1], &round_epochs);
-      } else if (fields[0] == "total_epochs") {
-        parsed = ParseDec(fields[1], &total);
-      } else if (fields[0] == "fingerprint") {
-        parsed = ParseHex(fields[1], &fingerprint);
-        saw_fingerprint = parsed;
-      }  // Unknown keys are tolerated for forward compatibility.
-      if (!parsed) {
-        return Status::DataLoss(path + ": unparsable plan value in '" +
-                                line + "'");
-      }
+  bool saw_fingerprint = false;
+  for (const RecordLine& line : body.value()) {
+    const std::vector<std::string> fields = Split(line.text, '\t');
+    if (fields.size() != 2) {
+      return RecordLineError(path, line,
+                             "malformed plan line '" +
+                                 std::string(line.text) + "'");
     }
-    line_start = line_end + 1;
+    bool parsed = true;
+    if (fields[0] == "num_shards") {
+      parsed = flags::ParseWhole(fields[1], &num_shards);
+    } else if (fields[0] == "quorum") {
+      parsed = flags::ParseWhole(fields[1], &quorum);
+    } else if (fields[0] == "round_epochs") {
+      parsed = flags::ParseWhole(fields[1], &round_epochs);
+    } else if (fields[0] == "total_epochs") {
+      parsed = flags::ParseWhole(fields[1], &total);
+    } else if (fields[0] == "fingerprint") {
+      parsed = ParseHex64(fields[1], &fingerprint);
+      saw_fingerprint = parsed;
+    }  // Unknown keys are tolerated for forward compatibility.
+    if (!parsed) {
+      return RecordLineError(path, line,
+                             "unparsable plan value in '" +
+                                 std::string(line.text) + "'");
+    }
   }
-  if (!saw_footer || !saw_fingerprint) {
-    return Status::DataLoss(path + ": plan file truncated");
+  if (!saw_fingerprint) {
+    return Status::DataLoss(path + ": plan file has no fingerprint line");
   }
   if (num_shards != plan.num_shards || round_epochs != plan.round_epochs ||
       total != plan.total_epochs() ||

@@ -102,7 +102,8 @@ std::string MergedEmbeddingsKind(int round);
 /// existing directory is success. kIoError (errno text) otherwise.
 Status MakeDirs(const std::string& path);
 
-/// Writes the plan contract to PlanPath(work_dir) atomically:
+/// Writes the plan contract to PlanPath(work_dir) atomically, as a
+/// CRC-footered text file (DESIGN.md §6, "CRC-footered text files"):
 ///
 ///   COANE-PLAN v1
 ///   num_shards\t<n> ... (quorum, round_epochs, total_epochs)

@@ -4,21 +4,11 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/fnv.h"
 #include "graph/graph_builder.h"
 
 namespace coane {
 namespace {
-
-constexpr uint64_t kFnvBasis = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFFULL;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 // The per-node missing-cell columns, walked in (node, col) order. The
 // cells are sorted by Graph's invariant, so one forward pointer suffices.
@@ -252,17 +242,17 @@ Result<SparseMatrix> ImputeMissingAttributes(const Graph& graph,
 uint64_t AttrMaskFingerprint(const Graph& graph) {
   if (!graph.has_missing_attrs()) return 0;
   uint64_t h = kFnvBasis;
-  h = FnvMix(h, static_cast<uint64_t>(graph.num_nodes()));
-  h = FnvMix(h, static_cast<uint64_t>(graph.num_attributes()));
+  h = FnvMixU64(h, static_cast<uint64_t>(graph.num_nodes()));
+  h = FnvMixU64(h, static_cast<uint64_t>(graph.num_attributes()));
   for (int64_t v = 0; v < graph.num_nodes(); ++v) {
     if (!graph.AttrObserved(static_cast<NodeId>(v))) {
-      h = FnvMix(h, static_cast<uint64_t>(v));
+      h = FnvMixU64(h, static_cast<uint64_t>(v));
     }
   }
-  h = FnvMix(h, 0xC0A4E0DEULL);  // node/cell section separator
+  h = FnvMixU64(h, 0xC0A4E0DEULL);  // node/cell section separator
   for (const MissingAttrCell& c : graph.missing_attr_cells()) {
-    h = FnvMix(h, static_cast<uint64_t>(c.node));
-    h = FnvMix(h, static_cast<uint64_t>(c.col));
+    h = FnvMixU64(h, static_cast<uint64_t>(c.node));
+    h = FnvMixU64(h, static_cast<uint64_t>(c.col));
   }
   // 0 is reserved for "no missing data"; remap the (astronomically
   // unlikely) collision so consumers can treat 0 as "complete".

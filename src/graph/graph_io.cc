@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -12,8 +11,9 @@
 #include <unordered_set>
 
 #include "common/atomic_file.h"
-#include "common/checksum.h"
 #include "common/fault_injection.h"
+#include "common/flags.h"
+#include "common/record_file.h"
 #include "common/string_utils.h"
 #include "graph/graph_builder.h"
 
@@ -51,18 +51,18 @@ std::vector<Token> TokenizeWithColumns(const std::string& line) {
   return tokens;
 }
 
-// Strict integer parse (no sign-less floats, no trailing garbage).
-// `overflow` distinguishes "not a number" from "a number too large".
+// Strict integer parse (flags::ParseWhole). `overflow` distinguishes "not
+// a number" from "a number too large": an all-digit token that does not
+// parse is out of range.
 bool ParseId(const std::string& s, int64_t* out, bool* overflow) {
-  *overflow = false;
-  const char* begin = s.data();
-  const char* end = begin + s.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
-  if (ec == std::errc::result_out_of_range) {
-    *overflow = true;
-    return false;
+  if (flags::ParseWhole(s, out)) {
+    *overflow = false;
+    return true;
   }
-  return ec == std::errc() && ptr == end;
+  const size_t first = !s.empty() && s[0] == '-' ? 1 : 0;
+  *overflow = s.size() > first &&
+              s.find_first_not_of("0123456789", first) == std::string::npos;
+  return false;
 }
 
 // Full-token double parse. Trailing garbage fails; "inf"/"nan"/overflowing
@@ -631,50 +631,24 @@ Status SaveEmbeddings(const DenseMatrix& embeddings,
   // prove the floats it is about to consume are the floats that were
   // written. Readers of the legacy format skip it as a comment.
   std::string contents = out.str();
-  char footer[32];
-  std::snprintf(footer, sizeof(footer), "# crc32 %08x\n", Crc32(contents));
-  contents += footer;
+  AppendCrcFooter(&contents);
   return WriteFileAtomic(path, contents, "graph_io.save");
 }
 
 Result<DenseMatrix> LoadEmbeddings(const std::string& path) {
   auto raw = ReadFileToString(path);
   if (!raw.ok()) return raw.status();
-  const std::string& content = raw.value();
 
-  // Parse line by line, verifying any "# crc32 <hex8>" footer against the
-  // bytes that precede it. Files without a footer (hand-written, legacy)
-  // still load; a file *with* a footer must match it — corrupt floats are
-  // rejected as kDataLoss instead of being consumed silently.
+  // A file that ends in a CRC footer is verified before any float is
+  // parsed; files without one (hand-written, legacy) still load.
   std::vector<std::vector<std::string>> data;
-  size_t line_start = 0;
-  while (line_start < content.size()) {
-    size_t line_end = content.find('\n', line_start);
-    if (line_end == std::string::npos) line_end = content.size();
-    const std::string trimmed =
-        Trim(content.substr(line_start, line_end - line_start));
-    if (StartsWith(trimmed, "# crc32 ")) {
-      const std::string hex = trimmed.substr(8);
-      uint32_t recorded = 0;
-      auto [ptr, ec] =
-          std::from_chars(hex.data(), hex.data() + hex.size(), recorded, 16);
-      if (ec != std::errc() || ptr != hex.data() + hex.size()) {
-        return Status::DataLoss("unparsable CRC footer in " + path);
-      }
-      const uint32_t actual = Crc32(content.data(), line_start);
-      if (recorded != actual) {
-        char expect[16], got[16];
-        std::snprintf(expect, sizeof(expect), "%08x", recorded);
-        std::snprintf(got, sizeof(got), "%08x", actual);
-        return Status::DataLoss("embedding file " + path +
-                                " is corrupt: CRC footer " + expect +
-                                ", content " + got);
-      }
-    } else if (!trimmed.empty() && trimmed[0] != '#') {
-      data.push_back(SplitWhitespace(trimmed));
-    }
-    line_start = line_end + 1;
-  }
+  COANE_RETURN_IF_ERROR(
+      ForEachRecordLine(path, raw.value(), [&](const RecordLine& line) {
+        const std::string trimmed = Trim(line.text);
+        if (!trimmed.empty() && trimmed[0] != '#') {
+          data.push_back(SplitWhitespace(trimmed));
+        }
+      }));
   if (data.empty()) return Status::InvalidArgument("empty embedding file");
   const int64_t dim = static_cast<int64_t>(data[0].size()) - 1;
   if (dim <= 0) return Status::InvalidArgument("embedding rows need >= 2 fields");

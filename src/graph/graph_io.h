@@ -132,15 +132,16 @@ Status SaveAttributedGraph(const Graph& graph, const std::string& edges_path,
                            const std::string& labels_path);
 
 /// Writes an n x d' embedding matrix as "node v1 v2 ... vd" lines,
-/// atomically (see SaveAttributedGraph), with a trailing "# crc32 <hex>"
-/// footer over the preceding bytes. Fault point: "graph_io.save".
+/// atomically (see SaveAttributedGraph). On-disk format: a CRC-footered
+/// text file without a header (DESIGN.md §6, "CRC-footered text files").
+/// Fault point: "graph_io.save".
 Status SaveEmbeddings(const DenseMatrix& embeddings,
                       const std::string& path);
 
-/// Reads embeddings written by SaveEmbeddings. When the file carries a
-/// CRC footer it is verified first; a mismatch returns kDataLoss naming
-/// the path instead of consuming corrupt floats. Files without a footer
-/// (hand-written, pre-footer) still load.
+/// Reads embeddings written by SaveEmbeddings. When the file ends in a
+/// CRC footer it is verified first; any framing defect returns kDataLoss
+/// naming `path:line` instead of consuming corrupt floats. Files without
+/// a footer (hand-written, pre-footer) still load.
 Result<DenseMatrix> LoadEmbeddings(const std::string& path);
 
 }  // namespace coane

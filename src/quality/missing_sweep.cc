@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/atomic_file.h"
+#include "common/record_file.h"
 #include "common/stopwatch.h"
 #include "dist/shard_plan.h"
 #include "quality/pipeline_runner.h"
@@ -319,12 +320,8 @@ std::string RenderMissingSweepJson(const MissingSweepReport& report) {
     out += "      \"rate\": " + JsonDouble(row.rate) + ",\n";
     out += "      \"dropped_nodes\": " + std::to_string(row.dropped_nodes) +
            ",\n";
-    {
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "\"%016llx\"",
-                    static_cast<unsigned long long>(row.mask_fingerprint));
-      out += "      \"mask_fingerprint\": " + std::string(buf) + ",\n";
-    }
+    out += "      \"mask_fingerprint\": \"" + Hex64(row.mask_fingerprint) +
+           "\",\n";
     out += "      \"impute\": {\"unobserved_nodes\": " +
            std::to_string(row.impute.unobserved_nodes) +
            ", \"missing_cells\": " + std::to_string(row.impute.missing_cells) +
@@ -384,11 +381,8 @@ std::string RenderMissingSweepJson(const MissingSweepReport& report) {
     out += ",\n";
     out += "      \"artifact_crc32\": [";
     for (size_t i = 0; i < row.result.artifact_crcs.size(); ++i) {
-      char buf[16];
-      std::snprintf(buf, sizeof(buf), "\"%08x\"",
-                    row.result.artifact_crcs[i]);
       if (i) out += ", ";
-      out += buf;
+      out += "\"" + Hex32(row.result.artifact_crcs[i]) + "\"";
     }
     out += "],\n";
     out += "      \"seconds\": " + JsonDouble(row.result.seconds) + ",\n";

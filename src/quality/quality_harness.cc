@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/atomic_file.h"
+#include "common/record_file.h"
 #include "common/stopwatch.h"
 #include "dist/shard_plan.h"
 
@@ -199,11 +200,8 @@ std::string RenderQualityReportJson(const QualityReport& report) {
     }
     out += "      \"artifact_crc32\": [";
     for (size_t i = 0; i < row.result.artifact_crcs.size(); ++i) {
-      char buf[16];
-      std::snprintf(buf, sizeof(buf), "\"%08x\"",
-                    row.result.artifact_crcs[i]);
       if (i) out += ", ";
-      out += buf;
+      out += "\"" + Hex32(row.result.artifact_crcs[i]) + "\"";
     }
     out += "],\n";
     out += "      \"seconds\": " + JsonDouble(row.result.seconds) + ",\n";

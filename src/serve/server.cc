@@ -1,12 +1,12 @@
 #include "serve/server.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/stopwatch.h"
 #include "common/string_utils.h"
 #include "common/table_printer.h"
@@ -19,9 +19,7 @@ namespace {
 
 Result<int64_t> ParseInt(const std::string& token, const char* what) {
   int64_t value = 0;
-  auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
+  if (!flags::ParseWhole(token, &value)) {
     return Status::InvalidArgument(std::string(what) + " '" + token +
                                    "' is not an integer");
   }

@@ -7,22 +7,12 @@
 #include <set>
 #include <utility>
 
+#include "common/fnv.h"
 #include "graph/graph_builder.h"
 
 namespace coane {
 namespace stream {
 namespace {
-
-constexpr uint64_t kFnvBasis = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFFULL;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 uint64_t FloatBits(float value) {
   uint32_t bits = 0;
@@ -39,49 +29,49 @@ std::string SeqPrefix(const Mutation& m) {
 
 uint64_t GraphFingerprint(const Graph& graph) {
   uint64_t h = kFnvBasis;
-  h = FnvMix(h, static_cast<uint64_t>(graph.num_nodes()));
-  h = FnvMix(h, static_cast<uint64_t>(graph.num_attributes()));
-  h = FnvMix(h, 0xED6E5ULL);  // edge section
+  h = FnvMixU64(h, static_cast<uint64_t>(graph.num_nodes()));
+  h = FnvMixU64(h, static_cast<uint64_t>(graph.num_attributes()));
+  h = FnvMixU64(h, 0xED6E5ULL);  // edge section
   for (const Edge& e : graph.UndirectedEdges()) {
-    h = FnvMix(h, static_cast<uint64_t>(e.src));
-    h = FnvMix(h, static_cast<uint64_t>(e.dst));
-    h = FnvMix(h, FloatBits(e.weight));
+    h = FnvMixU64(h, static_cast<uint64_t>(e.src));
+    h = FnvMixU64(h, static_cast<uint64_t>(e.dst));
+    h = FnvMixU64(h, FloatBits(e.weight));
   }
-  h = FnvMix(h, 0xA77ULL);  // attribute section
+  h = FnvMixU64(h, 0xA77ULL);  // attribute section
   for (int64_t v = 0; v < graph.num_nodes(); ++v) {
     for (const SparseEntry& e : graph.attributes().Row(v)) {
-      h = FnvMix(h, static_cast<uint64_t>(v));
-      h = FnvMix(h, static_cast<uint64_t>(e.col));
-      h = FnvMix(h, FloatBits(e.value));
+      h = FnvMixU64(h, static_cast<uint64_t>(v));
+      h = FnvMixU64(h, static_cast<uint64_t>(e.col));
+      h = FnvMixU64(h, FloatBits(e.value));
     }
   }
-  h = FnvMix(h, 0x0B5ULL);  // observation-mask section
+  h = FnvMixU64(h, 0x0B5ULL);  // observation-mask section
   for (int64_t v = 0; v < graph.num_nodes(); ++v) {
     if (!graph.AttrObserved(static_cast<NodeId>(v))) {
-      h = FnvMix(h, static_cast<uint64_t>(v));
+      h = FnvMixU64(h, static_cast<uint64_t>(v));
     }
   }
   for (const MissingAttrCell& c : graph.missing_attr_cells()) {
-    h = FnvMix(h, static_cast<uint64_t>(c.node));
-    h = FnvMix(h, static_cast<uint64_t>(c.col));
+    h = FnvMixU64(h, static_cast<uint64_t>(c.node));
+    h = FnvMixU64(h, static_cast<uint64_t>(c.col));
   }
-  h = FnvMix(h, 0x1ABE1ULL);  // label section
+  h = FnvMixU64(h, 0x1ABE1ULL);  // label section
   for (const int32_t label : graph.labels()) {
-    h = FnvMix(h, static_cast<uint64_t>(static_cast<uint32_t>(label)));
+    h = FnvMixU64(h, static_cast<uint64_t>(static_cast<uint32_t>(label)));
   }
   return h;
 }
 
 uint64_t FoldMutationFingerprint(uint64_t chain, const Mutation& m) {
   uint64_t h = chain;
-  h = FnvMix(h, m.seq);
-  h = FnvMix(h, static_cast<uint64_t>(m.op));
-  h = FnvMix(h, static_cast<uint64_t>(m.u));
-  h = FnvMix(h, static_cast<uint64_t>(m.v));
-  h = FnvMix(h, FloatBits(m.value));
-  h = FnvMix(h, static_cast<uint64_t>(m.col));
-  h = FnvMix(h, static_cast<uint64_t>(static_cast<uint32_t>(m.label)));
-  h = FnvMix(h, m.masked ? 1 : 0);
+  h = FnvMixU64(h, m.seq);
+  h = FnvMixU64(h, static_cast<uint64_t>(m.op));
+  h = FnvMixU64(h, static_cast<uint64_t>(m.u));
+  h = FnvMixU64(h, static_cast<uint64_t>(m.v));
+  h = FnvMixU64(h, FloatBits(m.value));
+  h = FnvMixU64(h, static_cast<uint64_t>(m.col));
+  h = FnvMixU64(h, static_cast<uint64_t>(static_cast<uint32_t>(m.label)));
+  h = FnvMixU64(h, m.masked ? 1 : 0);
   return h;
 }
 

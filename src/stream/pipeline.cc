@@ -1,11 +1,10 @@
 #include "stream/pipeline.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/atomic_file.h"
-#include "common/checksum.h"
 #include "common/flags.h"
+#include "common/record_file.h"
 #include "common/string_utils.h"
 #include "core/artifact_manifest.h"
 #include "core/checkpoint.h"
@@ -22,27 +21,6 @@ namespace stream {
 namespace {
 
 constexpr char kStateHeader[] = "COANE-STREAM v1";
-
-std::string Hex16(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-bool ParseHex16(const std::string& token, uint64_t* out) {
-  if (token.size() != 16) return false;
-  uint64_t value = 0;
-  for (const char c : token) {
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else return false;
-    value = (value << 4) | static_cast<uint64_t>(digit);
-  }
-  *out = value;
-  return true;
-}
 
 /// Node ids whose attribute rows were unobserved at train time.
 std::vector<NodeId> UnobservedNodes(const Graph& graph) {
@@ -94,38 +72,22 @@ Result<std::unique_ptr<StreamPipeline>> StreamPipeline::Open(
   // --- Committed state, if any.
   auto state_read = ReadFileToString(p->state_path());
   if (state_read.ok()) {
-    const std::string& blob = state_read.value();
-    const size_t footer_at = blob.rfind("# crc32 ");
-    if (footer_at == std::string::npos) {
-      return Status::DataLoss("stream state " + p->state_path() +
-                              " is missing its CRC footer");
-    }
-    uint32_t recorded = 0;
-    if (std::sscanf(blob.c_str() + footer_at, "# crc32 %8x", &recorded) !=
-            1 ||
-        Crc32(blob.data(), footer_at) != recorded) {
-      return Status::DataLoss("stream state " + p->state_path() +
-                              " failed its CRC check");
-    }
-    const std::vector<std::string> lines =
-        Split(blob.substr(0, footer_at), '\n');
-    if (lines.empty() || lines[0] != kStateHeader) {
-      return Status::DataLoss("stream state " + p->state_path() +
-                              " has a bad header");
-    }
+    auto body = ReadRecordBody(p->state_path(), state_read.value(),
+                               kStateHeader);
+    if (!body.ok()) return body.status();
     uint64_t committed_chain = 0;
-    for (size_t i = 1; i < lines.size(); ++i) {
-      if (lines[i].empty()) continue;
-      const std::vector<std::string> kv = Split(lines[i], '\t');
+    for (const RecordLine& line : body.value()) {
+      const std::vector<std::string> kv = Split(line.text, '\t');
       if (kv.size() != 2) {
-        return Status::DataLoss("stream state: malformed line '" +
-                                lines[i] + "'");
+        return RecordLineError(p->state_path(), line,
+                               "malformed stream state line '" +
+                                   std::string(line.text) + "'");
       }
       bool ok = true;
       if (kv[0] == "log_seq") {
         ok = flags::ParseWhole(kv[1], &p->log_seq_);
       } else if (kv[0] == "chain_fingerprint") {
-        ok = ParseHex16(kv[1], &committed_chain);
+        ok = ParseHex64(kv[1], &committed_chain);
       } else if (kv[0] == "publish_count") {
         ok = flags::ParseWhole(kv[1], &p->publish_count_);
       } else if (kv[0] == "checkpoint") {
@@ -135,12 +97,13 @@ Result<std::unique_ptr<StreamPipeline>> StreamPipeline::Open(
       } else if (kv[0] == "walks") {
         p->walks_path_ = kv[1];
       } else {
-        return Status::DataLoss("stream state: unknown key '" + kv[0] +
-                                "'");
+        return RecordLineError(p->state_path(), line,
+                               "unknown stream state key '" + kv[0] + "'");
       }
       if (!ok) {
-        return Status::DataLoss("stream state: bad value in '" + lines[i] +
-                                "'");
+        return RecordLineError(p->state_path(), line,
+                               "bad stream state value in '" +
+                                   std::string(line.text) + "'");
       }
     }
     p->initialized_ = true;
@@ -399,15 +362,12 @@ Status StreamPipeline::CommitState() {
   std::string body(kStateHeader);
   body += "\n";
   body += "log_seq\t" + std::to_string(log_seq_) + "\n";
-  body += "chain_fingerprint\t" + Hex16(chain_) + "\n";
+  body += "chain_fingerprint\t" + Hex64(chain_) + "\n";
   body += "publish_count\t" + std::to_string(publish_count_) + "\n";
   body += "checkpoint\t" + ckpt_path_ + "\n";
   body += "embeddings\t" + emb_path_ + "\n";
   body += "walks\t" + walks_path_ + "\n";
-  char footer[32];
-  std::snprintf(footer, sizeof(footer), "# crc32 %08x", Crc32(body));
-  body += footer;
-  body += "\n";
+  AppendCrcFooter(&body);
   return WriteFileAtomic(state_path(), body, "stream.state_save");
 }
 

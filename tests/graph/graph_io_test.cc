@@ -151,6 +151,24 @@ TEST_F(GraphIoTest, CorruptEmbeddingsRejectedWithDataLoss) {
   std::remove(path.c_str());
 }
 
+TEST_F(GraphIoTest, EmbeddingRowsAfterCrcFooterAreDataLoss) {
+  DenseMatrix m(2, 2);
+  for (int i = 0; i < 4; ++i) m.data()[i] = static_cast<float>(i);
+  const std::string path = "/tmp/coane_io_embed_appended.txt";
+  ASSERT_TRUE(SaveEmbeddings(m, path).ok());
+  {
+    // A row no CRC covers must not load as a third node.
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "2 9 9\n";
+  }
+  auto loaded = LoadEmbeddings(path);
+  ASSERT_FALSE(loaded.ok()) << "loaded " << loaded.value().rows() << " rows";
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find(path + ":"), std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST_F(GraphIoTest, LegacyEmbeddingsWithoutFooterStillLoad) {
   const std::string path = "/tmp/coane_io_embed_legacy.txt";
   {

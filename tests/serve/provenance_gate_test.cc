@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "graph/graph_io.h"
@@ -145,6 +148,43 @@ TEST_F(ProvenanceGateTest, CorruptSidecarRejectsSnapshot) {
   EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
   // The live generation is untouched.
   EXPECT_EQ(server.engine().CurrentSnapshot(), before);
+}
+
+TEST_F(ProvenanceGateTest, SidecarFramingDefectsAreDataLoss) {
+  const std::string sidecar =
+      stream::PublishInfoPathFor(WriteProvenanced("v1.emb", 1, 3));
+  std::string good;
+  {
+    std::ifstream in(sidecar, std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const size_t footer_at = good.rfind("# crc32 ");
+  ASSERT_NE(footer_at, std::string::npos);
+  const std::string body = good.substr(0, footer_at);
+  const std::string hex = good.substr(footer_at + 8, 8);
+  std::string upper = hex;
+  for (char& c : upper) c = static_cast<char>(std::toupper(c));
+  const std::vector<std::pair<const char*, std::string>> defects = {
+      {"appended bytes", good + "log_seq 999\n"},
+      {"seven digits", body + "# crc32 " + hex.substr(0, 7) + "\n"},
+      {"nine digits", body + "# crc32 " + hex + "0\n"},
+      {"uppercase", body + "# crc32 " + upper + "\n"},
+      {"missing footer", body},
+  };
+  for (const auto& [defect, content] : defects) {
+    if (std::string(defect) == "uppercase" && upper == hex) continue;
+    {
+      std::ofstream out(sidecar, std::ios::binary | std::ios::trunc);
+      out << content;
+    }
+    auto loaded = stream::LoadPublishInfo(sidecar);
+    ASSERT_FALSE(loaded.ok())
+        << defect << ": loaded log_seq " << loaded.value().log_seq;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << defect;
+    EXPECT_NE(loaded.status().message().find(sidecar + ":"),
+              std::string::npos)
+        << defect << ": " << loaded.status().ToString();
+  }
 }
 
 TEST_F(ProvenanceGateTest, StaleLogPositionIsRejectedEqualIsIdempotent) {

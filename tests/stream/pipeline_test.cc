@@ -8,8 +8,10 @@
 
 #include <sys/stat.h>
 
+#include <cctype>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/atomic_file.h"
@@ -382,6 +384,45 @@ TEST_F(PipelineTest, CorruptStateFileIsDataLoss) {
   auto reopened = StreamPipeline::Open(options);
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+}
+
+TEST_F(PipelineTest, StateFileFramingDefectsAreDataLoss) {
+  const PipelineOptions options = MakeOptions("a");
+  std::string state_path;
+  {
+    auto pipeline = StreamPipeline::Open(options);
+    ASSERT_TRUE(pipeline.ok());
+    ASSERT_TRUE(pipeline.value()->Step().ok());
+    state_path = pipeline.value()->state_path();
+  }
+  const std::string good = Slurp(state_path);
+  const size_t footer_at = good.rfind("# crc32 ");
+  ASSERT_NE(footer_at, std::string::npos);
+  const std::string body = good.substr(0, footer_at);
+  const std::string hex = good.substr(footer_at + 8, 8);
+  std::string upper = hex;
+  for (char& c : upper) c = static_cast<char>(std::toupper(c));
+  const std::vector<std::pair<const char*, std::string>> defects = {
+      {"appended bytes", good + "publish_count\t99\n"},
+      {"junk after digits", body + "# crc32 " + hex + "ZZZ\n"},
+      {"seven digits", body + "# crc32 " + hex.substr(0, 7) + "\n"},
+      {"nine digits", body + "# crc32 " + hex + "0\n"},
+      {"uppercase", body + "# crc32 " + upper + "\n"},
+      {"missing footer", body},
+  };
+  for (const auto& [defect, content] : defects) {
+    if (std::string(defect) == "uppercase" && upper == hex) continue;
+    ASSERT_TRUE(WriteFileAtomic(state_path, content).ok());
+    auto reopened = StreamPipeline::Open(options);
+    ASSERT_FALSE(reopened.ok()) << defect;
+    EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss) << defect;
+    EXPECT_NE(reopened.status().message().find(state_path + ":"),
+              std::string::npos)
+        << defect << ": " << reopened.status().ToString();
+  }
+  // The untouched bytes still open.
+  ASSERT_TRUE(WriteFileAtomic(state_path, good).ok());
+  EXPECT_TRUE(StreamPipeline::Open(options).ok());
 }
 
 }  // namespace

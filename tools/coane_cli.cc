@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -43,6 +42,7 @@
 #include "core/artifact_manifest.h"
 #include "core/checkpoint.h"
 #include "core/coane_model.h"
+#include "core/config_flags.h"
 #include "datasets/dataset_registry.h"
 #include "eval/clustering_task.h"
 #include "eval/node_classification.h"
@@ -309,32 +309,13 @@ int RunTrain(const Flags& flags) {
     return Fail(graph.status());
   }
 
-  CoaneConfig config;
-  config.embedding_dim = flags.GetInt("dim", 128);
-  config.max_epochs = static_cast<int>(flags.GetInt("epochs", 10));
-  config.context_size = static_cast<int>(flags.GetInt("context", 5));
-  config.num_walks = static_cast<int>(flags.GetInt("walks", 1));
-  config.walk_length = static_cast<int>(flags.GetInt("walk-length", 80));
-  config.num_negative = static_cast<int>(flags.GetInt("negatives", 20));
-  config.attribute_gamma =
-      static_cast<float>(flags.GetDouble("gamma", 1e5));
-  config.learning_rate = static_cast<float>(flags.GetDouble("lr", 0.001));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  config.grad_clip_norm =
-      static_cast<float>(flags.GetDouble("grad-clip", 0.0));
-  if (flags.Has("presample")) {
-    config.negative_mode = NegativeSamplingMode::kPreSampled;
+  auto parsed_config = CoaneConfigFromFlags(flags);
+  if (!parsed_config.ok()) {
+    std::fprintf(stderr, "usage error: %s\n",
+                 parsed_config.status().ToString().c_str());
+    return 2;
   }
-  {
-    auto policy =
-        ParseMissingAttrPolicy(flags.Get("missing-attrs", "zero"));
-    if (!policy.ok()) {
-      std::fprintf(stderr, "usage error: %s\n",
-                   policy.status().ToString().c_str());
-      return 2;
-    }
-    config.missing_attrs = policy.value();
-  }
+  CoaneConfig config = std::move(parsed_config).ValueOrDie();
   if (graph.value().num_attributes() == 0) {
     std::printf("no attributes given; training structure-only (WF mode)\n");
     config.use_attributes = false;

@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,8 +38,8 @@
 #include "common/run_context.h"
 #include "common/string_utils.h"
 #include "core/coane_model.h"
+#include "core/config_flags.h"
 #include "dist/coordinator.h"
-#include "graph/attr_impute.h"
 #include "dist/shard_plan.h"
 #include "dist/worker.h"
 #include "graph/graph_io.h"
@@ -119,49 +118,26 @@ RetryPolicy MakeRetryPolicy(const Flags& flags) {
   return policy;
 }
 
-// Identical to coane_cli's train config block — --shards=1 must produce
-// the exact CoaneConfig (hence fingerprint and bytes) the CLI would.
-CoaneConfig ConfigFromFlags(const Flags& flags, const Graph& graph) {
-  CoaneConfig config;
-  config.embedding_dim = flags.GetInt("dim", 128);
-  config.max_epochs = static_cast<int>(flags.GetInt("epochs", 10));
-  config.context_size = static_cast<int>(flags.GetInt("context", 5));
-  config.num_walks = static_cast<int>(flags.GetInt("walks", 1));
-  config.walk_length = static_cast<int>(flags.GetInt("walk-length", 80));
-  config.num_negative = static_cast<int>(flags.GetInt("negatives", 20));
-  config.attribute_gamma =
-      static_cast<float>(flags.GetDouble("gamma", 1e5));
-  config.learning_rate = static_cast<float>(flags.GetDouble("lr", 0.001));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  config.grad_clip_norm =
-      static_cast<float>(flags.GetDouble("grad-clip", 0.0));
-  if (flags.Has("presample")) {
-    config.negative_mode = NegativeSamplingMode::kPreSampled;
-  }
-  {
-    auto policy =
-        ParseMissingAttrPolicy(flags.Get("missing-attrs", "zero"));
-    if (!policy.ok()) {
-      std::fprintf(stderr, "usage error: %s\n",
-                   policy.status().ToString().c_str());
-      std::exit(2);
-    }
-    config.missing_attrs = policy.value();
-  }
-  if (graph.num_attributes() == 0) {
-    config.use_attributes = false;
-    config.use_attribute_loss = false;
-  }
-  return config;
+int UsageError(const Status& status) {
+  std::fprintf(stderr, "usage error: %s\n", status.ToString().c_str());
+  return 2;
 }
 
-ShardPlan PlanFromFlags(const Flags& flags, const Graph& graph) {
+// The training config is coane_cli's (CoaneConfigFromFlags), so
+// --shards=1 reproduces `coane_cli train` byte for byte.
+Result<ShardPlan> PlanFromFlags(const Flags& flags, const Graph& graph) {
+  auto base = CoaneConfigFromFlags(flags);
+  if (!base.ok()) return base.status();
   ShardPlan plan;
   plan.num_shards = static_cast<int>(flags.GetInt("shards", 1));
   plan.quorum =
       static_cast<int>(flags.GetInt("quorum", plan.num_shards));
   plan.round_epochs = static_cast<int>(flags.GetInt("round-epochs", 1));
-  plan.base = ConfigFromFlags(flags, graph);
+  plan.base = std::move(base).ValueOrDie();
+  if (graph.num_attributes() == 0) {
+    plan.base.use_attributes = false;
+    plan.base.use_attribute_loss = false;
+  }
   return plan;
 }
 
@@ -263,10 +239,7 @@ int RunTrain(const char* exe, const Flags& flags) {
   // global COANE_FAULT; worker faults arm per shard in the worker
   // process from COANE_FAULT_SHARD_<s>, so a chaos test can kill shard 1
   // without touching shard 0 or the coordinator.
-  if (Status st = fault::ArmFromEnv(); !st.ok()) {
-    std::fprintf(stderr, "usage error: %s\n", st.ToString().c_str());
-    return 2;
-  }
+  if (Status st = fault::ArmFromEnv(); !st.ok()) return UsageError(st);
   RunContext ctx = MakeRunContext(flags);
 
   auto graph = LoadFromFlags(flags, &ctx);
@@ -274,7 +247,9 @@ int RunTrain(const char* exe, const Flags& flags) {
   if (graph.value().num_attributes() == 0) {
     std::printf("no attributes given; training structure-only (WF mode)\n");
   }
-  const ShardPlan plan = PlanFromFlags(flags, graph.value());
+  auto parsed_plan = PlanFromFlags(flags, graph.value());
+  if (!parsed_plan.ok()) return UsageError(parsed_plan.status());
+  const ShardPlan& plan = parsed_plan.value();
 
   ProcessWorkerLauncher launcher(exe, flags.raw());
   CoordinatorOptions options;
@@ -339,7 +314,9 @@ int RunWorker(const Flags& flags) {
   options.merge_wait_sec = flags.GetDouble("merge-wait-sec", 60.0);
 
   // Bound to a local: ShardWorker keeps a reference to the plan.
-  const ShardPlan plan = PlanFromFlags(flags, graph.value());
+  auto parsed_plan = PlanFromFlags(flags, graph.value());
+  if (!parsed_plan.ok()) return UsageError(parsed_plan.status());
+  const ShardPlan& plan = parsed_plan.value();
   ShardWorker worker(graph.value(), plan, options);
   const Status st = worker.RunRound(&ctx);
   if (!st.ok()) return Fail(st);

@@ -32,9 +32,10 @@
 #include "common/flags.h"
 #include "common/os_error.h"
 #include "common/parallel/global_pool.h"
+#include "common/record_file.h"
 #include "common/run_context.h"
 #include "common/string_utils.h"
-#include "graph/attr_impute.h"
+#include "core/config_flags.h"
 #include "stream/mutation_log.h"
 #include "stream/pipeline.h"
 
@@ -98,42 +99,6 @@ bool IsStopped(const Status& status) {
          status.code() == StatusCode::kDeadlineExceeded;
 }
 
-// Identical to coane_distd's block so a pipeline's initial build is
-// byte-identical to `coane_cli train` under the same flags.
-CoaneConfig ConfigFromFlags(const Flags& flags) {
-  CoaneConfig config;
-  config.embedding_dim = flags.GetInt("dim", 128);
-  config.max_epochs = static_cast<int>(flags.GetInt("epochs", 10));
-  config.context_size = static_cast<int>(flags.GetInt("context", 5));
-  config.num_walks = static_cast<int>(flags.GetInt("walks", 1));
-  config.walk_length = static_cast<int>(flags.GetInt("walk-length", 80));
-  config.num_negative = static_cast<int>(flags.GetInt("negatives", 20));
-  config.attribute_gamma =
-      static_cast<float>(flags.GetDouble("gamma", 1e5));
-  config.learning_rate = static_cast<float>(flags.GetDouble("lr", 0.001));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  config.grad_clip_norm =
-      static_cast<float>(flags.GetDouble("grad-clip", 0.0));
-  if (flags.Has("presample")) {
-    config.negative_mode = NegativeSamplingMode::kPreSampled;
-  }
-  {
-    auto policy =
-        ParseMissingAttrPolicy(flags.Get("missing-attrs", "zero"));
-    if (!policy.ok()) {
-      std::fprintf(stderr, "usage error: %s\n",
-                   policy.status().ToString().c_str());
-      std::exit(2);
-    }
-    config.missing_attrs = policy.value();
-  }
-  if (flags.Get("attrs").empty()) {
-    config.use_attributes = false;
-    config.use_attribute_loss = false;
-  }
-  return config;
-}
-
 Result<PipelineOptions> OptionsFromFlags(const Flags& flags) {
   PipelineOptions options;
   options.log_path = flags.Get("log");
@@ -146,7 +111,19 @@ Result<PipelineOptions> OptionsFromFlags(const Flags& flags) {
     return Status::InvalidArgument(
         "--log, --work-dir and --edges are required");
   }
-  options.config = ConfigFromFlags(flags);
+  // coane_cli's training config, so the initial build is byte-identical
+  // to `coane_cli train` under the same flags.
+  auto config = CoaneConfigFromFlags(flags);
+  if (!config.ok()) {
+    std::fprintf(stderr, "usage error: %s\n",
+                 config.status().ToString().c_str());
+    std::exit(2);
+  }
+  options.config = std::move(config).ValueOrDie();
+  if (options.init_attrs.empty()) {
+    options.config.use_attributes = false;
+    options.config.use_attribute_loss = false;
+  }
   options.refine_epochs =
       static_cast<int>(flags.GetInt("refine-epochs", 5));
   options.batch_max = flags.GetInt("batch-max", 64);
@@ -326,8 +303,8 @@ int RunStatus(const Flags& flags) {
   std::printf("initialized %s\n", p.initialized() ? "yes" : "no");
   std::printf("log_seq %llu\n",
               static_cast<unsigned long long>(p.log_seq()));
-  std::printf("chain_fingerprint %016llx\n",
-              static_cast<unsigned long long>(p.chain_fingerprint()));
+  std::printf("chain_fingerprint %s\n",
+              Hex64(p.chain_fingerprint()).c_str());
   std::printf("pending %lld\n",
               static_cast<long long>(pending.value()));
   std::printf("embeddings %s\n", p.embeddings_path().c_str());
