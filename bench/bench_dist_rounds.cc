@@ -9,6 +9,7 @@
 #include <string>
 
 #include "bench_common.h"
+#include "common/json_writer.h"
 #include "common/stopwatch.h"
 #include "common/string_utils.h"
 #include "datasets/dataset_registry.h"
@@ -55,11 +56,12 @@ void Run(const benchutil::BenchOptions& opt) {
   table.SetHeader({"round", "end_epoch", "shards", "degraded", "seconds",
                    "epochs/sec"});
 
-  std::string json = "{\n  \"bench\": \"dist_rounds\",\n  \"shards\": " +
-                     std::to_string(plan.num_shards) +
-                     ",\n  \"round_epochs\": " +
-                     std::to_string(plan.round_epochs) +
-                     ",\n  \"rounds\": [\n";
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("bench").String("dist_rounds");
+  json.Key("shards").Int(plan.num_shards);
+  json.Key("round_epochs").Int(plan.round_epochs);
+  json.Key("rounds").BeginArray();
   int prev_end = 0;
   for (int round = 0; round < plan.num_rounds(); ++round) {
     Stopwatch watch;
@@ -83,28 +85,27 @@ void Run(const benchutil::BenchOptions& opt) {
                   std::to_string(r.committed.size()),
                   r.degraded ? "yes" : "no", FormatDouble(sec, 3),
                   FormatDouble(shard_epochs_per_sec, 2)});
-    json += std::string("    {\"round\": ") + std::to_string(r.round) +
-            ", \"end_epoch\": " + std::to_string(r.end_epoch) +
-            ", \"committed\": " + std::to_string(r.committed.size()) +
-            ", \"degraded\": " + (r.degraded ? "true" : "false") +
-            ", \"seconds\": " + FormatDouble(sec, 4) +
-            ", \"shard_epochs_per_sec\": " +
-            FormatDouble(shard_epochs_per_sec, 2) + "}" +
-            (round + 1 < plan.num_rounds() ? ",\n" : "\n");
+    json.BeginObject(JsonWriter::kInline);
+    json.Key("round").Int(r.round);
+    json.Key("end_epoch").Int(r.end_epoch);
+    json.Key("committed").Uint(r.committed.size());
+    json.Key("degraded").Bool(r.degraded);
+    json.Key("seconds").Double(sec);
+    json.Key("shard_epochs_per_sec").Double(shard_epochs_per_sec);
+    json.EndObject();
   }
-  json += "  ]\n}\n";
+  json.EndArray();
+  json.EndObject();
 
   table.ToStdout();
   benchutil::WriteCsv(table, "BENCH_dist");
-  std::filesystem::create_directories("bench_out", ec);
   const std::string json_path = "bench_out/BENCH_dist.json";
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("[json written to %s]\n", json_path.c_str());
-  } else {
-    COANE_LOG(Warning) << "could not write " << json_path;
+  if (Status s = WriteJsonFile(json_path, json.Finish()); !s.ok()) {
+    COANE_LOG(Error) << "could not write " << json_path << ": "
+                     << s.ToString();
+    std::exit(1);
   }
+  std::printf("[json written to %s]\n", json_path.c_str());
   std::filesystem::remove_all(work_dir, ec);
 }
 

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/atomic_file.h"
+#include "common/json_writer.h"
 #include "common/string_utils.h"
 #include "common/parallel/global_pool.h"
 #include "common/stopwatch.h"
@@ -48,12 +48,6 @@ Graph BuildInitGraph(const Graph& final_graph, std::vector<Edge>* withheld) {
   b.SetAttributes(final_graph.attributes());
   b.SetLabels(final_graph.labels());
   return std::move(b).Build().ValueOrDie();
-}
-
-std::string JsonDouble(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.6f", v);
-  return buffer;
 }
 
 void Run(const benchutil::BenchOptions& opt) {
@@ -160,25 +154,26 @@ void Run(const benchutil::BenchOptions& opt) {
   table.ToStdout();
   benchutil::WriteCsv(table, "BENCH_stream");
 
-  std::string json = "{\n  \"scale\": \"";
-  json += opt.full ? "full" : "fast";
-  json += "\",\n  \"seed\": " + std::to_string(opt.seed) +
-          ",\n  \"withheld_edges\": " + std::to_string(kWithheld) +
-          ",\n  \"full_retrain_sec\": " + JsonDouble(full_sec) +
-          ",\n  \"batches\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const BatchRow& row = rows[i];
-    json += "    {\"batch_max\": " + std::to_string(row.batch_max) +
-            ", \"publishes\": " + std::to_string(row.steps) +
-            ", \"mean_publish_sec\": " + JsonDouble(row.mean_step_sec) +
-            ", \"max_publish_sec\": " + JsonDouble(row.max_step_sec) +
-            ", \"speedup_vs_full\": " + JsonDouble(row.speedup_vs_full) +
-            "}";
-    json += i + 1 < rows.size() ? ",\n" : "\n";
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("scale").String(opt.full ? "full" : "fast");
+  json.Key("seed").Uint(opt.seed);
+  json.Key("withheld_edges").Int(kWithheld);
+  json.Key("full_retrain_sec").Double(full_sec);
+  json.Key("batches").BeginArray();
+  for (const BatchRow& row : rows) {
+    json.BeginObject(JsonWriter::kInline);
+    json.Key("batch_max").Int(row.batch_max);
+    json.Key("publishes").Int(row.steps);
+    json.Key("mean_publish_sec").Double(row.mean_step_sec);
+    json.Key("max_publish_sec").Double(row.max_step_sec);
+    json.Key("speedup_vs_full").Double(row.speedup_vs_full);
+    json.EndObject();
   }
-  json += "  ]\n}\n";
+  json.EndArray();
+  json.EndObject();
   const std::string json_path = "bench_out/BENCH_stream.json";
-  if (Status s = WriteFileAtomic(json_path, json); !s.ok()) {
+  if (Status s = WriteJsonFile(json_path, json.Finish()); !s.ok()) {
     COANE_LOG(Error) << "could not write " << json_path << ": "
                      << s.ToString();
     std::exit(1);

@@ -1,6 +1,21 @@
 #include "core/config_flags.h"
 
+#include <algorithm>
+#include <cstdio>
+
+#include "graph/graph_io.h"
+
 namespace coane {
+namespace {
+
+std::string FloatFlag(const char* name, float value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "--%s=%.9g", name,
+                static_cast<double>(value));
+  return buf;
+}
+
+}  // namespace
 
 Result<CoaneConfig> CoaneConfigFromFlags(const flags::FlagSet& flags) {
   CoaneConfig config;
@@ -23,6 +38,75 @@ Result<CoaneConfig> CoaneConfigFromFlags(const flags::FlagSet& flags) {
   if (!policy.ok()) return policy.status();
   config.missing_attrs = policy.value();
   return config;
+}
+
+std::vector<std::string> ConfigToFlags(const CoaneConfig& config) {
+  std::vector<std::string> out = {
+      "--dim=" + std::to_string(config.embedding_dim),
+      "--epochs=" + std::to_string(config.max_epochs),
+      "--context=" + std::to_string(config.context_size),
+      "--walks=" + std::to_string(config.num_walks),
+      "--walk-length=" + std::to_string(config.walk_length),
+      "--negatives=" + std::to_string(config.num_negative),
+      FloatFlag("gamma", config.attribute_gamma),
+      FloatFlag("lr", config.learning_rate),
+      "--seed=" + std::to_string(config.seed),
+      FloatFlag("grad-clip", config.grad_clip_norm),
+      std::string("--missing-attrs=") +
+          MissingAttrPolicyName(config.missing_attrs),
+  };
+  if (config.negative_mode == NegativeSamplingMode::kPreSampled) {
+    out.push_back("--presample");
+  }
+  return out;
+}
+
+RetryPolicy MakeRetryPolicy(const flags::FlagSet& flags) {
+  RetryPolicy policy;
+  policy.max_attempts =
+      static_cast<int>(std::max<int64_t>(1, flags.GetInt("io-retries", 3)));
+  policy.initial_backoff_sec = 0.01;
+  policy.max_backoff_sec = 0.5;
+  policy.jitter_seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  return policy;
+}
+
+Result<Graph> LoadFromFlags(const flags::FlagSet& flags,
+                            const RunContext* ctx) {
+  const std::string edges = flags.Get("edges");
+  if (edges.empty()) {
+    return Status::InvalidArgument("--edges is required");
+  }
+  LoadOptions options;
+  const std::string policy = flags.Get("on-bad-line", "strict");
+  if (policy == "skip") {
+    options.bad_line_policy = BadLinePolicy::kSkip;
+  } else if (policy != "strict") {
+    return Status::InvalidArgument(
+        "--on-bad-line must be 'strict' or 'skip', got '" + policy + "'");
+  }
+  options.max_nodes = flags.GetInt("max-nodes", 0);
+  options.max_attr_dim = flags.GetInt("max-attr-dim", 0);
+  // A transient open/read failure (including the injected "graph_io.load"
+  // fault) is retried; parse errors are permanent and surface at once.
+  return RetryResultOp<Graph>(
+      MakeRetryPolicy(flags), ctx, "graph_io.load",
+      [&](const RunContext* attempt_ctx) -> Result<Graph> {
+        LoadOptions attempt_options = options;
+        attempt_options.run_context = attempt_ctx;
+        LoadSummary summary;
+        auto graph =
+            LoadAttributedGraph(edges, flags.Get("attrs"),
+                                flags.Get("labels"), attempt_options,
+                                &summary);
+        if (graph.ok() && summary.quarantined_lines > 0) {
+          std::fprintf(stderr, "warning: %s\n", summary.ToString().c_str());
+          for (const std::string& diag : summary.sample_diagnostics) {
+            std::fprintf(stderr, "  %s\n", diag.c_str());
+          }
+        }
+        return graph;
+      });
 }
 
 }  // namespace coane

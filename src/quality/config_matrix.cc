@@ -18,19 +18,11 @@ MetricTolerance ShardAveragingTolerance(bool full) {
   // stronger (NMI ~0.43 vs ~0.21), so averaging four independent
   // trajectories costs far more clustering structure in absolute terms
   // — F1 tightens while NMI widens.
-  MetricTolerance t;
   if (full) {
-    t.macro_f1 = 0.15;
-    t.micro_f1 = 0.15;
-    t.link_auc = 0.16;
-    t.nmi = 0.50;
-  } else {
-    t.macro_f1 = 0.25;
-    t.micro_f1 = 0.25;
-    t.link_auc = 0.10;
-    t.nmi = 0.28;
+    return {.macro_f1 = 0.15, .micro_f1 = 0.15, .link_auc = 0.16,
+            .nmi = 0.50};
   }
-  return t;
+  return {.macro_f1 = 0.25, .micro_f1 = 0.25, .link_auc = 0.10, .nmi = 0.28};
 }
 
 MetricTolerance DegradedQuorumTolerance(bool full) {
@@ -39,88 +31,43 @@ MetricTolerance DegradedQuorumTolerance(bool full) {
   // sweeps: fast worst deltas macro_f1 0.130, micro_f1 0.150, link_auc
   // 0.049, nmi 0.180; full worst deltas macro_f1 0.071, micro_f1 0.068,
   // link_auc 0.065, nmi 0.400.
-  MetricTolerance t;
   if (full) {
-    t.macro_f1 = 0.15;
-    t.micro_f1 = 0.15;
-    t.link_auc = 0.12;
-    t.nmi = 0.50;
-  } else {
-    t.macro_f1 = 0.30;
-    t.micro_f1 = 0.30;
-    t.link_auc = 0.12;
-    t.nmi = 0.32;
+    return {.macro_f1 = 0.15, .micro_f1 = 0.15, .link_auc = 0.12,
+            .nmi = 0.50};
   }
-  return t;
+  return {.macro_f1 = 0.30, .micro_f1 = 0.30, .link_auc = 0.12, .nmi = 0.32};
 }
 
 std::vector<QualityCase> DefaultQualityMatrix(bool full) {
-  std::vector<QualityCase> matrix;
-
-  {
-    QualityCase c;
-    c.name = "baseline";
-    c.mode = RunMode::kDirect;
-    c.threads = 1;
-    c.is_baseline = true;
-    matrix.push_back(c);
-  }
-  {
-    QualityCase c;
-    c.name = "threads8";
-    c.mode = RunMode::kDirect;
-    c.threads = 8;
-    c.gate = GateClass::kBitIdentical;
-    matrix.push_back(c);
-  }
-  {
-    QualityCase c;
-    c.name = "resume";
-    c.mode = RunMode::kResume;
-    c.threads = 8;  // finish leg; the pre-kill leg runs single-threaded
-    c.gate = GateClass::kBitIdentical;
-    matrix.push_back(c);
-  }
-  {
-    QualityCase c;
-    c.name = "shards1";
-    c.mode = RunMode::kSharded;
-    c.shards = 1;
-    c.gate = GateClass::kBitIdentical;
-    matrix.push_back(c);
-  }
-  {
-    QualityCase c;
-    c.name = "shards4";
-    c.mode = RunMode::kSharded;
-    c.shards = 4;
-    c.gate = GateClass::kTolerance;
-    c.tolerance = ShardAveragingTolerance(full);
-    matrix.push_back(c);
-  }
-  {
-    QualityCase c;
-    c.name = "shards4-degraded";
-    c.mode = RunMode::kSharded;
-    c.shards = 4;
-    c.quorum = 3;
-    c.dead_shard = 2;
-    c.gate = GateClass::kTolerance;
-    c.tolerance = DegradedQuorumTolerance(full);
-    matrix.push_back(c);
-  }
+  std::vector<QualityCase> matrix = {
+      {.name = "baseline", .is_baseline = true},
+      {.name = "threads8", .threads = 8},
+      // Threads of the finish leg; the pre-kill leg runs single-threaded.
+      {.name = "resume", .mode = RunMode::kResume, .threads = 8},
+      {.name = "shards1", .mode = RunMode::kSharded},
+      {.name = "shards4",
+       .mode = RunMode::kSharded,
+       .shards = 4,
+       .gate = GateClass::kTolerance,
+       .tolerance = ShardAveragingTolerance(full)},
+      {.name = "shards4-degraded",
+       .mode = RunMode::kSharded,
+       .shards = 4,
+       .quorum = 3,
+       .dead_shard = 2,
+       .gate = GateClass::kTolerance,
+       .tolerance = DegradedQuorumTolerance(full)},
+  };
   if (full) {
     // Full mode stresses the averaging tolerance from a second direction:
     // same four shards, different round cadence. The tolerance is shared —
     // the bound is a statement about shard averaging, not about one cadence.
-    QualityCase c;
-    c.name = "shards4-rounds1";
-    c.mode = RunMode::kSharded;
-    c.shards = 4;
-    c.round_epochs = 1;
-    c.gate = GateClass::kTolerance;
-    c.tolerance = ShardAveragingTolerance(full);
-    matrix.push_back(c);
+    matrix.push_back({.name = "shards4-rounds1",
+                      .mode = RunMode::kSharded,
+                      .shards = 4,
+                      .round_epochs = 1,
+                      .gate = GateClass::kTolerance,
+                      .tolerance = ShardAveragingTolerance(full)});
   }
   return matrix;
 }

@@ -43,7 +43,7 @@ struct QualityCase {
   bool is_baseline = false;
   GateClass gate = GateClass::kBitIdentical;
   /// Bounds for GateClass::kTolerance; ignored for kBitIdentical.
-  MetricTolerance tolerance;
+  MetricTolerance tolerance = {};
 };
 
 /// Default tolerance for plain multi-shard averaging. Parameter averaging

@@ -1,14 +1,14 @@
 #include "quality/missing_sweep.h"
 
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
-#include "common/atomic_file.h"
+#include "common/json_writer.h"
 #include "common/record_file.h"
 #include "common/stopwatch.h"
-#include "dist/shard_plan.h"
+#include "quality/config_matrix.h"
 #include "quality/pipeline_runner.h"
+#include "quality/report_json.h"
 
 namespace coane {
 namespace quality {
@@ -20,44 +20,10 @@ namespace {
 // stream.
 constexpr uint64_t kDropSeedSalt = 0xA77DD209DEC0DEULL;
 
-std::string JsonDouble(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
 std::string RateCaseName(double rate) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "rate%02d", static_cast<int>(rate * 100));
   return buf;
-}
-
-void AppendMetricObject(std::string* out, const MetricSuite& suite) {
-  const auto entries = suite.Entries();
-  *out += "{";
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (i) *out += ", ";
-    *out += JsonString(entries[i].first) + ": " +
-            JsonDouble(entries[i].second);
-  }
-  *out += "}";
 }
 
 }  // namespace
@@ -83,43 +49,27 @@ MetricTolerance MissingRateTolerance(bool full, double rate) {
   // macro_f1 0.019, link_auc 0.016, nmi 0.079; at 30% macro_f1 0.051,
   // link_auc 0.068; at 50% macro_f1 0.070, micro_f1 0.068, link_auc
   // 0.063, nmi 0.140.
-  MetricTolerance t;
   if (full) {
     if (rate <= 0.1) {
-      t.macro_f1 = 0.04;
-      t.micro_f1 = 0.04;
-      t.link_auc = 0.035;
-      t.nmi = 0.16;
-    } else if (rate <= 0.3) {
-      t.macro_f1 = 0.10;
-      t.micro_f1 = 0.10;
-      t.link_auc = 0.12;
-      t.nmi = 0.16;
-    } else {
-      t.macro_f1 = 0.14;
-      t.micro_f1 = 0.14;
-      t.link_auc = 0.13;
-      t.nmi = 0.25;
+      return {.macro_f1 = 0.04, .micro_f1 = 0.04, .link_auc = 0.035,
+              .nmi = 0.16};
     }
-  } else {
-    if (rate <= 0.1) {
-      t.macro_f1 = 0.12;
-      t.micro_f1 = 0.12;
-      t.link_auc = 0.08;
-      t.nmi = 0.08;
-    } else if (rate <= 0.3) {
-      t.macro_f1 = 0.14;
-      t.micro_f1 = 0.14;
-      t.link_auc = 0.11;
-      t.nmi = 0.25;
-    } else {
-      t.macro_f1 = 0.28;
-      t.micro_f1 = 0.28;
-      t.link_auc = 0.11;
-      t.nmi = 0.34;
+    if (rate <= 0.3) {
+      return {.macro_f1 = 0.10, .micro_f1 = 0.10, .link_auc = 0.12,
+              .nmi = 0.16};
     }
+    return {.macro_f1 = 0.14, .micro_f1 = 0.14, .link_auc = 0.13,
+            .nmi = 0.25};
   }
-  return t;
+  if (rate <= 0.1) {
+    return {.macro_f1 = 0.12, .micro_f1 = 0.12, .link_auc = 0.08,
+            .nmi = 0.08};
+  }
+  if (rate <= 0.3) {
+    return {.macro_f1 = 0.14, .micro_f1 = 0.14, .link_auc = 0.11,
+            .nmi = 0.25};
+  }
+  return {.macro_f1 = 0.28, .micro_f1 = 0.28, .link_auc = 0.11, .nmi = 0.34};
 }
 
 Result<QualitySubstrate> DegradeSubstrate(const QualitySubstrate& substrate,
@@ -220,12 +170,6 @@ Result<MissingSweepReport> RunMissingRateSweep(
                               reference.result.metrics, row.result.metrics,
                               row.tolerance, reference.result.artifact_crcs,
                               row.result.artifact_crcs);
-      const auto base_entries = reference.result.metrics.Entries();
-      const auto cand_entries = row.result.metrics.Entries();
-      for (size_t i = 0; i < base_entries.size(); ++i) {
-        row.deltas.push_back(
-            std::fabs(cand_entries[i].second - base_entries[i].second));
-      }
       if (!row.verdict.pass) report.all_pass = false;
     }
     report.rates.push_back(std::move(row));
@@ -233,8 +177,8 @@ Result<MissingSweepReport> RunMissingRateSweep(
 
   // --- The bit-identity block: at one fixed mask + policy, execution
   // strategy must not change a byte. The sweep row at determinism_rate is
-  // the baseline; threads8 / kill+resume / shards1 are CRC-gated
-  // against it exactly like the complete-data matrix.
+  // the baseline; the bit-identical rows of the complete-data matrix
+  // (threads8 / kill+resume / shards1) are CRC-gated against it.
   if (options.determinism_rate >= 0.0) {
     const MissingRateReport* det_base = nullptr;
     for (const MissingRateReport& row : report.rates) {
@@ -248,32 +192,10 @@ Result<MissingSweepReport> RunMissingRateSweep(
         DegradeSubstrate(sub, options.determinism_rate, report.drop_seed);
     if (!degraded.ok()) return degraded.status();
 
-    std::vector<QualityCase> block;
-    {
-      QualityCase c;
-      c.name = "threads8";
-      c.mode = RunMode::kDirect;
-      c.threads = 8;
-      c.gate = GateClass::kBitIdentical;
-      block.push_back(c);
-    }
-    {
-      QualityCase c;
-      c.name = "resume";
-      c.mode = RunMode::kResume;
-      c.threads = 8;
-      c.gate = GateClass::kBitIdentical;
-      block.push_back(c);
-    }
-    {
-      QualityCase c;
-      c.name = "shards1";
-      c.mode = RunMode::kSharded;
-      c.shards = 1;
-      c.gate = GateClass::kBitIdentical;
-      block.push_back(c);
-    }
-    for (const QualityCase& qcase : block) {
+    for (const QualityCase& qcase : DefaultQualityMatrix(options.full)) {
+      if (qcase.is_baseline || qcase.gate != GateClass::kBitIdentical) {
+        continue;
+      }
       auto result = RunQualityCase(
           qcase, degraded.value(), base,
           options.work_dir + "/det_" + qcase.name, eval_options);
@@ -286,12 +208,6 @@ Result<MissingSweepReport> RunMissingRateSweep(
                               row.result.metrics, qcase.tolerance,
                               det_base->result.artifact_crcs,
                               row.result.artifact_crcs);
-      const auto base_entries = det_base->result.metrics.Entries();
-      const auto cand_entries = row.result.metrics.Entries();
-      for (size_t i = 0; i < base_entries.size(); ++i) {
-        row.deltas.push_back(
-            std::fabs(cand_entries[i].second - base_entries[i].second));
-      }
       if (!row.verdict.pass) report.all_pass = false;
       report.determinism.push_back(std::move(row));
     }
@@ -302,118 +218,60 @@ Result<MissingSweepReport> RunMissingRateSweep(
 }
 
 std::string RenderMissingSweepJson(const MissingSweepReport& report) {
-  std::string out;
-  out += "{\n";
-  out += "  \"bench\": \"incomplete\",\n";
-  out += "  \"full\": " + std::string(report.full ? "true" : "false") + ",\n";
-  out += "  \"seed\": " + std::to_string(report.seed) + ",\n";
-  out += "  \"drop_seed\": " + std::to_string(report.drop_seed) + ",\n";
-  out += "  \"policy\": " +
-         JsonString(MissingAttrPolicyName(report.policy)) + ",\n";
-  out += "  \"substrate\": {\"nodes\": " + std::to_string(report.nodes) +
-         ", \"edges\": " + std::to_string(report.edges) +
-         ", \"attributes\": " + std::to_string(report.attributes) + "},\n";
-  out += "  \"rates\": [\n";
-  for (size_t r = 0; r < report.rates.size(); ++r) {
-    const MissingRateReport& row = report.rates[r];
-    out += "    {\n";
-    out += "      \"rate\": " + JsonDouble(row.rate) + ",\n";
-    out += "      \"dropped_nodes\": " + std::to_string(row.dropped_nodes) +
-           ",\n";
-    out += "      \"mask_fingerprint\": \"" + Hex64(row.mask_fingerprint) +
-           "\",\n";
-    out += "      \"impute\": {\"unobserved_nodes\": " +
-           std::to_string(row.impute.unobserved_nodes) +
-           ", \"missing_cells\": " + std::to_string(row.impute.missing_cells) +
-           ", \"filled_entries\": " +
-           std::to_string(row.impute.filled_entries) +
-           ", \"seconds\": " + JsonDouble(row.impute_seconds) +
-           ", \"rows_per_sec\": " +
-           JsonDouble(row.impute_seconds > 0.0
-                          ? static_cast<double>(report.nodes) /
-                                row.impute_seconds
-                          : 0.0) +
-           "},\n";
-    out += "      \"metrics\": ";
-    AppendMetricObject(&out, row.result.metrics);
-    out += ",\n";
-    const auto entries = row.result.metrics.Entries();
-    if (!row.deltas.empty()) {
-      out += "      \"delta\": {";
-      for (size_t i = 0; i < entries.size(); ++i) {
-        if (i) out += ", ";
-        out += JsonString(entries[i].first) + ": " +
-               JsonDouble(i < row.deltas.size() ? row.deltas[i] : 0.0);
-      }
-      out += "},\n";
-      out += "      \"tolerance\": {";
-      for (size_t i = 0; i < entries.size(); ++i) {
-        if (i) out += ", ";
-        out += JsonString(entries[i].first) + ": " +
-               JsonDouble(row.tolerance.For(entries[i].first));
-      }
-      out += "},\n";
-    }
-    out += "      \"seconds\": " + JsonDouble(row.result.seconds) + ",\n";
-    out += "      \"pass\": " +
-           std::string(row.verdict.pass ? "true" : "false");
-    if (!row.verdict.failures.empty()) {
-      out += ",\n      \"failures\": [";
-      for (size_t i = 0; i < row.verdict.failures.size(); ++i) {
-        if (i) out += ", ";
-        out += JsonString(row.verdict.failures[i]);
-      }
-      out += "]";
-    }
-    out += "\n    }";
-    out += (r + 1 < report.rates.size()) ? ",\n" : "\n";
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("bench").String("incomplete");
+  json.Key("full").Bool(report.full);
+  json.Key("seed").Uint(report.seed);
+  json.Key("drop_seed").Uint(report.drop_seed);
+  json.Key("policy").String(MissingAttrPolicyName(report.policy));
+  json.Key("substrate").BeginObject(JsonWriter::kInline);
+  json.Key("nodes").Int(report.nodes);
+  json.Key("edges").Int(report.edges);
+  json.Key("attributes").Int(report.attributes);
+  json.EndObject();
+  json.Key("rates").BeginArray();
+  for (const MissingRateReport& row : report.rates) {
+    json.BeginObject();
+    json.Key("rate").Double(row.rate);
+    json.Key("dropped_nodes").Int(row.dropped_nodes);
+    json.Key("mask_fingerprint").String(Hex64(row.mask_fingerprint));
+    json.Key("impute").BeginObject(JsonWriter::kInline);
+    json.Key("unobserved_nodes").Int(row.impute.unobserved_nodes);
+    json.Key("missing_cells").Int(row.impute.missing_cells);
+    json.Key("filled_entries").Int(row.impute.filled_entries);
+    json.Key("seconds").Double(row.impute_seconds);
+    json.Key("rows_per_sec")
+        .Double(row.impute_seconds > 0.0
+                    ? static_cast<double>(report.nodes) / row.impute_seconds
+                    : 0.0);
+    json.EndObject();
+    WriteMetricObjects(json, row.result.metrics, row.verdict.deltas,
+                       &row.tolerance);
+    WriteRowTail(json, row.result.seconds, row.verdict);
+    json.EndObject();
   }
-  out += "  ],\n";
-  out += "  \"determinism\": [\n";
-  for (size_t c = 0; c < report.determinism.size(); ++c) {
-    const QualityCaseReport& row = report.determinism[c];
-    out += "    {\n";
-    out += "      \"name\": " + JsonString(row.spec.name) + ",\n";
-    out += "      \"gate\": " + JsonString(GateClassName(row.spec.gate)) +
-           ",\n";
-    out += "      \"metrics\": ";
-    AppendMetricObject(&out, row.result.metrics);
-    out += ",\n";
-    out += "      \"artifact_crc32\": [";
-    for (size_t i = 0; i < row.result.artifact_crcs.size(); ++i) {
-      if (i) out += ", ";
-      out += "\"" + Hex32(row.result.artifact_crcs[i]) + "\"";
-    }
-    out += "],\n";
-    out += "      \"seconds\": " + JsonDouble(row.result.seconds) + ",\n";
-    out += "      \"pass\": " +
-           std::string(row.verdict.pass ? "true" : "false");
-    if (!row.verdict.failures.empty()) {
-      out += ",\n      \"failures\": [";
-      for (size_t i = 0; i < row.verdict.failures.size(); ++i) {
-        if (i) out += ", ";
-        out += JsonString(row.verdict.failures[i]);
-      }
-      out += "]";
-    }
-    out += "\n    }";
-    out += (c + 1 < report.determinism.size()) ? ",\n" : "\n";
+  json.EndArray();
+  json.Key("determinism").BeginArray();
+  for (const QualityCaseReport& row : report.determinism) {
+    json.BeginObject();
+    json.Key("name").String(row.spec.name);
+    json.Key("gate").String(GateClassName(row.spec.gate));
+    WriteMetricObjects(json, row.result.metrics, {}, nullptr);
+    WriteArtifactCrcs(json, row.result.artifact_crcs);
+    WriteRowTail(json, row.result.seconds, row.verdict);
+    json.EndObject();
   }
-  out += "  ],\n";
-  out += "  \"all_pass\": " +
-         std::string(report.all_pass ? "true" : "false") + ",\n";
-  out += "  \"total_seconds\": " + JsonDouble(report.total_seconds) + "\n";
-  out += "}\n";
-  return out;
+  json.EndArray();
+  json.Key("all_pass").Bool(report.all_pass);
+  json.Key("total_seconds").Double(report.total_seconds);
+  json.EndObject();
+  return json.Finish();
 }
 
 Status WriteMissingSweepJson(const MissingSweepReport& report,
                              const std::string& path) {
-  const size_t slash = path.rfind('/');
-  if (slash != std::string::npos && slash > 0) {
-    COANE_RETURN_IF_ERROR(dist::MakeDirs(path.substr(0, slash)));
-  }
-  return WriteFileAtomic(path, RenderMissingSweepJson(report));
+  return WriteJsonFile(path, RenderMissingSweepJson(report));
 }
 
 }  // namespace quality

@@ -47,8 +47,7 @@ struct MissingRateReport {
   ImputeStats impute;              ///< imputation work on the full graph
   double impute_seconds = 0.0;     ///< wall clock of that imputation
   PipelineResult result;
-  GateVerdict verdict;             ///< trivially passing for rate 0
-  std::vector<double> deltas;      ///< |metric - rate-0 metric|
+  GateVerdict verdict;             ///< vs. rate 0; no deltas for rate 0
   MetricTolerance tolerance;       ///< the bound this rate was held to
 };
 
@@ -62,8 +61,9 @@ struct MissingSweepReport {
   int64_t edges = 0;
   int64_t attributes = 0;
   std::vector<MissingRateReport> rates;
-  /// Bit-identity rows at determinism_rate (threads8/resume/shards1),
-  /// gated against that rate's sweep row.
+  /// Bit-identity rows at determinism_rate (the kBitIdentical rows of
+  /// DefaultQualityMatrix: threads8/resume/shards1), gated against that
+  /// rate's sweep row.
   std::vector<QualityCaseReport> determinism;
   bool all_pass = false;
   double total_seconds = 0.0;
@@ -88,10 +88,11 @@ Result<QualitySubstrate> DegradeSubstrate(const QualitySubstrate& substrate,
 Result<MissingSweepReport> RunMissingRateSweep(
     const MissingSweepOptions& options);
 
-/// JSON rendering (stable key order; %.17g doubles).
+/// JSON rendering (stable key order; the report-JSON rule of DESIGN.md
+/// §9). "delta" and "tolerance" appear on gated rates.
 std::string RenderMissingSweepJson(const MissingSweepReport& report);
 
-/// RenderMissingSweepJson + WriteFileAtomic, creating parent dirs.
+/// RenderMissingSweepJson + WriteJsonFile.
 Status WriteMissingSweepJson(const MissingSweepReport& report,
                              const std::string& path);
 

@@ -1,40 +1,14 @@
 #include "quality/quality_harness.h"
 
-#include <cmath>
-#include <cstdio>
 #include <utility>
 
-#include "common/atomic_file.h"
-#include "common/record_file.h"
+#include "common/json_writer.h"
 #include "common/stopwatch.h"
-#include "dist/shard_plan.h"
+#include "quality/report_json.h"
 
 namespace coane {
 namespace quality {
 namespace {
-
-std::string JsonDouble(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
 
 std::string RunModeName(RunMode mode) {
   switch (mode) {
@@ -131,12 +105,6 @@ Result<QualityReport> RunQualityHarness(const QualityHarnessOptions& options) {
       row.verdict = CheckGate(qcase.gate, baseline_metrics,
                               row.result.metrics, qcase.tolerance,
                               baseline_crcs, row.result.artifact_crcs);
-      const auto base_entries = baseline_metrics.Entries();
-      const auto cand_entries = row.result.metrics.Entries();
-      for (size_t i = 0; i < base_entries.size(); ++i) {
-        row.deltas.push_back(
-            std::fabs(cand_entries[i].second - base_entries[i].second));
-      }
       if (!row.verdict.pass) report.all_pass = false;
     }
     report.cases.push_back(std::move(row));
@@ -147,92 +115,50 @@ Result<QualityReport> RunQualityHarness(const QualityHarnessOptions& options) {
 }
 
 std::string RenderQualityReportJson(const QualityReport& report) {
-  std::string out;
-  out += "{\n";
-  out += "  \"harness\": \"coane_quality\",\n";
-  out += "  \"full\": " + std::string(report.full ? "true" : "false") + ",\n";
-  out += "  \"seed\": " + std::to_string(report.seed) + ",\n";
-  out += "  \"substrate\": {\"nodes\": " + std::to_string(report.nodes) +
-         ", \"edges\": " + std::to_string(report.edges) +
-         ", \"classes\": " + std::to_string(report.num_classes) + "},\n";
-  out += "  \"protocol\": {\"train_ratio\": " + JsonDouble(report.train_ratio) +
-         ", \"split\": \"70/10/20\"},\n";
-  out += "  \"cases\": [\n";
-  for (size_t c = 0; c < report.cases.size(); ++c) {
-    const QualityCaseReport& row = report.cases[c];
-    out += "    {\n";
-    out += "      \"name\": " + JsonString(row.spec.name) + ",\n";
-    out += "      \"mode\": " + JsonString(RunModeName(row.spec.mode)) + ",\n";
-    out += "      \"threads\": " + std::to_string(row.spec.threads) + ",\n";
-    out += "      \"shards\": " + std::to_string(row.spec.shards) + ",\n";
-    out += "      \"quorum\": " + std::to_string(row.spec.quorum) + ",\n";
-    out += "      \"dead_shard\": " + std::to_string(row.spec.dead_shard) +
-           ",\n";
-    out += "      \"gate\": " +
-           JsonString(row.spec.is_baseline ? "baseline"
-                                           : GateClassName(row.spec.gate)) +
-           ",\n";
-    const auto entries = row.result.metrics.Entries();
-    out += "      \"metrics\": {";
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (i) out += ", ";
-      out += JsonString(entries[i].first) + ": " +
-             JsonDouble(entries[i].second);
-    }
-    out += "},\n";
-    if (!row.spec.is_baseline) {
-      out += "      \"delta\": {";
-      for (size_t i = 0; i < entries.size(); ++i) {
-        if (i) out += ", ";
-        out += JsonString(entries[i].first) + ": " +
-               JsonDouble(i < row.deltas.size() ? row.deltas[i] : 0.0);
-      }
-      out += "},\n";
-      if (row.spec.gate == GateClass::kTolerance) {
-        out += "      \"tolerance\": {";
-        for (size_t i = 0; i < entries.size(); ++i) {
-          if (i) out += ", ";
-          out += JsonString(entries[i].first) + ": " +
-                 JsonDouble(row.spec.tolerance.For(entries[i].first));
-        }
-        out += "},\n";
-      }
-    }
-    out += "      \"artifact_crc32\": [";
-    for (size_t i = 0; i < row.result.artifact_crcs.size(); ++i) {
-      if (i) out += ", ";
-      out += "\"" + Hex32(row.result.artifact_crcs[i]) + "\"";
-    }
-    out += "],\n";
-    out += "      \"seconds\": " + JsonDouble(row.result.seconds) + ",\n";
-    out += "      \"pass\": " +
-           std::string(row.verdict.pass ? "true" : "false");
-    if (!row.verdict.failures.empty()) {
-      out += ",\n      \"failures\": [";
-      for (size_t i = 0; i < row.verdict.failures.size(); ++i) {
-        if (i) out += ", ";
-        out += JsonString(row.verdict.failures[i]);
-      }
-      out += "]";
-    }
-    out += "\n    }";
-    out += (c + 1 < report.cases.size()) ? ",\n" : "\n";
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("harness").String("coane_quality");
+  json.Key("full").Bool(report.full);
+  json.Key("seed").Uint(report.seed);
+  json.Key("substrate").BeginObject(JsonWriter::kInline);
+  json.Key("nodes").Int(report.nodes);
+  json.Key("edges").Int(report.edges);
+  json.Key("classes").Int(report.num_classes);
+  json.EndObject();
+  json.Key("protocol").BeginObject(JsonWriter::kInline);
+  json.Key("train_ratio").Double(report.train_ratio);
+  json.Key("split").String("70/10/20");
+  json.EndObject();
+  json.Key("cases").BeginArray();
+  for (const QualityCaseReport& row : report.cases) {
+    json.BeginObject();
+    json.Key("name").String(row.spec.name);
+    json.Key("mode").String(RunModeName(row.spec.mode));
+    json.Key("threads").Int(row.spec.threads);
+    json.Key("shards").Int(row.spec.shards);
+    json.Key("quorum").Int(row.spec.quorum);
+    json.Key("dead_shard").Int(row.spec.dead_shard);
+    json.Key("gate").String(row.spec.is_baseline
+                                ? "baseline"
+                                : GateClassName(row.spec.gate));
+    WriteMetricObjects(json, row.result.metrics, row.verdict.deltas,
+                       row.spec.gate == GateClass::kTolerance
+                           ? &row.spec.tolerance
+                           : nullptr);
+    WriteArtifactCrcs(json, row.result.artifact_crcs);
+    WriteRowTail(json, row.result.seconds, row.verdict);
+    json.EndObject();
   }
-  out += "  ],\n";
-  out += "  \"all_pass\": " +
-         std::string(report.all_pass ? "true" : "false") + ",\n";
-  out += "  \"total_seconds\": " + JsonDouble(report.total_seconds) + "\n";
-  out += "}\n";
-  return out;
+  json.EndArray();
+  json.Key("all_pass").Bool(report.all_pass);
+  json.Key("total_seconds").Double(report.total_seconds);
+  json.EndObject();
+  return json.Finish();
 }
 
 Status WriteQualityReportJson(const QualityReport& report,
                               const std::string& path) {
-  const size_t slash = path.rfind('/');
-  if (slash != std::string::npos && slash > 0) {
-    COANE_RETURN_IF_ERROR(dist::MakeDirs(path.substr(0, slash)));
-  }
-  return WriteFileAtomic(path, RenderQualityReportJson(report));
+  return WriteJsonFile(path, RenderQualityReportJson(report));
 }
 
 }  // namespace quality

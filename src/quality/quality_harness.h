@@ -40,10 +40,8 @@ struct QualityHarnessOptions {
 struct QualityCaseReport {
   QualityCase spec;
   PipelineResult result;
-  /// Trivially passing for the baseline row itself.
+  /// Trivially passing (and without deltas) for the baseline row itself.
   GateVerdict verdict;
-  /// Per-metric |candidate - baseline|, in MetricSuite::Entries() order.
-  std::vector<double> deltas;
 };
 
 /// The trajectory artifact of one harness run (bench_out/QUALITY_coane.json).
@@ -66,11 +64,12 @@ struct QualityReport {
 /// non-OK status. The baseline row must be first in the matrix.
 Result<QualityReport> RunQualityHarness(const QualityHarnessOptions& options);
 
-/// JSON rendering of the report (stable key order, %.17g doubles so the
-/// artifact round-trips exactly).
+/// JSON rendering of the report (stable key order; the report-JSON rule
+/// of DESIGN.md §9). "delta" appears on gated rows, "tolerance" on
+/// tolerance-gated ones.
 std::string RenderQualityReportJson(const QualityReport& report);
 
-/// RenderQualityReportJson + WriteFileAtomic, creating parent dirs.
+/// RenderQualityReportJson + WriteJsonFile.
 Status WriteQualityReportJson(const QualityReport& report,
                               const std::string& path);
 

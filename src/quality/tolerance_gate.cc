@@ -31,6 +31,10 @@ GateVerdict CheckGate(GateClass gate, const MetricSuite& baseline,
   GateVerdict verdict;
   const auto base_entries = baseline.Entries();
   const auto cand_entries = candidate.Entries();
+  for (size_t i = 0; i < base_entries.size(); ++i) {
+    verdict.deltas.push_back(
+        std::fabs(cand_entries[i].second - base_entries[i].second));
+  }
 
   if (gate == GateClass::kBitIdentical) {
     // Artifact bytes first: metric equality follows from byte equality,
@@ -68,8 +72,7 @@ GateVerdict CheckGate(GateClass gate, const MetricSuite& baseline,
 
   for (size_t i = 0; i < base_entries.size(); ++i) {
     const std::string& name = base_entries[i].first;
-    const double delta =
-        std::fabs(cand_entries[i].second - base_entries[i].second);
+    const double delta = verdict.deltas[i];
     const double bound = tolerance.For(name);
     if (!(delta <= bound)) {  // catches NaN deltas too
       verdict.pass = false;

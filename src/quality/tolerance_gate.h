@@ -43,6 +43,9 @@ struct GateVerdict {
   bool pass = true;
   /// Human-readable reasons, one per violated bound (empty when passing).
   std::vector<std::string> failures;
+  /// Per-metric |candidate - baseline|, in MetricSuite::Entries() order;
+  /// filled by CheckGate for both gate classes (NaN when either side is).
+  std::vector<double> deltas;
 };
 
 /// Applies `gate` to a candidate suite against the baseline.

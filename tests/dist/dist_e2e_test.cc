@@ -105,6 +105,19 @@ TEST_F(DistE2eTest, SingleShardMatchesPlainCliTraining) {
   EXPECT_EQ(dist_bytes, ReadAll(cli_out));
 }
 
+TEST_F(DistE2eTest, LoaderFlagsAreEnforced) {
+  // The same loader flags as coane_cli: a node cap below the graph's
+  // size and an unknown bad-line policy both fail the load.
+  EXPECT_EQ(RunDistd("capped", "--shards=2 --max-nodes=10"), 1)
+      << Log("capped");
+  EXPECT_NE(Log("capped").find("out of range [0, 10)"), std::string::npos)
+      << Log("capped");
+  EXPECT_EQ(RunDistd("policy", "--shards=2 --on-bad-line=bogus"), 1)
+      << Log("policy");
+  EXPECT_NE(Log("policy").find("--on-bad-line"), std::string::npos)
+      << Log("policy");
+}
+
 TEST_F(DistE2eTest, SigkilledWorkerRecoversByteIdentical) {
   ASSERT_EQ(RunDistd("base", "--shards=3"), 0) << Log("base");
   const std::string baseline = Emb("base");

@@ -104,6 +104,23 @@ TEST(ToleranceGateTest, NanCandidateFails) {
   EXPECT_FALSE(v.pass);
 }
 
+TEST(GateDeltasTest, BothGatesReportDeltasInEntriesOrder) {
+  const MetricSuite base = MakeSuite(0.80, 0.90, 0.70, 0.60);
+  MetricSuite cand = MakeSuite(0.75, 0.90, 0.90, 0.60);
+  cand.nmi = std::nan("");
+  MetricTolerance tol;
+  tol.macro_f1 = tol.micro_f1 = tol.link_auc = tol.nmi = 1.0;
+  for (const GateClass gate :
+       {GateClass::kBitIdentical, GateClass::kTolerance}) {
+    const GateVerdict v = CheckGate(gate, base, cand, tol, {1u}, {1u});
+    ASSERT_EQ(v.deltas.size(), base.Entries().size());
+    EXPECT_EQ(v.deltas[0], std::fabs(0.75 - 0.80));
+    EXPECT_EQ(v.deltas[1], 0.0);
+    EXPECT_EQ(v.deltas[2], std::fabs(0.90 - 0.70));
+    EXPECT_TRUE(std::isnan(v.deltas[3]));
+  }
+}
+
 TEST(ToleranceGateTest, UnknownMetricNameGetsZeroTolerance) {
   MetricTolerance tol;
   tol.macro_f1 = 0.5;
@@ -156,7 +173,7 @@ TEST(ReportJsonTest, RendersGatesMetricsAndVerdicts) {
   cand.spec.tolerance.link_auc = 0.25;
   cand.result.metrics = MakeSuite(0.8, 0.9, 0.5, 0.6);
   cand.result.artifact_crcs = {1u, 2u};
-  cand.deltas = {0.0, 0.0, 0.2, 0.0};
+  cand.verdict.deltas = {0.0, 0.0, 0.2, 0.0};
   cand.verdict.pass = false;
   cand.verdict.failures = {"link_auc drifted"};
   report.cases.push_back(cand);

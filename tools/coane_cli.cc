@@ -124,19 +124,6 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-// Shared policy for the CLI's retried I/O: checkpoint, embedding, and
-// manifest writes plus graph loads. Seeded from --seed so backoff
-// schedules are reproducible run-to-run.
-RetryPolicy MakeRetryPolicy(const Flags& flags) {
-  RetryPolicy policy;
-  policy.max_attempts =
-      static_cast<int>(std::max<int64_t>(1, flags.GetInt("io-retries", 3)));
-  policy.initial_backoff_sec = 0.01;
-  policy.max_backoff_sec = 0.5;
-  policy.jitter_seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  return policy;
-}
-
 // Cooperative stops (Ctrl-C, --deadline-sec) are a clean exit, not an error.
 bool IsStopped(const Status& status) {
   return status.code() == StatusCode::kCancelled ||
@@ -177,43 +164,6 @@ int RunGenerate(const Flags& flags) {
               static_cast<long long>(stats.num_attributes),
               stats.num_labels);
   return 0;
-}
-
-Result<Graph> LoadFromFlags(const Flags& flags, const RunContext* ctx) {
-  const std::string edges = flags.Get("edges");
-  if (edges.empty()) {
-    return Status::InvalidArgument("--edges is required");
-  }
-  LoadOptions options;
-  const std::string policy = flags.Get("on-bad-line", "strict");
-  if (policy == "skip") {
-    options.bad_line_policy = BadLinePolicy::kSkip;
-  } else if (policy != "strict") {
-    return Status::InvalidArgument(
-        "--on-bad-line must be 'strict' or 'skip', got '" + policy + "'");
-  }
-  options.max_nodes = flags.GetInt("max-nodes", 0);
-  options.max_attr_dim = flags.GetInt("max-attr-dim", 0);
-  // A transient open/read failure (including the injected "graph_io.load"
-  // fault) is retried; parse errors are permanent and surface at once.
-  return RetryResultOp<Graph>(
-      MakeRetryPolicy(flags), ctx, "graph_io.load",
-      [&](const RunContext* attempt_ctx) -> Result<Graph> {
-        LoadOptions attempt_options = options;
-        attempt_options.run_context = attempt_ctx;
-        LoadSummary summary;
-        auto graph =
-            LoadAttributedGraph(edges, flags.Get("attrs"),
-                                flags.Get("labels"), attempt_options,
-                                &summary);
-        if (graph.ok() && summary.quarantined_lines > 0) {
-          std::fprintf(stderr, "warning: %s\n", summary.ToString().c_str());
-          for (const std::string& diag : summary.sample_diagnostics) {
-            std::fprintf(stderr, "  %s\n", diag.c_str());
-          }
-        }
-        return graph;
-      });
 }
 
 int RunStats(const Flags& flags) {

@@ -21,7 +21,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +33,6 @@
 #include "common/flags.h"
 #include "common/os_error.h"
 #include "common/parallel/global_pool.h"
-#include "common/retry.h"
 #include "common/run_context.h"
 #include "common/string_utils.h"
 #include "core/coane_model.h"
@@ -42,7 +40,6 @@
 #include "dist/coordinator.h"
 #include "dist/shard_plan.h"
 #include "dist/worker.h"
-#include "graph/graph_io.h"
 
 namespace coane {
 namespace {
@@ -92,6 +89,9 @@ int Usage() {
       "      masked attribute entries (default zero); every shard gets\n"
       "      the same policy and mask, enforced by the data fingerprint\n"
       "      at merge barriers\n"
+      "    loader: --on-bad-line=strict|skip --max-nodes=N\n"
+      "      --max-attr-dim=N, as in coane_cli; the coordinator and every\n"
+      "      worker load under them\n"
       "    prints one line per committed round and a final STATS line\n"
       "  worker  internal: train one shard for one round (fork/exec'd by\n"
       "          train); adds --shard=S --round=R to the train flags\n");
@@ -106,16 +106,6 @@ int Fail(const Status& status) {
 bool IsStopped(const Status& status) {
   return status.code() == StatusCode::kCancelled ||
          status.code() == StatusCode::kDeadlineExceeded;
-}
-
-RetryPolicy MakeRetryPolicy(const Flags& flags) {
-  RetryPolicy policy;
-  policy.max_attempts =
-      static_cast<int>(std::max<int64_t>(1, flags.GetInt("io-retries", 3)));
-  policy.initial_backoff_sec = 0.01;
-  policy.max_backoff_sec = 0.5;
-  policy.jitter_seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  return policy;
 }
 
 int UsageError(const Status& status) {
@@ -139,21 +129,6 @@ Result<ShardPlan> PlanFromFlags(const Flags& flags, const Graph& graph) {
     plan.base.use_attribute_loss = false;
   }
   return plan;
-}
-
-Result<Graph> LoadFromFlags(const Flags& flags, const RunContext* ctx) {
-  const std::string edges = flags.Get("edges");
-  if (edges.empty()) {
-    return Status::InvalidArgument("--edges is required");
-  }
-  return RetryResultOp<Graph>(
-      MakeRetryPolicy(flags), ctx, "graph_io.load",
-      [&](const RunContext* attempt_ctx) -> Result<Graph> {
-        LoadOptions options;
-        options.run_context = attempt_ctx;
-        return LoadAttributedGraph(edges, flags.Get("attrs"),
-                                   flags.Get("labels"), options, nullptr);
-      });
 }
 
 // Runs workers as real OS processes: one fork/exec of this binary's

@@ -24,11 +24,8 @@
 
 #include <sys/wait.h>
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -36,6 +33,7 @@
 #include "common/checksum.h"
 #include "common/flags.h"
 #include "common/status.h"
+#include "core/config_flags.h"
 #include "dist/shard_plan.h"
 #include "eval/metric_suite.h"
 #include "graph/graph_io.h"
@@ -57,24 +55,6 @@ int RunShell(const std::string& command) {
   const int rc = std::system(command.c_str());
   if (rc == -1 || !WIFEXITED(rc)) return -1;
   return WEXITSTATUS(rc);
-}
-
-// The coane_cli train flag rendering of HarnessBaseConfig — the fields
-// the harness deviates from defaults in are exactly the CLI-expressible
-// ones (the HarnessBaseConfig contract), so this string reproduces the
-// in-process config bit-for-bit.
-std::string CliTrainFlags(const CoaneConfig& config) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                " --dim=%lld --epochs=%d --context=%d --walks=%d"
-                " --walk-length=%d --negatives=%d --lr=%g --seed=%llu"
-                " --threads=2",
-                static_cast<long long>(config.embedding_dim),
-                config.max_epochs, config.context_size, config.num_walks,
-                config.walk_length, config.num_negative,
-                static_cast<double>(config.learning_rate),
-                static_cast<unsigned long long>(config.seed));
-  return buf;
 }
 
 Result<uint32_t> FileCrc(const std::string& path) {
@@ -126,7 +106,11 @@ Status RunSupervisorLeg(const QualityHarnessOptions& options,
                                             dir + "/lp.attrs", ""));
 
   const CoaneConfig base = HarnessBaseConfig(options.full, options.seed);
-  const std::string flags = CliTrainFlags(base);
+  // HarnessBaseConfig deviates from defaults only in flag-bound fields,
+  // so its flag rendering reproduces the in-process config bit for bit.
+  std::string flags;
+  for (const std::string& flag : ConfigToFlags(base)) flags += " " + flag;
+  flags += " --threads=2";
   // Crash at every 2nd epoch boundary: each supervisor incarnation makes
   // one epoch of progress, so a max_epochs-epoch run survives several
   // real SIGKILL/resume cycles.
@@ -202,12 +186,6 @@ Status RunSupervisorLeg(const QualityHarnessOptions& options,
     row.verdict = quality::CheckGate(GateClass::kBitIdentical, ref_metrics,
                                      legs[i].metrics, {}, ref_crcs,
                                      legs[i].crcs);
-    const auto ref_entries = ref_metrics.Entries();
-    const auto cand_entries = legs[i].metrics.Entries();
-    for (size_t m = 0; m < ref_entries.size(); ++m) {
-      row.deltas.push_back(
-          std::abs(cand_entries[m].second - ref_entries[m].second));
-    }
     if (!row.verdict.pass) report->all_pass = false;
     report->cases.push_back(row);
   }
