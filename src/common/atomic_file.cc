@@ -88,6 +88,11 @@ Result<std::string> ReadFileToString(const std::string& path) {
   return buffer.str();
 }
 
+bool PathExists(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0;
+}
+
 Status RemoveTree(const std::string& path) {
   struct stat st;
   if (::lstat(path.c_str(), &st) != 0) {

@@ -27,6 +27,9 @@ Status WriteFileAtomic(const std::string& path, const std::string& contents,
 /// cannot be opened or read. Binary-safe.
 Result<std::string> ReadFileToString(const std::string& path);
 
+/// True when `path` names an existing file system entry (stat succeeds).
+bool PathExists(const std::string& path);
+
 /// Recursively deletes `path` (file or directory tree). A path that does
 /// not exist is success — the caller wants it gone, and it is. Does not
 /// follow symlinks: a link inside the tree is unlinked, never traversed.

@@ -1,5 +1,6 @@
 #include "core/artifact_manifest.h"
 
+#include <cstdio>
 #include <utility>
 
 #include "common/atomic_file.h"
@@ -151,6 +152,38 @@ Status VerifyArtifactAgainstManifest(const std::string& manifest_path,
     return VerifyArtifact(*entry, *expected_fingerprint);
   }
   return VerifyArtifact(*entry);
+}
+
+Result<std::vector<ArtifactEntry>> AttestArtifacts(
+    ArtifactManifest* manifest, const std::string& manifest_path,
+    const std::vector<std::pair<std::string, std::string>>& artifacts,
+    uint64_t config_fingerprint, const RetryPolicy* retry) {
+  // One attempt is exactly a plain call: RetryOp annotates only retries.
+  const RetryPolicy policy =
+      retry != nullptr ? *retry : RetryPolicy{.max_attempts = 1};
+  std::vector<ArtifactEntry> entries;
+  for (const auto& [kind, path] : artifacts) {
+    auto entry = RetryResultOp<ArtifactEntry>(
+        policy, nullptr, "manifest.describe", [&](const RunContext*) {
+          return DescribeArtifact(kind, path, config_fingerprint);
+        });
+    if (!entry.ok()) return entry.status();
+    entries.push_back(std::move(entry).ValueOrDie());
+  }
+  for (const ArtifactEntry& entry : entries) {
+    COANE_RETURN_IF_ERROR(manifest->Record(entry));
+  }
+  COANE_RETURN_IF_ERROR(
+      RetryOp(policy, nullptr, "manifest.write", [&](const RunContext*) {
+        return manifest->Save(manifest_path);
+      }));
+  return entries;
+}
+
+std::string QuarantineArtifact(const std::string& path) {
+  const std::string quarantined = path + ".corrupt";
+  if (PathExists(path)) std::rename(path.c_str(), quarantined.c_str());
+  return quarantined;
 }
 
 }  // namespace coane

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/retry.h"
 #include "common/status.h"
 
 namespace coane {
@@ -101,6 +103,26 @@ Status VerifyArtifactAgainstManifest(const std::string& manifest_path,
                                      const std::string& artifact_path,
                                      const uint64_t* expected_fingerprint =
                                          nullptr);
+
+/// The attest step every artifact writer runs after its artifacts are
+/// durably on disk: describes each (kind, path) in `artifacts` (size and
+/// CRC-32 under `config_fingerprint`), records the entries into
+/// `manifest` in the order given — the manifest's bytes follow insertion
+/// order — and saves the manifest atomically to `manifest_path`. The
+/// describes and the save run under `retry`; nullptr runs each exactly
+/// once. Every describe finishes before anything is recorded, so a failed
+/// describe leaves `manifest` untouched, and a failed save leaves the
+/// previous manifest file (which makes no claim about the new bytes) in
+/// place. Returns the recorded entries in the order given.
+Result<std::vector<ArtifactEntry>> AttestArtifacts(
+    ArtifactManifest* manifest, const std::string& manifest_path,
+    const std::vector<std::pair<std::string, std::string>>& artifacts,
+    uint64_t config_fingerprint, const RetryPolicy* retry);
+
+/// Renames a distrusted artifact to `path + ".corrupt"` so it can never
+/// satisfy a later verification, and returns that path. A missing `path`
+/// is left alone.
+std::string QuarantineArtifact(const std::string& path);
 
 }  // namespace coane
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/parallel/global_pool.h"
 #include "graph/graph_io.h"
 
 namespace coane {
@@ -107,6 +108,45 @@ Result<Graph> LoadFromFlags(const flags::FlagSet& flags,
         }
         return graph;
       });
+}
+
+RunContext RunContextFromFlags(const flags::FlagSet& flags) {
+  InstallSignalCancellation();
+  RunContext ctx = RunContext::WithGlobalCancel();
+  const double deadline_sec = flags.GetDouble("deadline-sec", 0.0);
+  if (deadline_sec > 0.0) ctx.SetDeadlineAfter(deadline_sec);
+  return ctx;
+}
+
+Status ApplyThreadsFlag(const flags::FlagSet& flags) {
+  const int64_t threads =
+      flags.GetInt("threads", ThreadPool::DefaultThreadCount());
+  if (threads < 1) {
+    return Status::InvalidArgument("--threads must be >= 1");
+  }
+  SetGlobalParallelism(static_cast<int>(threads));
+  return Status::OK();
+}
+
+bool IsCooperativeStop(const Status& status) {
+  return status.code() == StatusCode::kCancelled ||
+         status.code() == StatusCode::kDeadlineExceeded;
+}
+
+int ExitWith(const Status& status, const std::string& stop_hint) {
+  if (status.ok()) return 0;
+  if (IsCooperativeStop(status)) {
+    std::printf("stopped: %s%s%s\n", status.ToString().c_str(),
+                stop_hint.empty() ? "" : " — ", stop_hint.c_str());
+    return 0;
+  }
+  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  return 1;
+}
+
+int UsageExit(const Status& status) {
+  std::fprintf(stderr, "usage error: %s\n", status.ToString().c_str());
+  return 2;
 }
 
 }  // namespace coane

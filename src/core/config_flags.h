@@ -48,6 +48,31 @@ RetryPolicy MakeRetryPolicy(const flags::FlagSet& flags);
 Result<Graph> LoadFromFlags(const flags::FlagSet& flags,
                             const RunContext* ctx);
 
+// The exit contract every tool shares (DESIGN.md §6): 0 success or a
+// cooperative stop, 1 error, 2 usage error.
+
+/// The run context of a tool process: SIGINT/SIGTERM cancel it (through
+/// the process-wide token) and --deadline-sec=S, when positive, stops it
+/// cooperatively after S seconds of wall clock.
+RunContext RunContextFromFlags(const flags::FlagSet& flags);
+
+/// Sizes the global pool from --threads (default: hardware concurrency).
+/// A value below 1 is kInvalidArgument and leaves the pool unchanged.
+Status ApplyThreadsFlag(const flags::FlagSet& flags);
+
+/// True for a cooperative stop: kCancelled (SIGINT/SIGTERM) or
+/// kDeadlineExceeded (--deadline-sec, a watchdog-declared hang).
+bool IsCooperativeStop(const Status& status);
+
+/// The exit code for a tool's final status. OK is 0. A cooperative stop
+/// prints "stopped: <status>", plus " — <stop_hint>" when a hint is
+/// given, on stdout and is 0. Any other status prints "error: <status>"
+/// on stderr and is 1.
+int ExitWith(const Status& status, const std::string& stop_hint = "");
+
+/// Prints "usage error: <status>" on stderr and returns 2.
+int UsageExit(const Status& status);
+
 }  // namespace coane
 
 #endif  // COANE_CORE_CONFIG_FLAGS_H_

@@ -1,7 +1,6 @@
 #include "dist/coordinator.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -19,10 +18,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using WallClock = std::chrono::system_clock;
-
-bool FileExists(const std::string& path) {
-  return ::access(path.c_str(), F_OK) == 0;
-}
 
 /// The file's mtime as wall-clock seconds, or a negative value when the
 /// file cannot be statted (never heartbeat yet).
@@ -90,7 +85,7 @@ Status Coordinator::Prepare() {
   }
 
   const std::string log_path = RoundLogPath(options_.work_dir);
-  if (FileExists(log_path)) {
+  if (PathExists(log_path)) {
     auto log = RoundLog::Load(log_path, plan_fingerprint_);
     if (!log.ok()) return log.status();
     round_log_ =
@@ -163,13 +158,9 @@ Status Coordinator::VerifyShardOutput(int shard, int round) const {
 }
 
 void Coordinator::QuarantineShardOutput(int shard, int round) {
-  for (const std::string& path :
-       {ShardRoundModelPath(options_.work_dir, shard, round),
-        ShardRoundEmbeddingsPath(options_.work_dir, shard, round)}) {
-    if (FileExists(path)) {
-      std::rename(path.c_str(), (path + ".corrupt").c_str());
-    }
-  }
+  QuarantineArtifact(ShardRoundModelPath(options_.work_dir, shard, round));
+  QuarantineArtifact(
+      ShardRoundEmbeddingsPath(options_.work_dir, shard, round));
   ++stats_.artifacts_quarantined;
 }
 
@@ -427,19 +418,12 @@ Result<RoundRecord> Coordinator::CommitRound(
         return SaveEmbeddings(merged_emb.value(), emb_path);
       }));
 
-  auto model_entry = DescribeArtifact(MergedModelKind(round), model_path,
-                                      plan_fingerprint_);
-  if (!model_entry.ok()) return model_entry.status();
-  auto emb_entry = DescribeArtifact(MergedEmbeddingsKind(round), emb_path,
-                                    plan_fingerprint_);
-  if (!emb_entry.ok()) return emb_entry.status();
-  COANE_RETURN_IF_ERROR(manifest_.Record(model_entry.value()));
-  COANE_RETURN_IF_ERROR(manifest_.Record(emb_entry.value()));
-  COANE_RETURN_IF_ERROR(RetryOp(
-      options_.io_retry, nullptr, "dist.manifest_write",
-      [&](const RunContext*) {
-        return manifest_.Save(CoordinatorManifestPath(options_.work_dir));
-      }));
+  auto attested = AttestArtifacts(
+      &manifest_, CoordinatorManifestPath(options_.work_dir),
+      {{MergedModelKind(round), model_path},
+       {MergedEmbeddingsKind(round), emb_path}},
+      plan_fingerprint_, &options_.io_retry);
+  if (!attested.ok()) return attested.status();
 
   RoundRecord record;
   record.round = round;
@@ -451,8 +435,8 @@ Result<RoundRecord> Coordinator::CommitRound(
     }
   }
   record.degraded = !record.missing.empty();
-  record.merged_model_crc = model_entry.value().crc32;
-  record.merged_embeddings_crc = emb_entry.value().crc32;
+  record.merged_model_crc = attested.value()[0].crc32;
+  record.merged_embeddings_crc = attested.value()[1].crc32;
   COANE_RETURN_IF_ERROR(
       round_log_->Commit(record, RoundLogPath(options_.work_dir)));
 

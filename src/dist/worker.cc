@@ -24,21 +24,6 @@ std::string ShardPoint(const char* what, int shard) {
   return std::string("dist.") + what + ".shard" + std::to_string(shard);
 }
 
-bool FileExists(const std::string& path) {
-  return ::access(path.c_str(), F_OK) == 0;
-}
-
-/// Renames a distrusted artifact aside so it can never satisfy a later
-/// verification, mirroring the CLI's --resume=auto quarantine.
-void QuarantineFile(const std::string& path, const Status& why) {
-  const std::string quarantined = path + ".corrupt";
-  std::rename(path.c_str(), quarantined.c_str());
-  std::fprintf(stderr,
-               "[worker] quarantined %s -> %s (%s); replaying shard\n",
-               path.c_str(), quarantined.c_str(),
-               why.ToString().c_str());
-}
-
 double HangSeconds() {
   const char* env = std::getenv("COANE_HANG_SEC");
   if (env != nullptr) {
@@ -71,24 +56,25 @@ Status ShardWorker::EnsureModel(const RunContext* ctx) {
 Status ShardWorker::ResumeOwnCheckpoint() {
   const std::string path =
       ShardCheckpointPath(options_.work_dir, options_.shard);
-  if (!FileExists(path)) return Status::OK();  // fresh shard
+  if (!PathExists(path)) return Status::OK();  // fresh shard
 
-  const Status attested = VerifyArtifactAgainstManifest(
+  Status why = VerifyArtifactAgainstManifest(
       ShardManifestPath(options_.work_dir, options_.shard),
       ShardCheckpointKind(), path, &plan_fingerprint_);
-  if (attested.code() == StatusCode::kDataLoss ||
-      attested.code() == StatusCode::kFailedPrecondition) {
-    // The bytes are provably wrong or belong to another plan. Replay:
-    // determinism makes the re-trained state byte-identical.
-    QuarantineFile(path, attested);
-    return Status::OK();
+  // kDataLoss / kFailedPrecondition: the bytes are provably wrong or
+  // belong to another plan. Otherwise (OK, or no/broken attestation —
+  // kNotFound / kIoError) the checkpoint file's own sectioned CRCs are
+  // the next gate.
+  if (why.code() != StatusCode::kDataLoss &&
+      why.code() != StatusCode::kFailedPrecondition) {
+    why = model_->LoadCheckpoint(path);
+    if (why.ok()) return Status::OK();
   }
-  // OK, or no/broken attestation (kNotFound / kIoError): the checkpoint
-  // file's own sectioned CRCs are the next gate.
-  const Status loaded = model_->LoadCheckpoint(path);
-  if (!loaded.ok()) {
-    QuarantineFile(path, loaded);
-  }
+  // Replay: determinism makes the re-trained state byte-identical.
+  std::fprintf(stderr,
+               "[worker] quarantined %s -> %s (%s); replaying shard\n",
+               path.c_str(), QuarantineArtifact(path).c_str(),
+               why.ToString().c_str());
   return Status::OK();
 }
 
@@ -139,15 +125,11 @@ Status ShardWorker::SaveOwn() {
   const std::string path =
       ShardCheckpointPath(options_.work_dir, options_.shard);
   COANE_RETURN_IF_ERROR(model_->SaveCheckpoint(path, &options_.io_retry));
-  auto entry =
-      DescribeArtifact(ShardCheckpointKind(), path, plan_fingerprint_);
-  if (!entry.ok()) return entry.status();
-  COANE_RETURN_IF_ERROR(manifest_.Record(entry.value()));
-  return RetryOp(options_.io_retry, nullptr, "dist.shard_manifest",
-                 [&](const RunContext*) {
-                   return manifest_.Save(ShardManifestPath(
-                       options_.work_dir, options_.shard));
-                 });
+  return AttestArtifacts(&manifest_,
+                         ShardManifestPath(options_.work_dir, options_.shard),
+                         {{ShardCheckpointKind(), path}}, plan_fingerprint_,
+                         &options_.io_retry)
+      .status();
 }
 
 Status ShardWorker::Publish() {
@@ -165,20 +147,13 @@ Status ShardWorker::Publish() {
         return SaveEmbeddings(model_->embeddings(), emb_path);
       }));
 
-  auto model_entry =
-      DescribeArtifact(RoundModelKind(round), model_path, plan_fingerprint_);
-  if (!model_entry.ok()) return model_entry.status();
-  auto emb_entry = DescribeArtifact(RoundEmbeddingsKind(round), emb_path,
-                                    plan_fingerprint_);
-  if (!emb_entry.ok()) return emb_entry.status();
-  COANE_RETURN_IF_ERROR(manifest_.Record(model_entry.value()));
-  COANE_RETURN_IF_ERROR(manifest_.Record(emb_entry.value()));
-  COANE_RETURN_IF_ERROR(RetryOp(
-      options_.io_retry, nullptr, "dist.shard_manifest",
-      [&](const RunContext*) {
-        return manifest_.Save(
-            ShardManifestPath(options_.work_dir, options_.shard));
-      }));
+  COANE_RETURN_IF_ERROR(
+      AttestArtifacts(&manifest_,
+                      ShardManifestPath(options_.work_dir, options_.shard),
+                      {{RoundModelKind(round), model_path},
+                       {RoundEmbeddingsKind(round), emb_path}},
+                      plan_fingerprint_, &options_.io_retry)
+          .status());
 
   // Merge-poisoning chaos: rot the published bytes *after* the manifest
   // attested them, so the artifact and its attestation disagree. The

@@ -191,6 +191,14 @@ bool CheckNodeId(LineDiagnostics* diag, const LineScanner& scanner,
   return true;
 }
 
+// Ids must fit NodeId (int32) and stay under the configured node cap.
+int64_t NodeIdLimit(const LoadOptions& options) {
+  return options.max_nodes > 0
+             ? std::min<int64_t>(options.max_nodes,
+                                 std::numeric_limits<NodeId>::max())
+             : std::numeric_limits<NodeId>::max();
+}
+
 }  // namespace
 
 std::string LoadSummary::ToString() const {
@@ -246,12 +254,7 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
   *summary = LoadSummary();
   LineDiagnostics diag(options, summary);
 
-  // Ids must fit NodeId (int32) and stay under the configured node cap.
-  const int64_t id_limit =
-      options.max_nodes > 0
-          ? std::min<int64_t>(options.max_nodes,
-                              std::numeric_limits<NodeId>::max())
-          : std::numeric_limits<NodeId>::max();
+  const int64_t id_limit = NodeIdLimit(options);
   if (options.num_nodes > id_limit) {
     return Status::ResourceExhausted(
         "requested num_nodes " + std::to_string(options.num_nodes) +
@@ -470,48 +473,14 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
   }
 
   // --- Labels.
-  std::vector<std::pair<NodeId, int32_t>> label_lines;
+  std::vector<int32_t> labels;
   if (!labels_path.empty()) {
-    LineScanner scanner;
-    COANE_RETURN_IF_ERROR(scanner.Open(labels_path, options));
-    std::vector<Token> row;
-    int64_t line = 0;
-    while (scanner.Next(&row, &line)) {
-      ++summary->lines_parsed;
-      if (summary->lines_parsed % kLinesPerContextCheck == 0) {
-        COANE_RETURN_IF_STOPPED(options.run_context, "graph_io.load");
-      }
-      if (row.size() != 2) {
-        COANE_RETURN_IF_ERROR(diag.Flag(
-            scanner.path(), line, row.empty() ? 1 : row[0].column,
-            "label line needs 'node label', got " +
-                std::to_string(row.size()) + " field(s)",
-            &LoadSummary::bad_tokens));
-        continue;
-      }
-      Status st;
-      int64_t node = 0;
-      if (!CheckNodeId(&diag, scanner, line, row[0], node_limit,
-                       "node id", &node, &st)) {
-        COANE_RETURN_IF_ERROR(st);
-        continue;
-      }
-      int64_t label = 0;
-      bool overflow = false;
-      if (!ParseId(row[1].text, &label, &overflow) || label < 0 ||
-          label > std::numeric_limits<int32_t>::max()) {
-        COANE_RETURN_IF_ERROR(diag.Flag(
-            scanner.path(), line, row[1].column,
-            "bad label '" + row[1].text +
-                "' (labels are non-negative integers)",
-            &LoadSummary::bad_tokens));
-        continue;
-      }
-      label_lines.emplace_back(static_cast<NodeId>(node),
-                               static_cast<int32_t>(label));
-      max_node = std::max(max_node, node);
-      ++summary->labels_loaded;
-    }
+    auto loaded = LoadLabels(labels_path,
+                             options.num_nodes > 0 ? node_limit : 0,
+                             options, summary);
+    if (!loaded.ok()) return loaded.status();
+    labels = std::move(loaded).ValueOrDie();
+    max_node = std::max(max_node, static_cast<int64_t>(labels.size()) - 1);
   }
 
   const int64_t resolved_nodes = std::max(options.num_nodes, max_node + 1);
@@ -569,14 +538,67 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
   }
 
   if (!labels_path.empty()) {
-    std::vector<int32_t> labels(static_cast<size_t>(resolved_nodes), 0);
-    for (const auto& [node, label] : label_lines) {
-      labels[static_cast<size_t>(node)] = label;
-    }
+    labels.resize(static_cast<size_t>(resolved_nodes), 0);
     builder.SetLabels(std::move(labels));
   }
 
   return std::move(builder).Build();
+}
+
+Result<std::vector<int32_t>> LoadLabels(const std::string& path,
+                                        int64_t num_nodes,
+                                        const LoadOptions& options,
+                                        LoadSummary* summary) {
+  LoadSummary local_summary;
+  if (summary == nullptr) summary = &local_summary;
+  LineDiagnostics diag(options, summary);
+  const int64_t node_limit =
+      num_nodes > 0 ? std::min(num_nodes, NodeIdLimit(options))
+                    : NodeIdLimit(options);
+  std::vector<int32_t> labels(
+      static_cast<size_t>(num_nodes > 0 ? num_nodes : 0), 0);
+  LineScanner scanner;
+  COANE_RETURN_IF_ERROR(scanner.Open(path, options));
+  std::vector<Token> row;
+  int64_t line = 0;
+  while (scanner.Next(&row, &line)) {
+    ++summary->lines_parsed;
+    if (summary->lines_parsed % kLinesPerContextCheck == 0) {
+      COANE_RETURN_IF_STOPPED(options.run_context, "graph_io.load");
+    }
+    if (row.size() != 2) {
+      COANE_RETURN_IF_ERROR(diag.Flag(
+          scanner.path(), line, row.empty() ? 1 : row[0].column,
+          "label line needs 'node label', got " +
+              std::to_string(row.size()) + " field(s)",
+          &LoadSummary::bad_tokens));
+      continue;
+    }
+    Status st;
+    int64_t node = 0;
+    if (!CheckNodeId(&diag, scanner, line, row[0], node_limit, "node id",
+                     &node, &st)) {
+      COANE_RETURN_IF_ERROR(st);
+      continue;
+    }
+    int64_t label = 0;
+    bool overflow = false;
+    if (!ParseId(row[1].text, &label, &overflow) || label < 0 ||
+        label > std::numeric_limits<int32_t>::max()) {
+      COANE_RETURN_IF_ERROR(diag.Flag(
+          scanner.path(), line, row[1].column,
+          "bad label '" + row[1].text +
+              "' (labels are non-negative integers)",
+          &LoadSummary::bad_tokens));
+      continue;
+    }
+    if (node >= static_cast<int64_t>(labels.size())) {
+      labels.resize(static_cast<size_t>(node) + 1, 0);
+    }
+    labels[static_cast<size_t>(node)] = static_cast<int32_t>(label);
+    ++summary->labels_loaded;
+  }
+  return labels;
 }
 
 Status SaveAttributedGraph(const Graph& graph, const std::string& edges_path,

@@ -124,6 +124,20 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
                                   const LoadOptions& options,
                                   LoadSummary* summary = nullptr);
 
+/// Reads a labels file ("node label" lines) under `options`, the label
+/// block of LoadAttributedGraph. Node ids must lie in [0, num_nodes) when
+/// `num_nodes` is positive and under options.max_nodes when that is set;
+/// labels must be non-negative int32 values. Bad lines fail with a
+/// "path:line:column" diagnostic (strict) or are quarantined (skip).
+/// Returns one label per node, max(num_nodes, largest labelled id + 1)
+/// of them, 0 for nodes the file does not mention; a node listed twice
+/// keeps its last label. Counters and diagnostics accumulate into
+/// `summary` (which is not reset; may be null).
+Result<std::vector<int32_t>> LoadLabels(const std::string& path,
+                                        int64_t num_nodes,
+                                        const LoadOptions& options,
+                                        LoadSummary* summary = nullptr);
+
 /// Writes the three files (edges always; attributes/labels when present).
 /// Each file is written atomically (temp + fsync + rename), so a crash
 /// mid-save never leaves a truncated file. Fault point: "graph_io.save".

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/atomic_file.h"
 #include "common/fault_injection.h"
 #include "core/artifact_manifest.h"
 #include "serve/brute_force_index.h"
@@ -14,15 +15,6 @@ namespace coane {
 namespace serve {
 
 namespace {
-
-// True when `path` exists (the provenance sidecar is optional; a static
-// pipeline's artifact has none).
-bool FileExists(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fclose(f);
-  return true;
-}
 
 // True when `path` starts with the EmbeddingStore magic (i.e. is already
 // a compiled store file rather than text embeddings).
@@ -81,7 +73,7 @@ Result<std::shared_ptr<const Snapshot>> BuildSnapshot(
   // pipeline and serves without provenance.
   const std::string pub_path =
       stream::PublishInfoPathFor(embeddings_path);
-  if (FileExists(pub_path)) {
+  if (PathExists(pub_path)) {
     auto info = stream::LoadPublishInfo(pub_path);
     if (!info.ok()) return info.status();
     snapshot->has_provenance = true;

@@ -341,14 +341,11 @@ Status StreamPipeline::PublishArtifacts(const CoaneModel& model,
   } else if (loaded.status().code() == StatusCode::kDataLoss) {
     return loaded.status();  // a broken attestation is never overwritten
   }
-  for (const char* kind : {"embeddings", "checkpoint"}) {
-    auto entry = DescribeArtifact(
-        kind, std::string(kind) == "embeddings" ? emb_path : ckpt_path,
-        info.config_fingerprint);
-    if (!entry.ok()) return entry.status();
-    COANE_RETURN_IF_ERROR(manifest.Record(entry.value()));
-  }
-  COANE_RETURN_IF_ERROR(manifest.Save(manifest_path()));
+  COANE_RETURN_IF_ERROR(
+      AttestArtifacts(&manifest, manifest_path(),
+                      {{"embeddings", emb_path}, {"checkpoint", ckpt_path}},
+                      info.config_fingerprint, /*retry=*/nullptr)
+          .status());
 
   ckpt_path_ = ckpt_path;
   emb_path_ = emb_path;

@@ -1,6 +1,7 @@
 // Artifact-manifest tests: record/save/load round trips, the CRC footer
-// guarding the manifest itself, and artifact verification (intact,
-// corrupt, truncated, missing, stale-config).
+// guarding the manifest itself, artifact verification (intact, corrupt,
+// truncated, missing, stale-config), and the shared attest and
+// quarantine steps every artifact writer runs.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/atomic_file.h"
 #include "common/fault_injection.h"
 #include "core/artifact_manifest.h"
 
@@ -188,6 +190,127 @@ TEST_F(ArtifactManifestTest, EmptyManifestRoundTrips) {
   auto loaded = ArtifactManifest::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded.value().entries().empty());
+}
+
+// Two attempts with a negligible backoff: enough to ride out one fault.
+RetryPolicy TwoAttempts() {
+  return RetryPolicy{.max_attempts = 2,
+                     .initial_backoff_sec = 0.001,
+                     .jitter_fraction = 0.0};
+}
+
+TEST_F(ArtifactManifestTest, AttestRecordsInGivenOrderWithDescribeCrcs) {
+  const std::string ckpt = WriteTemp("attest.ckpt", "checkpoint bytes");
+  const std::string emb = WriteTemp("attest.emb", "embedding bytes\n");
+  const std::string path = WriteTemp("attest.tsv", "");
+  ArtifactManifest manifest;
+  // Embeddings first on purpose: insertion order, not kind or path order.
+  auto attested = AttestArtifacts(
+      &manifest, path, {{"embeddings", emb}, {"checkpoint", ckpt}}, 0x77u,
+      nullptr);
+  ASSERT_TRUE(attested.ok()) << attested.status().ToString();
+  const std::vector<ArtifactEntry>& returned = attested.value();
+  ASSERT_EQ(returned.size(), 2u);
+
+  auto loaded = ArtifactManifest::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::vector<ArtifactEntry>& saved = loaded.value().entries();
+  ASSERT_EQ(saved.size(), 2u);
+  const std::pair<std::string, std::string> expected[] = {
+      {"embeddings", emb}, {"checkpoint", ckpt}};
+  for (size_t i = 0; i < 2; ++i) {
+    auto described =
+        DescribeArtifact(expected[i].first, expected[i].second, 0x77u);
+    ASSERT_TRUE(described.ok());
+    for (const ArtifactEntry* got : {&returned[i], &saved[i]}) {
+      EXPECT_EQ(got->kind, expected[i].first);
+      EXPECT_EQ(got->path, expected[i].second);
+      EXPECT_EQ(got->size_bytes, described.value().size_bytes);
+      EXPECT_EQ(got->crc32, described.value().crc32);
+      EXPECT_EQ(got->config_fingerprint, 0x77u);
+    }
+  }
+}
+
+TEST_F(ArtifactManifestTest, AttestFailedSaveLeavesNoClaimOnTheArtifact) {
+  const std::string old_artifact = WriteTemp("old.emb", "old bytes\n");
+  const std::string path = WriteTemp("claims.tsv", "");
+  ArtifactManifest manifest;
+  ASSERT_TRUE(AttestArtifacts(&manifest, path, {{"embeddings", old_artifact}},
+                              1, nullptr)
+                  .ok());
+
+  const std::string artifact = WriteTemp("new.ckpt", "new checkpoint");
+  fault::ArmPermanent("manifest.write", /*trigger_hit=*/1);
+  const RetryPolicy retry = TwoAttempts();
+  auto attested = AttestArtifacts(&manifest, path, {{"checkpoint", artifact}},
+                                  1, &retry);
+  EXPECT_EQ(attested.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(fault::HitCount("manifest.write"), 2) << "both attempts ran";
+  fault::Reset();
+
+  // The artifact stays on disk; the manifest on disk is the previous one,
+  // which attests the old artifact and makes no claim on the new one.
+  EXPECT_TRUE(PathExists(artifact));
+  auto loaded = ArtifactManifest::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().Find("checkpoint", artifact), nullptr);
+  ASSERT_NE(loaded.value().Find("embeddings", old_artifact), nullptr);
+  EXPECT_EQ(VerifyArtifactAgainstManifest(path, "checkpoint", artifact)
+                .code(),
+            StatusCode::kNotFound);
+}
+
+TEST_F(ArtifactManifestTest, AttestRetriesATransientSaveOnlyUnderAPolicy) {
+  const std::string artifact = WriteTemp("flaky.emb", "bytes\n");
+  const std::string path = WriteTemp("flaky.tsv", "");
+  const RetryPolicy retry = TwoAttempts();
+
+  ArtifactManifest retried;
+  fault::ArmTransient("manifest.write", /*trigger_hit=*/1, /*fail_count=*/1);
+  auto ok = AttestArtifacts(&retried, path, {{"embeddings", artifact}}, 3,
+                            &retry);
+  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_TRUE(VerifyArtifactAgainstManifest(path, "embeddings", artifact)
+                  .ok());
+
+  // nullptr is exactly one attempt: the same transient fault surfaces.
+  ArtifactManifest once;
+  fault::ArmTransient("manifest.write", /*trigger_hit=*/1, /*fail_count=*/1);
+  auto failed =
+      AttestArtifacts(&once, path, {{"embeddings", artifact}}, 3, nullptr);
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(fault::HitCount("manifest.write"), 1);
+}
+
+TEST_F(ArtifactManifestTest, AttestMissingArtifactRecordsNothing) {
+  const std::string present = WriteTemp("present.emb", "bytes\n");
+  const std::string path = "/tmp/coane_manifest_never_written.tsv";
+  cleanup_.push_back(path);
+  ArtifactManifest manifest;
+  auto attested = AttestArtifacts(
+      &manifest, path,
+      {{"embeddings", present},
+       {"checkpoint", "/tmp/coane_manifest_no_such_artifact"}},
+      0, nullptr);
+  EXPECT_EQ(attested.status().code(), StatusCode::kIoError);
+  EXPECT_TRUE(manifest.entries().empty());
+  EXPECT_FALSE(PathExists(path));
+}
+
+TEST_F(ArtifactManifestTest, QuarantineRenamesAsideAndSkipsMissingFiles) {
+  const std::string path = WriteTemp("rotten.ckpt", "rotten");
+  cleanup_.push_back(path + ".corrupt");
+  EXPECT_EQ(QuarantineArtifact(path), path + ".corrupt");
+  EXPECT_FALSE(PathExists(path));
+  auto moved = ReadFileToString(path + ".corrupt");
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_EQ(moved.value(), "rotten");
+
+  // Already gone: nothing to rename, and the earlier quarantine survives.
+  EXPECT_EQ(QuarantineArtifact(path), path + ".corrupt");
+  EXPECT_FALSE(PathExists(path));
+  EXPECT_TRUE(PathExists(path + ".corrupt"));
 }
 
 }  // namespace

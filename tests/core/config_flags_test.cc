@@ -3,13 +3,16 @@
 // its field, every default is the tools' (--epochs defaults to 10, not
 // CoaneConfig's 5), and a bad --missing-attrs is kInvalidArgument.
 // ConfigToFlags is its inverse, and LoadFromFlags / MakeRetryPolicy are
-// the loader and retry flags every tool shares.
+// the loader and retry flags every tool shares. RunContextFromFlags,
+// ApplyThreadsFlag, ExitWith and UsageExit are the tools' one exit
+// contract: 0 success or stop, 1 error, 2 usage.
 
 #include "core/config_flags.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <unistd.h>
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "common/atomic_file.h"
+#include "common/parallel/global_pool.h"
 #include "core/checkpoint.h"
 
 namespace coane {
@@ -216,6 +220,55 @@ TEST_F(LoadFromFlagsTest, MaxNodesBelowTheFileFails) {
   EXPECT_EQ(g.status().code(), StatusCode::kOutOfRange);
   EXPECT_NE(g.status().message().find("out of range [0, 2)"),
             std::string::npos);
+}
+
+TEST(ExitContractTest, ApplyThreadsFlagRejectsBelowOneAndSizesThePool) {
+  SetGlobalParallelism(2);
+  for (const char* bad : {"--threads=0", "--threads=-1"}) {
+    const Status st = ApplyThreadsFlag(MakeFlags({bad}));
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(GlobalParallelism(), 2) << bad << " must not touch the pool";
+  }
+  EXPECT_TRUE(ApplyThreadsFlag(MakeFlags({"--threads=3"})).ok());
+  EXPECT_EQ(GlobalParallelism(), 3);
+  SetGlobalParallelism(1);
+}
+
+TEST(ExitContractTest, RunContextFromFlagsAppliesDeadlineSec) {
+  EXPECT_FALSE(RunContextFromFlags(MakeFlags({})).has_deadline());
+  EXPECT_FALSE(
+      RunContextFromFlags(MakeFlags({"--deadline-sec=0"})).has_deadline());
+
+  const RunContext ctx = RunContextFromFlags(MakeFlags({"--deadline-sec=30"}));
+  EXPECT_TRUE(ctx.has_deadline());
+  EXPECT_GT(ctx.RemainingSeconds(), 0.0);
+  EXPECT_LE(ctx.RemainingSeconds(), 30.0);
+
+  const RunContext expired =
+      RunContextFromFlags(MakeFlags({"--deadline-sec=0.000001"}));
+  ::usleep(1000);
+  EXPECT_EQ(expired.Check("test").code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(ExitContractTest, ExitWithMapsStopsToZeroAndErrorsToOne) {
+  EXPECT_EQ(ExitWith(Status::OK()), 0);
+
+  std::fflush(stdout);
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(ExitWith(Status::Cancelled("interrupted")), 0);
+  EXPECT_EQ(ExitWith(Status::DeadlineExceeded("late"), "rerun to resume"),
+            0);
+  EXPECT_EQ(::testing::internal::GetCapturedStdout(),
+            "stopped: Cancelled: interrupted\n"
+            "stopped: DeadlineExceeded: late — rerun to resume\n");
+
+  // A budget overrun is not a cooperative stop: an error like any other.
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(ExitWith(Status::ResourceExhausted("ENOSPC")), 1);
+  EXPECT_EQ(UsageExit(Status::InvalidArgument("--x")), 2);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "error: ResourceExhausted: ENOSPC\n"
+            "usage error: InvalidArgument: --x\n");
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -21,11 +20,6 @@
 
 namespace coane {
 namespace {
-
-bool FileExists(const std::string& path) {
-  struct ::stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -44,7 +38,7 @@ class DistE2eTest : public ::testing::Test {
   void SetUp() override {
     distd_ = COANE_DISTD_BIN;
     cli_ = COANE_CLI_BIN;
-    if (!FileExists(distd_) || !FileExists(cli_)) {
+    if (!PathExists(distd_) || !PathExists(cli_)) {
       GTEST_SKIP() << "tool binaries not built";
     }
     char tmpl[] = "/tmp/coane_dist_e2e_XXXXXX";

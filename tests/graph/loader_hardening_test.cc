@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/fault_injection.h"
 #include "common/run_context.h"
@@ -181,6 +182,64 @@ TEST_F(LoaderHardeningTest, BadLabelsQuarantined) {
   ASSERT_EQ(g.value().labels().size(), 2u);
   EXPECT_EQ(g.value().labels()[0], 2);
   EXPECT_EQ(g.value().labels()[1], 0);  // bad lines never assign
+}
+
+// LoadLabels is the label block of LoadAttributedGraph on its own: what
+// `coane_cli evaluate` reads its ground truth with. Every line of the
+// evaluate repro fails strict with its path:line:column.
+TEST_F(LoaderHardeningTest, LoadLabelsStrictNamesEveryBadLine) {
+  LoadOptions strict;
+  strict.max_nodes = 8;
+  const struct {
+    const char* contents;
+    StatusCode code;
+    const char* where;
+  } cases[] = {
+      {"0 1\nxyz\n", StatusCode::kInvalidArgument, ":2:1:"},
+      {"0 1\n3 2 extra\n", StatusCode::kInvalidArgument, ":2:1:"},
+      {"0 1\n999999 4\n", StatusCode::kOutOfRange, ":2:1:"},
+      {"# node label\n0 1\n2 -1\n", StatusCode::kInvalidArgument, ":3:3:"},
+      {"8 0\n", StatusCode::kOutOfRange, ":1:1:"},
+  };
+  for (const auto& c : cases) {
+    WriteFile(labels_, c.contents);
+    auto labels = LoadLabels(labels_, 8, strict);
+    ASSERT_FALSE(labels.ok()) << c.contents;
+    EXPECT_EQ(labels.status().code(), c.code) << c.contents;
+    EXPECT_NE(labels.status().message().find(labels_ + c.where),
+              std::string::npos)
+        << labels.status().ToString();
+  }
+}
+
+TEST_F(LoaderHardeningTest, LoadLabelsSizesToNodesAndKeepsLastLabel) {
+  WriteFile(labels_, "# node label\n2 3\n0 1\n2 4\n");
+  LoadSummary summary;
+  auto labels = LoadLabels(labels_, 5, LoadOptions(), &summary);
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  EXPECT_EQ(labels.value(), (std::vector<int32_t>{1, 0, 4, 0, 0}));
+  EXPECT_EQ(summary.labels_loaded, 3);
+  EXPECT_EQ(summary.lines_parsed, 3);
+
+  // Without a node count the vector ends at the largest labelled id.
+  auto inferred = LoadLabels(labels_, 0, LoadOptions());
+  ASSERT_TRUE(inferred.ok()) << inferred.status().ToString();
+  EXPECT_EQ(inferred.value(), (std::vector<int32_t>{1, 0, 4}));
+}
+
+TEST_F(LoaderHardeningTest, LoadLabelsSkipQuarantinesLikeTheGraphLoader) {
+  WriteFile(labels_, "0 1\nxyz\n3 2 extra\n999999 4\n1 -1\n");
+  LoadOptions lenient;
+  lenient.bad_line_policy = BadLinePolicy::kSkip;
+  lenient.max_nodes = 4;
+  LoadSummary summary;
+  auto labels = LoadLabels(labels_, 4, lenient, &summary);
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  EXPECT_EQ(labels.value(), (std::vector<int32_t>{1, 0, 0, 0}));
+  EXPECT_EQ(summary.labels_loaded, 1);
+  EXPECT_EQ(summary.quarantined_lines, 4);
+  EXPECT_EQ(summary.bad_tokens, 3);
+  EXPECT_EQ(summary.out_of_range_ids, 1);
 }
 
 TEST_F(LoaderHardeningTest, NodeCapMakesBigIdsOutOfRange) {

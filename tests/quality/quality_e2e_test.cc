@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
 #include <sys/wait.h>
 
 #include <cstdlib>
@@ -23,11 +22,6 @@
 
 namespace coane {
 namespace {
-
-bool FileExists(const std::string& path) {
-  struct ::stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -45,8 +39,8 @@ TEST(QualityE2eTest, SupervisorResumedRunMatchesBaselineBytes) {
   const std::string quality_bin = COANE_QUALITY_BIN;
   const std::string cli_bin = COANE_CLI_BIN;
   const std::string supervisor_bin = COANE_SUPERVISOR_BIN;
-  if (!FileExists(quality_bin) || !FileExists(cli_bin) ||
-      !FileExists(supervisor_bin)) {
+  if (!PathExists(quality_bin) || !PathExists(cli_bin) ||
+      !PathExists(supervisor_bin)) {
     GTEST_SKIP() << "tool binaries not built";
   }
 

@@ -2,7 +2,9 @@
 // (coane_recovery_tests): the supervisor must shepherd a fault-injected
 // training child — SIGKILLed mid-epoch, or hung until its watchdog fires —
 // to final embeddings byte-identical to an uninterrupted run, and must
-// quarantine a child that crash-loops without progress.
+// quarantine a child that crash-loops without progress. The tier also
+// holds the CLI's exit-contract cases (0 success or stop, 1 error, 2
+// usage).
 //
 // These tests exec the real coane_cli / coane_supervisor binaries from the
 // build tree (located relative to this test binary) and are skipped when
@@ -10,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -36,11 +37,6 @@ std::string SelfDir() {
   return slash == std::string::npos ? "." : path.substr(0, slash);
 }
 
-bool FileExists(const std::string& path) {
-  struct ::stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
@@ -61,7 +57,7 @@ class SupervisorTest : public ::testing::Test {
     const std::string self = SelfDir();
     cli_ = self + "/../tools/coane_cli";
     supervisor_ = self + "/../tools/coane_supervisor";
-    if (!FileExists(cli_) || !FileExists(supervisor_)) {
+    if (!PathExists(cli_) || !PathExists(supervisor_)) {
       GTEST_SKIP() << "tool binaries not built next to " << self;
     }
     char tmpl[] = "/tmp/coane_recovery_XXXXXX";
@@ -95,7 +91,7 @@ class SupervisorTest : public ::testing::Test {
   // One uninterrupted run: the golden bytes every recovery path must hit.
   std::string BaselineEmbeddings() {
     const std::string out = dir_ + "/base.emb";
-    if (!FileExists(out)) {
+    if (!PathExists(out)) {
       EXPECT_EQ(RunShell(cli_ + TrainArgs(out, dir_ + "/base_ck") +
                          " > /dev/null 2>&1"),
                 0);
@@ -120,7 +116,7 @@ TEST_F(SupervisorTest, SigkilledChildRecoversByteIdentical) {
       ckpt + " --out=" + out + " --backoff-ms=10 -- " + cli_ +
       TrainArgs(out, ckpt) + " > /dev/null 2>&1");
   EXPECT_EQ(rc, 0);
-  ASSERT_TRUE(FileExists(out));
+  ASSERT_TRUE(PathExists(out));
   EXPECT_EQ(ReadAll(out), baseline)
       << "embeddings after SIGKILL+restart must be byte-identical to an "
          "uninterrupted run";
@@ -141,7 +137,7 @@ TEST_F(SupervisorTest, WatchdogDeclaredHangRecoversByteIdentical) {
       " --backoff-ms=10 --hang-sec=20 -- " + cli_ + TrainArgs(out, ckpt) +
       " --watchdog-sec=0.3 > /dev/null 2>&1");
   EXPECT_EQ(rc, 0);
-  ASSERT_TRUE(FileExists(out));
+  ASSERT_TRUE(PathExists(out));
   EXPECT_EQ(ReadAll(out), baseline)
       << "embeddings after a watchdog-declared hang must be "
          "byte-identical to an uninterrupted run";
@@ -158,7 +154,7 @@ TEST_F(SupervisorTest, CrashLoopWithoutProgressIsQuarantined) {
       " --backoff-ms=10 --max-crashes-at-step=3 -- " + cli_ +
       TrainArgs(out, ckpt) + " > /dev/null 2>&1");
   EXPECT_EQ(rc, 3) << "quarantine must exit 3";
-  EXPECT_FALSE(FileExists(out));
+  EXPECT_FALSE(PathExists(out));
   const std::string report = ReadAll(ckpt + "/quarantine.txt");
   EXPECT_NE(report.find("consecutive failures: 3"), std::string::npos)
       << report;
@@ -182,9 +178,35 @@ TEST_F(SupervisorTest, CorruptCheckpointIsQuarantinedAndRecomputed) {
                           " --out=" + out + " --backoff-ms=10 -- " + cli_ +
                           TrainArgs(out, ckpt) + " > /dev/null 2>&1");
   EXPECT_EQ(rc, 0);
-  EXPECT_TRUE(FileExists(ckpt + "/coane.ckpt.corrupt"))
+  EXPECT_TRUE(PathExists(ckpt + "/coane.ckpt.corrupt"))
       << "the corrupt checkpoint must be moved aside, not deleted";
   EXPECT_EQ(ReadAll(out), baseline);
+}
+
+// `evaluate` scores only labels it read: a malformed line, trailing
+// fields, or a node id past the embedding rows fail the run with the
+// offending path:line:column (exit 1) instead of being dropped.
+TEST_F(SupervisorTest, EvaluateFailsOnLabelsItCannotScore) {
+  const std::string baseline = BaselineEmbeddings();
+  ASSERT_FALSE(baseline.empty());
+  const std::string evaluate =
+      cli_ + " evaluate --embeddings=" + dir_ + "/base.emb --threads=2";
+  EXPECT_EQ(RunShell(evaluate + " --labels=" + dir_ + "/g.labels" +
+                     " > /dev/null 2>&1"),
+            0);
+
+  const std::string labels = dir_ + "/bad.labels";
+  {
+    std::ofstream out(labels);
+    out << "0 1\nxyz\n3 2 extra\n999999 4\n";
+  }
+  const std::string err = dir_ + "/evaluate.err";
+  EXPECT_EQ(RunShell(evaluate + " --labels=" + labels + " > /dev/null 2> " +
+                     err),
+            1);
+  EXPECT_NE(ReadAll(err).find("error: InvalidArgument: " + labels + ":2:1:"),
+            std::string::npos)
+      << ReadAll(err);
 }
 
 }  // namespace

@@ -80,11 +80,10 @@ class ServeE2eTest : public ::testing::Test {
 
     manifest_path_ = Path("manifest.tsv");
     ArtifactManifest manifest;
-    auto entry =
-        DescribeArtifact("embeddings", emb_path_, /*fingerprint=*/0);
-    ASSERT_TRUE(entry.ok());
-    ASSERT_TRUE(manifest.Record(entry.value()).ok());
-    ASSERT_TRUE(manifest.Save(manifest_path_).ok());
+    ASSERT_TRUE(AttestArtifacts(&manifest, manifest_path_,
+                                {{"embeddings", emb_path_}},
+                                /*config_fingerprint=*/0, /*retry=*/nullptr)
+                    .ok());
   }
 
   std::filesystem::path dir_;
@@ -270,6 +269,24 @@ TEST_F(ServeE2eTest, SigtermDuringTcpServingDrainsAndExitsZero) {
       << stderr_out;
   EXPECT_NE(stderr_out.find("conns_drained 1"), std::string::npos)
       << stderr_out;
+}
+
+// --threads below 1 is a usage error (exit 2) before any snapshot build,
+// as in every other tool.
+TEST_F(ServeE2eTest, NonPositiveThreadsIsAUsageError) {
+  const std::string command = std::string(COANE_SERVE_BIN) +
+                              " --embeddings=" + Path("never_read.emb") +
+                              " --threads=-3 </dev/null 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  char chunk[512];
+  while (fgets(chunk, sizeof(chunk), pipe) != nullptr) output += chunk;
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2) << output;
+  EXPECT_NE(output.find("usage error:"), std::string::npos) << output;
+  EXPECT_NE(output.find("--threads"), std::string::npos) << output;
 }
 #endif  // COANE_SERVE_BIN
 

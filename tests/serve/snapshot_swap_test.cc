@@ -53,11 +53,10 @@ class SnapshotSwapTest : public ::testing::Test {
   std::string WriteManifest(const std::string& artifact) {
     const std::string manifest = Path("manifest.tsv");
     ArtifactManifest m;
-    auto entry = DescribeArtifact("embeddings", artifact,
-                                  /*config_fingerprint=*/0);
-    EXPECT_TRUE(entry.ok()) << entry.status().ToString();
-    EXPECT_TRUE(m.Record(entry.value()).ok());
-    EXPECT_TRUE(m.Save(manifest).ok());
+    const auto attested =
+        AttestArtifacts(&m, manifest, {{"embeddings", artifact}},
+                        /*config_fingerprint=*/0, /*retry=*/nullptr);
+    EXPECT_TRUE(attested.ok()) << attested.status().ToString();
     return manifest;
   }
 

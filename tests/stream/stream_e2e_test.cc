@@ -269,6 +269,16 @@ TEST_F(StreamE2eTest, TornAppendIsQuarantinedByRecover) {
       << retried.second;
 }
 
+// Missing required flags are a usage error (exit 2), as in every tool.
+TEST_F(StreamE2eTest, ApplyWithoutLogIsAUsageError) {
+  auto missing = RunCmd(Streamd("apply --work-dir=" + work_ +
+                                " --edges=" + Path("g.edges")));
+  EXPECT_EQ(missing.first, 2) << missing.second;
+  EXPECT_NE(missing.second.find("usage error:"), std::string::npos)
+      << missing.second;
+  EXPECT_FALSE(std::filesystem::exists(work_));
+}
+
 }  // namespace
 }  // namespace stream
 }  // namespace coane

@@ -25,15 +25,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/atomic_file.h"
 #include "common/fault_injection.h"
 #include "common/flags.h"
-#include "common/parallel/global_pool.h"
 #include "common/retry.h"
 #include "common/run_context.h"
 #include "common/string_utils.h"
@@ -85,8 +84,9 @@ int Usage() {
       "  --on-bad-line=strict|skip   reject the load on the first bad line\n"
       "           with a file:line:column diagnostic (strict, default), or\n"
       "           quarantine bad lines and print a load summary (skip)\n"
-      "  --max-nodes=N --max-attr-dim=N   caps; the load fails fast with\n"
-      "           ResourceExhausted instead of ballooning memory\n"
+      "  --max-nodes=N --max-attr-dim=N   caps; an id or attribute index\n"
+      "           past a cap fails the load with OutOfRange and a\n"
+      "           file:line:column diagnostic\n"
       "deadline flag (all commands):\n"
       "  --deadline-sec=S   stop cooperatively after S seconds wall clock\n"
       "parallelism flag (all commands):\n"
@@ -114,48 +114,16 @@ int Usage() {
   return 2;
 }
 
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
-
-bool FileExists(const std::string& path) {
-  struct ::stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-// Cooperative stops (Ctrl-C, --deadline-sec) are a clean exit, not an error.
-bool IsStopped(const Status& status) {
-  return status.code() == StatusCode::kCancelled ||
-         status.code() == StatusCode::kDeadlineExceeded ||
-         status.code() == StatusCode::kResourceExhausted;
-}
-
-int ExitStopped(const Status& status) {
-  std::printf("stopped: %s\n", status.ToString().c_str());
-  return 0;
-}
-
-// Every subcommand honours SIGINT/SIGTERM plus an optional wall-clock
-// deadline from --deadline-sec.
-RunContext MakeRunContext(const Flags& flags) {
-  InstallSignalCancellation();
-  RunContext ctx = RunContext::WithGlobalCancel();
-  const double deadline_sec = flags.GetDouble("deadline-sec", 0.0);
-  if (deadline_sec > 0.0) ctx.SetDeadlineAfter(deadline_sec);
-  return ctx;
-}
-
 int RunGenerate(const Flags& flags) {
   const std::string dataset = flags.Get("dataset");
   const std::string out = flags.Get("out");
   if (dataset.empty() || out.empty()) return Usage();
   auto net = MakeDataset(dataset, flags.GetDouble("scale", 1.0),
                          static_cast<uint64_t>(flags.GetInt("seed", 42)));
-  if (!net.ok()) return Fail(net.status());
+  if (!net.ok()) return ExitWith(net.status());
   Status st = SaveAttributedGraph(net.value().graph, out + ".edges",
                                   out + ".attrs", out + ".labels");
-  if (!st.ok()) return Fail(st);
+  if (!st.ok()) return ExitWith(st);
   const GraphStats stats = ComputeGraphStats(net.value().graph);
   std::printf("wrote %s.{edges,attrs,labels}: %lld nodes, %lld edges, "
               "%lld attributes, %d labels\n",
@@ -167,12 +135,9 @@ int RunGenerate(const Flags& flags) {
 }
 
 int RunStats(const Flags& flags) {
-  const RunContext ctx = MakeRunContext(flags);
+  const RunContext ctx = RunContextFromFlags(flags);
   auto graph = LoadFromFlags(flags, &ctx);
-  if (!graph.ok()) {
-    if (IsStopped(graph.status())) return ExitStopped(graph.status());
-    return Fail(graph.status());
-  }
+  if (!graph.ok()) return ExitWith(graph.status());
   const Graph& g = graph.value();
   const GraphStats s = ComputeGraphStats(g);
   TablePrinter table("Graph statistics");
@@ -203,7 +168,7 @@ int RunStats(const Flags& flags) {
 Status VerifyCheckpointAgainstManifest(const std::string& manifest_path,
                                        const std::string& checkpoint_path,
                                        uint64_t fingerprint) {
-  if (!FileExists(manifest_path)) return Status::OK();
+  if (!PathExists(manifest_path)) return Status::OK();
   Status st = VerifyArtifactAgainstManifest(manifest_path, "checkpoint",
                                             checkpoint_path, &fingerprint);
   // kNotFound means the manifest makes no claim about this checkpoint (or
@@ -215,30 +180,10 @@ Status VerifyCheckpointAgainstManifest(const std::string& manifest_path,
   return st;
 }
 
-// Records `path` (just rewritten) in the run's manifest and saves the
-// manifest atomically, both under the retry policy. The manifest must
-// never claim a state the artifact doesn't have, so this runs after every
-// successful artifact write.
-Status RecordArtifact(ArtifactManifest* manifest,
-                      const std::string& manifest_path,
-                      const std::string& kind, const std::string& path,
-                      uint64_t fingerprint, const RetryPolicy& retry) {
-  auto entry = RetryResultOp<ArtifactEntry>(
-      retry, nullptr, "manifest.describe",
-      [&](const RunContext*) {
-        return DescribeArtifact(kind, path, fingerprint);
-      });
-  if (!entry.ok()) return entry.status();
-  COANE_RETURN_IF_ERROR(manifest->Record(entry.value()));
-  return RetryOp(retry, nullptr, "manifest.write", [&](const RunContext*) {
-    return manifest->Save(manifest_path);
-  });
-}
-
 int RunTrain(const Flags& flags) {
   const std::string out = flags.Get("out");
   if (out.empty()) return Usage();
-  RunContext ctx = MakeRunContext(flags);
+  RunContext ctx = RunContextFromFlags(flags);
 
   // Hang watchdog: every unit of work (walk, batch, eval iteration)
   // tickles the heartbeat through ctx.Check; a stalled heartbeat turns
@@ -254,17 +199,10 @@ int RunTrain(const Flags& flags) {
   }
 
   auto graph = LoadFromFlags(flags, &ctx);
-  if (!graph.ok()) {
-    if (IsStopped(graph.status())) return ExitStopped(graph.status());
-    return Fail(graph.status());
-  }
+  if (!graph.ok()) return ExitWith(graph.status());
 
   auto parsed_config = CoaneConfigFromFlags(flags);
-  if (!parsed_config.ok()) {
-    std::fprintf(stderr, "usage error: %s\n",
-                 parsed_config.status().ToString().c_str());
-    return 2;
-  }
+  if (!parsed_config.ok()) return UsageExit(parsed_config.status());
   CoaneConfig config = std::move(parsed_config).ValueOrDie();
   if (graph.value().num_attributes() == 0) {
     std::printf("no attributes given; training structure-only (WF mode)\n");
@@ -289,14 +227,14 @@ int RunTrain(const Flags& flags) {
   if (!checkpoint_dir.empty() &&
       ::mkdir(checkpoint_dir.c_str(), 0755) != 0 && errno != EEXIST) {
     // Fail before training starts rather than on the first checkpoint write.
-    return Fail(Status::IoError("cannot create checkpoint dir " +
-                                checkpoint_dir + ": " +
-                                std::strerror(errno)));
+    return ExitWith(Status::IoError("cannot create checkpoint dir " +
+                                    checkpoint_dir + ": " +
+                                    std::strerror(errno)));
   }
   const RetryPolicy retry = MakeRetryPolicy(flags);
   const uint64_t fingerprint = ConfigFingerprint(config);
   ArtifactManifest manifest;
-  if (!manifest_path.empty() && FileExists(manifest_path)) {
+  if (!manifest_path.empty() && PathExists(manifest_path)) {
     auto loaded = ArtifactManifest::Load(manifest_path);
     if (loaded.ok()) {
       manifest = loaded.value();
@@ -309,10 +247,7 @@ int RunTrain(const Flags& flags) {
 
   CoaneModel model(graph.value(), config);
   Status st = model.Preprocess(&ctx);
-  if (!st.ok()) {
-    if (IsStopped(st)) return ExitStopped(st);
-    return Fail(st);
-  }
+  if (!st.ok()) return ExitWith(st);
 
   // --resume fails on any defective checkpoint; --resume=auto (what the
   // supervisor passes) treats missing/corrupt/stale checkpoints as "start
@@ -322,15 +257,15 @@ int RunTrain(const Flags& flags) {
       flags.Has("resume") ? flags.Get("resume") : "";
   if (!resume_mode.empty()) {
     if (checkpoint_path.empty()) {
-      return Fail(Status::InvalidArgument(
+      return ExitWith(Status::InvalidArgument(
           "--resume requires --checkpoint-dir"));
     }
     if (resume_mode != "true" && resume_mode != "auto") {
-      return Fail(Status::InvalidArgument(
+      return ExitWith(Status::InvalidArgument(
           "--resume takes no value or 'auto', got '" + resume_mode + "'"));
     }
     const bool tolerant = resume_mode == "auto";
-    if (tolerant && !FileExists(checkpoint_path)) {
+    if (tolerant && !PathExists(checkpoint_path)) {
       std::printf("no checkpoint at %s; starting fresh\n",
                   checkpoint_path.c_str());
     } else {
@@ -341,10 +276,9 @@ int RunTrain(const Flags& flags) {
         std::printf("resumed from %s at epoch %d\n",
                     checkpoint_path.c_str(), model.epochs_done());
       } else if (!tolerant) {
-        return Fail(st);
+        return ExitWith(st);
       } else {
-        const std::string quarantined = checkpoint_path + ".corrupt";
-        std::rename(checkpoint_path.c_str(), quarantined.c_str());
+        const std::string quarantined = QuarantineArtifact(checkpoint_path);
         std::fprintf(stderr,
                      "warning: checkpoint rejected (%s); quarantined to %s, "
                      "starting fresh\n",
@@ -357,8 +291,10 @@ int RunTrain(const Flags& flags) {
   // manifest so a restart can prove it intact before trusting it.
   auto save_checkpoint = [&]() -> Status {
     COANE_RETURN_IF_ERROR(model.SaveCheckpoint(checkpoint_path, &retry));
-    return RecordArtifact(&manifest, manifest_path, "checkpoint",
-                          checkpoint_path, fingerprint, retry);
+    return AttestArtifacts(&manifest, manifest_path,
+                           {{"checkpoint", checkpoint_path}}, fingerprint,
+                           &retry)
+        .status();
   };
 
   // A cooperative stop (SIGINT/SIGTERM, --deadline-sec, a watchdog-
@@ -384,11 +320,9 @@ int RunTrain(const Flags& flags) {
     }
     auto stats = model.TrainEpoch(&ctx);
     if (!stats.ok()) {
-      if (IsStopped(stats.status())) {
-        stop_status = stats.status();
-        break;
-      }
-      return Fail(stats.status());
+      if (!IsCooperativeStop(stats.status())) return ExitWith(stats.status());
+      stop_status = stats.status();
+      break;
     }
     const EpochStats& e = stats.value();
     std::printf("epoch %d: L_pos %.2f  L_neg %.2f  L_att %.2f  (%.2fs)\n",
@@ -398,13 +332,13 @@ int RunTrain(const Flags& flags) {
         (model.epochs_done() % checkpoint_every == 0 ||
          model.epochs_done() == config.max_epochs)) {
       st = save_checkpoint();
-      if (!st.ok()) return Fail(st);
+      if (!st.ok()) return ExitWith(st);
     }
   }
   if (!stop_status.ok()) {
     if (!checkpoint_path.empty()) {
       st = save_checkpoint();
-      if (!st.ok()) return Fail(st);
+      if (!st.ok()) return ExitWith(st);
       std::printf("stopped (%s) at epoch %d; checkpoint saved to %s — "
                   "restart with --resume to continue\n",
                   stop_status.ToString().c_str(), model.epochs_done(),
@@ -420,11 +354,12 @@ int RunTrain(const Flags& flags) {
   st = RetryOp(retry, nullptr, "graph_io.save", [&](const RunContext*) {
     return SaveEmbeddings(model.embeddings(), out);
   });
-  if (!st.ok()) return Fail(st);
+  if (!st.ok()) return ExitWith(st);
   if (!manifest_path.empty()) {
-    st = RecordArtifact(&manifest, manifest_path, "embeddings", out,
-                        fingerprint, retry);
-    if (!st.ok()) return Fail(st);
+    st = AttestArtifacts(&manifest, manifest_path, {{"embeddings", out}},
+                         fingerprint, &retry)
+             .status();
+    if (!st.ok()) return ExitWith(st);
   }
   std::printf("embeddings (%lld x %lld) written to %s\n",
               static_cast<long long>(model.embeddings().rows()),
@@ -438,45 +373,25 @@ int RunEvaluate(const Flags& flags) {
   const std::string labels_path = flags.Get("labels");
   if (embeddings_path.empty() || labels_path.empty()) return Usage();
   auto z = LoadEmbeddings(embeddings_path);
-  if (!z.ok()) return Fail(z.status());
-  // Reuse the graph loader for labels: an empty edge file is not available,
-  // so parse labels directly through LoadAttributedGraph is not possible —
-  // read as rows of "node label".
-  std::vector<int32_t> labels(static_cast<size_t>(z.value().rows()), 0);
-  {
-    std::FILE* f = std::fopen(labels_path.c_str(), "r");
-    if (f == nullptr) {
-      return Fail(Status::IoError("cannot open " + labels_path));
-    }
-    char line[256];
-    while (std::fgets(line, sizeof(line), f)) {
-      if (line[0] == '#') continue;
-      long node = 0, label = 0;
-      if (std::sscanf(line, "%ld %ld", &node, &label) == 2 && node >= 0 &&
-          node < static_cast<long>(labels.size())) {
-        labels[static_cast<size_t>(node)] = static_cast<int32_t>(label);
-      }
-    }
-    std::fclose(f);
-  }
+  if (!z.ok()) return ExitWith(z.status());
+  // The graph loader's label reader, strict and capped at the embedding
+  // rows: every line is scored or the run fails at its path:line:column.
+  LoadOptions label_options;
+  label_options.max_nodes = z.value().rows();
+  auto labels = LoadLabels(labels_path, z.value().rows(), label_options);
+  if (!labels.ok()) return ExitWith(labels.status());
   int num_classes = 0;
-  for (int32_t l : labels) num_classes = std::max(num_classes, l + 1);
+  for (int32_t l : labels.value()) num_classes = std::max(num_classes, l + 1);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const RunContext ctx = MakeRunContext(flags);
+  const RunContext ctx = RunContextFromFlags(flags);
 
   auto f1 = EvaluateNodeClassification(
-      z.value(), labels, num_classes,
+      z.value(), labels.value(), num_classes,
       flags.GetDouble("train-ratio", 0.5), seed, 2, &ctx);
-  if (!f1.ok()) {
-    if (IsStopped(f1.status())) return ExitStopped(f1.status());
-    return Fail(f1.status());
-  }
-  auto nmi =
-      EvaluateClusteringNmi(z.value(), labels, num_classes, seed, &ctx);
-  if (!nmi.ok()) {
-    if (IsStopped(nmi.status())) return ExitStopped(nmi.status());
-    return Fail(nmi.status());
-  }
+  if (!f1.ok()) return ExitWith(f1.status());
+  auto nmi = EvaluateClusteringNmi(z.value(), labels.value(), num_classes,
+                                   seed, &ctx);
+  if (!nmi.ok()) return ExitWith(nmi.status());
 
   TablePrinter table("Evaluation of " + embeddings_path);
   table.SetHeader({"task", "metric", "score"});
@@ -493,22 +408,13 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   // Integration tests fault-inject this process (possibly as a
   // supervisor's child) through COANE_FAULT; unset, this arms nothing.
-  if (Status st = fault::ArmFromEnv(); !st.ok()) {
-    std::fprintf(stderr, "usage error: %s\n", st.ToString().c_str());
-    return 2;
-  }
+  if (Status st = fault::ArmFromEnv(); !st.ok()) return UsageExit(st);
   const std::string command = argv[1];
   Flags flags(argc, argv, 2);
   // Parallelism is an execution knob only (bit-identical results at every
   // value — see common/parallel/global_pool.h), so it is configured once
   // here rather than plumbed through each subcommand.
-  const int64_t threads =
-      flags.GetInt("threads", ThreadPool::DefaultThreadCount());
-  if (threads < 1) {
-    std::fprintf(stderr, "usage error: --threads must be >= 1\n");
-    return 2;
-  }
-  SetGlobalParallelism(static_cast<int>(threads));
+  if (Status st = ApplyThreadsFlag(flags); !st.ok()) return UsageExit(st);
   if (command == "generate") return RunGenerate(flags);
   if (command == "stats") return RunStats(flags);
   if (command == "train") return RunTrain(flags);

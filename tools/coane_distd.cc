@@ -32,7 +32,6 @@
 #include "common/fault_injection.h"
 #include "common/flags.h"
 #include "common/os_error.h"
-#include "common/parallel/global_pool.h"
 #include "common/run_context.h"
 #include "common/string_utils.h"
 #include "core/coane_model.h"
@@ -95,21 +94,6 @@ int Usage() {
       "    prints one line per committed round and a final STATS line\n"
       "  worker  internal: train one shard for one round (fork/exec'd by\n"
       "          train); adds --shard=S --round=R to the train flags\n");
-  return 2;
-}
-
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
-
-bool IsStopped(const Status& status) {
-  return status.code() == StatusCode::kCancelled ||
-         status.code() == StatusCode::kDeadlineExceeded;
-}
-
-int UsageError(const Status& status) {
-  std::fprintf(stderr, "usage error: %s\n", status.ToString().c_str());
   return 2;
 }
 
@@ -198,14 +182,6 @@ class ProcessWorkerLauncher : public WorkerLauncher {
   std::map<int64_t, WorkerReport> reaped_;
 };
 
-RunContext MakeRunContext(const Flags& flags) {
-  InstallSignalCancellation();
-  RunContext ctx = RunContext::WithGlobalCancel();
-  const double deadline_sec = flags.GetDouble("deadline-sec", 0.0);
-  if (deadline_sec > 0.0) ctx.SetDeadlineAfter(deadline_sec);
-  return ctx;
-}
-
 int RunTrain(const char* exe, const Flags& flags) {
   const std::string out = flags.Get("out");
   const std::string work_dir = flags.Get("work-dir");
@@ -214,16 +190,16 @@ int RunTrain(const char* exe, const Flags& flags) {
   // global COANE_FAULT; worker faults arm per shard in the worker
   // process from COANE_FAULT_SHARD_<s>, so a chaos test can kill shard 1
   // without touching shard 0 or the coordinator.
-  if (Status st = fault::ArmFromEnv(); !st.ok()) return UsageError(st);
-  RunContext ctx = MakeRunContext(flags);
+  if (Status st = fault::ArmFromEnv(); !st.ok()) return UsageExit(st);
+  RunContext ctx = RunContextFromFlags(flags);
 
   auto graph = LoadFromFlags(flags, &ctx);
-  if (!graph.ok()) return Fail(graph.status());
+  if (!graph.ok()) return ExitWith(graph.status());
   if (graph.value().num_attributes() == 0) {
     std::printf("no attributes given; training structure-only (WF mode)\n");
   }
   auto parsed_plan = PlanFromFlags(flags, graph.value());
-  if (!parsed_plan.ok()) return UsageError(parsed_plan.status());
+  if (!parsed_plan.ok()) return UsageExit(parsed_plan.status());
   const ShardPlan& plan = parsed_plan.value();
 
   ProcessWorkerLauncher launcher(exe, flags.raw());
@@ -243,16 +219,11 @@ int RunTrain(const char* exe, const Flags& flags) {
   const Status st = coordinator.Run(out, &ctx);
   std::printf("STATS %s\n", coordinator.stats().ToString().c_str());
   if (!st.ok()) {
-    if (IsStopped(st)) {
-      std::printf("stopped: %s — rerun with the same flags to resume "
-                  "after round %d\n",
-                  st.ToString().c_str(),
-                  coordinator.round_log() != nullptr
-                      ? coordinator.round_log()->next_round() - 1
-                      : -1);
-      return 0;
-    }
-    return Fail(st);
+    return ExitWith(
+        st, "rerun with the same flags to resume after round " +
+                std::to_string(coordinator.round_log() != nullptr
+                                   ? coordinator.round_log()->next_round() - 1
+                                   : -1));
   }
   std::printf("embeddings written to %s (%d shards, %d rounds)\n",
               out.c_str(), plan.num_shards, plan.num_rounds());
@@ -271,15 +242,14 @@ int RunWorker(const Flags& flags) {
       "COANE_FAULT_SHARD_" + std::to_string(shard);
   if (const char* spec = std::getenv(fault_env.c_str())) {
     if (Status st = fault::ArmFromEnv(spec); !st.ok()) {
-      std::fprintf(stderr, "usage error: %s: %s\n", fault_env.c_str(),
-                   st.ToString().c_str());
-      return 2;
+      return UsageExit(
+          Status::InvalidArgument(fault_env + ": " + st.message()));
     }
   }
-  RunContext ctx = MakeRunContext(flags);
+  RunContext ctx = RunContextFromFlags(flags);
 
   auto graph = LoadFromFlags(flags, &ctx);
-  if (!graph.ok()) return Fail(graph.status());
+  if (!graph.ok()) return ExitWith(graph.status());
 
   WorkerOptions options;
   options.work_dir = work_dir;
@@ -290,25 +260,17 @@ int RunWorker(const Flags& flags) {
 
   // Bound to a local: ShardWorker keeps a reference to the plan.
   auto parsed_plan = PlanFromFlags(flags, graph.value());
-  if (!parsed_plan.ok()) return UsageError(parsed_plan.status());
+  if (!parsed_plan.ok()) return UsageExit(parsed_plan.status());
   const ShardPlan& plan = parsed_plan.value();
   ShardWorker worker(graph.value(), plan, options);
-  const Status st = worker.RunRound(&ctx);
-  if (!st.ok()) return Fail(st);
-  return 0;
+  return ExitWith(worker.RunRound(&ctx));
 }
 
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   Flags flags(argc, argv, 2);
-  const int64_t threads =
-      flags.GetInt("threads", ThreadPool::DefaultThreadCount());
-  if (threads < 1) {
-    std::fprintf(stderr, "usage error: --threads must be >= 1\n");
-    return 2;
-  }
-  SetGlobalParallelism(static_cast<int>(threads));
+  if (Status st = ApplyThreadsFlag(flags); !st.ok()) return UsageExit(st);
   if (command == "train") return RunTrain(argv[0], flags);
   if (command == "worker") return RunWorker(flags);
   return Usage();

@@ -33,7 +33,7 @@
 #include <string>
 
 #include "common/flags.h"
-#include "common/parallel/global_pool.h"
+#include "core/config_flags.h"
 #include "common/run_context.h"
 #include "common/string_utils.h"
 #include "serve/frontend.h"
@@ -92,8 +92,7 @@ int Main(int argc, char** argv) {
   const Flags flags(argc, argv);
   if (flags.Has("help") || !flags.Has("embeddings")) return Usage();
 
-  SetGlobalParallelism(static_cast<int>(
-      flags.GetInt("threads", ThreadPool::DefaultThreadCount())));
+  if (Status st = ApplyThreadsFlag(flags); !st.ok()) return UsageExit(st);
   InstallSignalCancellation();
   // A client that disconnects mid-reply must surface as a failed write,
   // not a SIGPIPE that kills the daemon.
@@ -102,11 +101,7 @@ int Main(int argc, char** argv) {
   serve::ServerOptions options;
   options.snapshot.index_kind = flags.Get("index", "exact");
   auto metric = serve::ParseMetric(flags.Get("metric", "cosine"));
-  if (!metric.ok()) {
-    std::fprintf(stderr, "usage error: %s\n",
-                 metric.status().ToString().c_str());
-    return 2;
-  }
+  if (!metric.ok()) return UsageExit(metric.status());
   options.snapshot.metric = metric.value();
   options.snapshot.manifest_path = flags.Get("manifest");
   options.snapshot.ivf.nlist =
@@ -118,11 +113,7 @@ int Main(int argc, char** argv) {
   options.query_deadline_sec =
       static_cast<double>(flags.GetInt("query-deadline-ms", 0)) * 1e-3;
   auto missing = ParseMissingAttrPolicy(flags.Get("missing-attrs", "zero"));
-  if (!missing.ok()) {
-    std::fprintf(stderr, "usage error: %s\n",
-                 missing.status().ToString().c_str());
-    return 2;
-  }
+  if (!missing.ok()) return UsageExit(missing.status());
   options.missing_attrs = missing.value();
 
   const bool tcp = flags.Has("port");
@@ -157,10 +148,7 @@ int Main(int argc, char** argv) {
   serve::OverloadCounters stdin_counters;
 
   const Status started = server.Start(flags.Get("embeddings"));
-  if (!started.ok()) {
-    std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
-    return 1;
-  }
+  if (!started.ok()) return ExitWith(started);
   {
     auto snapshot = server.engine().CurrentSnapshot();
     std::fprintf(stderr, "serving %lld x %lld embeddings (index=%s)\n",
@@ -179,17 +167,10 @@ int Main(int argc, char** argv) {
   if (tcp) {
     server.set_overload_counters(&frontend.counters());
     const Status up = frontend.Start();
-    if (!up.ok()) {
-      std::fprintf(stderr, "error: %s\n", up.ToString().c_str());
-      return 1;
-    }
+    if (!up.ok()) return ExitWith(up);
     std::printf("serving on 127.0.0.1:%d\n", frontend.port());
     std::fflush(stdout);
-    const Status finished = frontend.Wait();
-    if (!finished.ok()) {
-      std::fprintf(stderr, "error: %s\n", finished.ToString().c_str());
-      exit_code = 1;
-    }
+    exit_code = ExitWith(frontend.Wait());
   } else {
     server.set_overload_counters(&stdin_counters);
     serve::StreamLimits limits;

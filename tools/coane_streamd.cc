@@ -22,7 +22,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,7 +30,6 @@
 #include "common/fault_injection.h"
 #include "common/flags.h"
 #include "common/os_error.h"
-#include "common/parallel/global_pool.h"
 #include "common/record_file.h"
 #include "common/run_context.h"
 #include "common/string_utils.h"
@@ -89,16 +87,6 @@ int Usage() {
   return 2;
 }
 
-int Fail(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
-
-bool IsStopped(const Status& status) {
-  return status.code() == StatusCode::kCancelled ||
-         status.code() == StatusCode::kDeadlineExceeded;
-}
-
 Result<PipelineOptions> OptionsFromFlags(const Flags& flags) {
   PipelineOptions options;
   options.log_path = flags.Get("log");
@@ -114,11 +102,7 @@ Result<PipelineOptions> OptionsFromFlags(const Flags& flags) {
   // coane_cli's training config, so the initial build is byte-identical
   // to `coane_cli train` under the same flags.
   auto config = CoaneConfigFromFlags(flags);
-  if (!config.ok()) {
-    std::fprintf(stderr, "usage error: %s\n",
-                 config.status().ToString().c_str());
-    std::exit(2);
-  }
+  if (!config.ok()) return config.status();
   options.config = std::move(config).ValueOrDie();
   if (options.init_attrs.empty()) {
     options.config.use_attributes = false;
@@ -128,14 +112,6 @@ Result<PipelineOptions> OptionsFromFlags(const Flags& flags) {
       static_cast<int>(flags.GetInt("refine-epochs", 5));
   options.batch_max = flags.GetInt("batch-max", 64);
   return options;
-}
-
-RunContext MakeRunContext(const Flags& flags) {
-  InstallSignalCancellation();
-  RunContext ctx = RunContext::WithGlobalCancel();
-  const double deadline_sec = flags.GetDouble("deadline-sec", 0.0);
-  if (deadline_sec > 0.0) ctx.SetDeadlineAfter(deadline_sec);
-  return ctx;
 }
 
 // One round-trip "PUBLISH <path>" against a running coane_serve. The
@@ -199,7 +175,7 @@ int RunInit(const Flags& flags) {
   const std::string log_path = flags.Get("log");
   if (log_path.empty()) return Usage();
   auto writer = MutationLogWriter::Open(log_path);
-  if (!writer.ok()) return Fail(writer.status());
+  if (!writer.ok()) return ExitWith(writer.status());
   std::printf("log %s ready at seq %llu\n", log_path.c_str(),
               static_cast<unsigned long long>(writer.value().last_seq()));
   return 0;
@@ -208,38 +184,33 @@ int RunInit(const Flags& flags) {
 int RunAppend(const Flags& flags) {
   const std::string log_path = flags.Get("log");
   if (log_path.empty()) return Usage();
-  if (Status st = fault::ArmFromEnv(); !st.ok()) {
-    std::fprintf(stderr, "usage error: %s\n", st.ToString().c_str());
-    return 2;
-  }
 
   std::vector<Mutation> batch;
   if (flags.Has("op")) {
     auto m = stream::ParseMutationBody(flags.Get("op"));
-    if (!m.ok()) return Fail(m.status());
+    if (!m.ok()) return ExitWith(m.status());
     batch.push_back(m.value());
   }
   if (flags.Has("file")) {
     auto blob = ReadFileToString(flags.Get("file"));
-    if (!blob.ok()) return Fail(blob.status());
+    if (!blob.ok()) return ExitWith(blob.status());
     for (const std::string& line : Split(blob.value(), '\n')) {
       if (line.empty() || line[0] == '#') continue;
       auto m = stream::ParseMutationBody(line);
-      if (!m.ok()) return Fail(m.status());
+      if (!m.ok()) return ExitWith(m.status());
       batch.push_back(m.value());
     }
   }
   if (batch.empty()) {
-    std::fprintf(stderr, "usage error: append needs --op or --file\n");
-    return 2;
+    return UsageExit(Status::InvalidArgument("append needs --op or --file"));
   }
 
   auto writer = MutationLogWriter::Open(log_path);
-  if (!writer.ok()) return Fail(writer.status());
+  if (!writer.ok()) return ExitWith(writer.status());
   uint64_t last = 0;
   for (const Mutation& m : batch) {
     auto seq = writer.value().Append(m);
-    if (!seq.ok()) return Fail(seq.status());
+    if (!seq.ok()) return ExitWith(seq.status());
     last = seq.value();
   }
   std::printf("appended %zu record%s, log at seq %llu\n", batch.size(),
@@ -254,9 +225,9 @@ int RunRecover(const Flags& flags) {
   // Diagnose before recovering: RecoverMutationLog returns the
   // post-recovery contents, whose tail is clean by construction.
   auto before = stream::ReadMutationLog(log_path);
-  if (!before.ok()) return Fail(before.status());
+  if (!before.ok()) return ExitWith(before.status());
   auto recovered = stream::RecoverMutationLog(log_path);
-  if (!recovered.ok()) return Fail(recovered.status());
+  if (!recovered.ok()) return ExitWith(recovered.status());
   if (before.value().tail_bytes > 0) {
     std::printf("quarantined %lld torn byte%s (%s); log at seq %llu\n",
                 static_cast<long long>(before.value().tail_bytes),
@@ -294,12 +265,12 @@ Result<PendingView> ScanPending(const std::string& log_path,
 
 int RunStatus(const Flags& flags) {
   auto options = OptionsFromFlags(flags);
-  if (!options.ok()) return Fail(options.status());
+  if (!options.ok()) return UsageExit(options.status());
   auto pipeline = StreamPipeline::Open(options.value());
-  if (!pipeline.ok()) return Fail(pipeline.status());
+  if (!pipeline.ok()) return ExitWith(pipeline.status());
   const StreamPipeline& p = *pipeline.value();
   auto pending = p.Pending();
-  if (!pending.ok()) return Fail(pending.status());
+  if (!pending.ok()) return ExitWith(pending.status());
   std::printf("initialized %s\n", p.initialized() ? "yes" : "no");
   std::printf("log_seq %llu\n",
               static_cast<unsigned long long>(p.log_seq()));
@@ -314,12 +285,8 @@ int RunStatus(const Flags& flags) {
 
 int RunApply(const Flags& flags) {
   auto options = OptionsFromFlags(flags);
-  if (!options.ok()) return Fail(options.status());
-  if (Status st = fault::ArmFromEnv(); !st.ok()) {
-    std::fprintf(stderr, "usage error: %s\n", st.ToString().c_str());
-    return 2;
-  }
-  RunContext ctx = MakeRunContext(flags);
+  if (!options.ok()) return UsageExit(options.status());
+  RunContext ctx = RunContextFromFlags(flags);
 
   const bool follow = flags.Has("follow");
   const int64_t max_batches = flags.GetInt("max-batches", 0);
@@ -329,17 +296,19 @@ int RunApply(const Flags& flags) {
   const int serve_port = static_cast<int>(flags.GetInt("serve-port", 0));
 
   auto opened = StreamPipeline::Open(options.value());
-  if (!opened.ok()) return Fail(opened.status());
+  if (!opened.ok()) return ExitWith(opened.status());
   StreamPipeline& pipeline = *opened.value();
 
+  // A stop exits 0 naming where a rerun resumes.
+  const auto exit_with = [&pipeline](const Status& st) {
+    return ExitWith(st, "rerun with the same flags to resume from log "
+                        "position " +
+                            std::to_string(pipeline.log_seq()));
+  };
   int64_t publishes = 0;
   while (true) {
     if (Status st = ctx.Check("streamd.loop"); !st.ok()) {
-      std::printf("stopped: %s — rerun with the same flags to resume "
-                  "from log position %llu\n",
-                  st.ToString().c_str(),
-                  static_cast<unsigned long long>(pipeline.log_seq()));
-      return 0;
+      return exit_with(st);
     }
 
     // Batching policy: the initial build runs unconditionally; after it,
@@ -349,7 +318,7 @@ int RunApply(const Flags& flags) {
     if (pipeline.initialized()) {
       auto pending = ScanPending(options.value().log_path,
                                  pipeline.log_seq());
-      if (!pending.ok()) return Fail(pending.status());
+      if (!pending.ok()) return ExitWith(pending.status());
       const int64_t count = pending.value().count;
       if (count == 0) {
         if (!follow) break;
@@ -372,16 +341,7 @@ int RunApply(const Flags& flags) {
     }
 
     auto step = pipeline.Step(&ctx);
-    if (!step.ok()) {
-      if (IsStopped(step.status())) {
-        std::printf("stopped: %s — rerun with the same flags to resume "
-                    "from log position %llu\n",
-                    step.status().ToString().c_str(),
-                    static_cast<unsigned long long>(pipeline.log_seq()));
-        return 0;
-      }
-      return Fail(step.status());
-    }
+    if (!step.ok()) return exit_with(step.status());
     const StepResult& result = step.value();
     if (!result.published) continue;
 
@@ -429,17 +389,8 @@ int Main(int argc, char** argv) {
   Flags flags(argc, argv, 2);
   // Chaos hook: tests inject torn appends / failed artifact saves into
   // the real binary through COANE_FAULT; unset, this arms nothing.
-  if (Status st = fault::ArmFromEnv(); !st.ok()) {
-    std::fprintf(stderr, "usage error: %s\n", st.ToString().c_str());
-    return 2;
-  }
-  const int64_t threads =
-      flags.GetInt("threads", ThreadPool::DefaultThreadCount());
-  if (threads < 1) {
-    std::fprintf(stderr, "usage error: --threads must be >= 1\n");
-    return 2;
-  }
-  SetGlobalParallelism(static_cast<int>(threads));
+  if (Status st = fault::ArmFromEnv(); !st.ok()) return UsageExit(st);
+  if (Status st = ApplyThreadsFlag(flags); !st.ok()) return UsageExit(st);
   if (command == "init") return RunInit(flags);
   if (command == "append") return RunAppend(flags);
   if (command == "apply") return RunApply(flags);

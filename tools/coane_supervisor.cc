@@ -77,11 +77,6 @@ int Usage() {
   return 2;
 }
 
-bool FileExists(const std::string& path) {
-  struct ::stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
 // Nanosecond mtime of `path`, or -1 when it cannot be statted. The
 // supervisor's notion of "the child is making durable progress".
 int64_t FileMtimeNanos(const std::string& path) {
@@ -95,7 +90,7 @@ int64_t FileMtimeNanos(const std::string& path) {
 // an unreadable checkpoint counts as "no progress", which is what drives
 // the quarantine counter.
 int64_t CheckpointEpoch(const std::string& path) {
-  if (!FileExists(path)) return -1;
+  if (!PathExists(path)) return -1;
   auto epoch = ReadCheckpointEpoch(path);
   return epoch.ok() ? epoch.value() : -1;
 }
@@ -135,7 +130,7 @@ class Supervisor {
       }
 
       if (outcome.exited && outcome.exit_code == 0 &&
-          FileExists(out_path_)) {
+          PathExists(out_path_)) {
         std::printf("[supervisor] success: %s written (attempt %d)\n",
                     out_path_.c_str(), attempt);
         return 0;
