@@ -13,8 +13,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <csignal>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -216,15 +218,38 @@ void Run(const benchutil::BenchOptions& opt) {
       "IvfIndex::Build");
 
   // Ground truth for the recall column: exact top-k of a fixed query
-  // sample (exact's own recall is 1.0 by construction).
+  // sample (exact's own recall is 1.0 by construction). The exact index
+  // scans a block copy of the store, so each answer is first checked
+  // against a per-row MetricScore scan of the row-major store: same ids,
+  // same score bits, or the bench exits 1.
   const int64_t kRecallSample = 256;
   std::vector<std::set<int64_t>> truth;
   truth.reserve(static_cast<size_t>(kRecallSample));
   for (int64_t q = 0; q < kRecallSample; ++q) {
     const int64_t id = (q * 131) % n;
+    const float* query = store->Vector(id);
     std::vector<Neighbor> neighbors;
-    CheckOk(exact->Search(store->Vector(id), k, &neighbors),
-            "exact Search");
+    CheckOk(exact->Search(query, k, &neighbors), "exact Search");
+    const float q_norm = std::sqrt(serve::DotScore(query, query, dim));
+    std::vector<Neighbor> oracle;
+    oracle.reserve(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      oracle.push_back({i, serve::MetricScore(exact->metric(), query, q_norm,
+                                              store->Vector(i),
+                                              store->Norm(i), dim)});
+    }
+    serve::SelectTopK(&oracle, k);
+    bool same = oracle.size() == neighbors.size();
+    for (size_t r = 0; same && r < oracle.size(); ++r) {
+      same = oracle[r].id == neighbors[r].id &&
+             std::memcmp(&oracle[r].score, &neighbors[r].score,
+                         sizeof(float)) == 0;
+    }
+    if (!same) {
+      COANE_LOG(Error) << "exact index disagrees with the per-row "
+                       << "MetricScore scan for query row " << id;
+      std::exit(1);
+    }
     std::set<int64_t> ids;
     for (const Neighbor& nb : neighbors) ids.insert(nb.id);
     truth.push_back(std::move(ids));

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "la/vector_ops.h"
 #include "serve/knn_index.h"
 
 namespace coane {
@@ -15,6 +16,12 @@ namespace serve {
 /// ordered top-k merge), so results are byte-identical at every --threads
 /// value — each vector's score is computed the same way regardless of
 /// which shard visits it, and the merge is a total-order selection.
+///
+/// The scan reads a dimension-major copy of the store built at
+/// construction: blocks of kLanes rows, so one vector step scores kLanes
+/// rows at once. Each lane repeats DotScore's operation order for its row,
+/// so every score is bit-identical to the row-major MetricScore. The copy
+/// costs kLanes * ceil(count / kLanes) * dim floats, on top of the mapping.
 ///
 /// This is the recall=1.0 reference the IVF index is measured against,
 /// and the right choice up to a few hundred thousand vectors.
@@ -34,6 +41,9 @@ class BruteForceIndex : public KnnIndex {
  private:
   std::shared_ptr<const EmbeddingStore> store_;
   Metric metric_;
+  /// blocks_[b * dim + j] lane r is row kLanes * b + r, dimension j; the
+  /// lanes of the tail block past the last row are zero.
+  std::vector<Lanes> blocks_;
 };
 
 }  // namespace serve

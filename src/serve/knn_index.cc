@@ -54,7 +54,9 @@ void SelectTopK(std::vector<Neighbor>* candidates, int64_t k) {
 
 float DotScore(const float* q, const float* v, int64_t dim) {
   // Two partial sums help the compiler pipeline the loads; summation
-  // order is fixed, so scores are identical on every code path.
+  // order is fixed, so scores are identical on every code path. The exact
+  // index's hot loop, BlockDot in brute_force_index.cc, repeats this order
+  // lane by lane: change both or neither.
   float even = 0.0f, odd = 0.0f;
   int64_t j = 0;
   for (; j + 1 < dim; j += 2) {
@@ -69,8 +71,7 @@ float MetricScore(Metric metric, const float* q, float q_norm,
                   const float* v, float v_norm, int64_t dim) {
   const float dot = DotScore(q, v, dim);
   if (metric == Metric::kDot) return dot;
-  const float denom = q_norm * v_norm;
-  return denom > 0.0f ? dot / denom : 0.0f;
+  return CosineFromDot(dot, q_norm, v_norm);
 }
 
 }  // namespace serve

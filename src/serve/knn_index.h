@@ -73,6 +73,13 @@ void SelectTopK(std::vector<Neighbor>* candidates, int64_t k);
 /// q . v over `dim` floats.
 float DotScore(const float* q, const float* v, int64_t dim);
 
+/// Cosine score from a dot product and the two precomputed L2 norms;
+/// zero-norm vectors score 0.
+inline float CosineFromDot(float dot, float q_norm, float v_norm) {
+  const float denom = q_norm * v_norm;
+  return denom > 0.0f ? dot / denom : 0.0f;
+}
+
 /// Metric-dispatched score; `q_norm`/`v_norm` are the precomputed L2
 /// norms (only read for kCosine).
 float MetricScore(Metric metric, const float* q, float q_norm,

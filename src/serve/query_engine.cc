@@ -35,10 +35,12 @@ Result<int64_t> ClampK(const Snapshot& snapshot, int64_t k) {
   return std::min(k, snapshot.store->count());
 }
 
-// KnnById against an explicit snapshot, so a batch pins one generation.
-Result<std::vector<Neighbor>> KnnByIdOnSnapshot(
+}  // namespace
+
+Result<std::vector<Neighbor>> QueryEngine::KnnByIdOnSnapshot(
     const Snapshot& snapshot, int64_t id, int64_t k, bool exclude_self,
     SearchStats* stats, const RunContext* ctx) {
+  COANE_RETURN_IF_STOPPED(ctx, "serve.query");
   COANE_RETURN_IF_ERROR(CheckRow(snapshot, id));
   auto clamped_k = ClampK(snapshot, k);
   if (!clamped_k.ok()) return clamped_k.status();
@@ -60,8 +62,6 @@ Result<std::vector<Neighbor>> KnnByIdOnSnapshot(
   return neighbors;
 }
 
-}  // namespace
-
 Result<std::shared_ptr<const Snapshot>> QueryEngine::AcquireSnapshot()
     const {
   auto snapshot = registry_->Current();
@@ -76,7 +76,6 @@ Result<std::vector<Neighbor>> QueryEngine::KnnById(
     const RunContext* ctx) const {
   auto snapshot = AcquireSnapshot();
   if (!snapshot.ok()) return snapshot.status();
-  COANE_RETURN_IF_STOPPED(ctx, "serve.query");
   return KnnByIdOnSnapshot(*snapshot.value(), id, k, exclude_self, stats,
                            ctx);
 }
@@ -155,7 +154,13 @@ Result<std::vector<double>> QueryEngine::ScoreLinks(
     const RunContext* ctx) const {
   auto snapshot = AcquireSnapshot();
   if (!snapshot.ok()) return snapshot.status();
-  const auto& snap = *snapshot.value();
+  return ScoreLinksOnSnapshot(*snapshot.value(), pairs, ctx);
+}
+
+Result<std::vector<double>> QueryEngine::ScoreLinksOnSnapshot(
+    const Snapshot& snap,
+    const std::vector<std::pair<int64_t, int64_t>>& pairs,
+    const RunContext* ctx) {
   const int64_t dim = snap.store->dim();
 
   // Gather the referenced rows into a compact matrix and remap the pairs,
@@ -215,7 +220,11 @@ Result<std::vector<double>> QueryEngine::ScoreLinks(
 Result<std::vector<float>> QueryEngine::Fetch(int64_t id) const {
   auto snapshot = AcquireSnapshot();
   if (!snapshot.ok()) return snapshot.status();
-  const auto& snap = *snapshot.value();
+  return FetchOnSnapshot(*snapshot.value(), id);
+}
+
+Result<std::vector<float>> QueryEngine::FetchOnSnapshot(
+    const Snapshot& snap, int64_t id) {
   COANE_RETURN_IF_ERROR(CheckRow(snap, id));
   const float* row = snap.store->Vector(id);
   return std::vector<float>(row, row + snap.store->dim());

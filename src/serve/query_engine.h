@@ -61,15 +61,30 @@ class QueryEngine {
   /// Copies stored row `id` out of the snapshot.
   Result<std::vector<float>> Fetch(int64_t id) const;
 
-  /// The live generation (nullptr before the first install) — what INFO
-  /// reports.
+  /// The live generation (nullptr before the first install).
   std::shared_ptr<const Snapshot> CurrentSnapshot() const {
     return registry_->Current();
   }
 
- private:
+  /// The live generation; kFailedPrecondition before the first install.
+  /// A caller that must check something on a generation before asking it
+  /// (the server's unobserved-node gate) acquires it here once and then
+  /// calls the *OnSnapshot forms, so the check and the answer see the
+  /// same generation even if a hot-swap lands in between.
   Result<std::shared_ptr<const Snapshot>> AcquireSnapshot() const;
 
+  /// KnnById, ScoreLinks and Fetch against an explicit generation.
+  static Result<std::vector<Neighbor>> KnnByIdOnSnapshot(
+      const Snapshot& snapshot, int64_t id, int64_t k, bool exclude_self,
+      SearchStats* stats, const RunContext* ctx);
+  static Result<std::vector<double>> ScoreLinksOnSnapshot(
+      const Snapshot& snapshot,
+      const std::vector<std::pair<int64_t, int64_t>>& pairs,
+      const RunContext* ctx);
+  static Result<std::vector<float>> FetchOnSnapshot(const Snapshot& snapshot,
+                                                    int64_t id);
+
+ private:
   const SnapshotRegistry* registry_;
 };
 

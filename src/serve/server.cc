@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -65,6 +66,22 @@ Status UnobservedError(const Snapshot& snapshot, int64_t id) {
       ": attributes were never observed, stored vector is pure "
       "imputation (policy=" + snapshot.trained_policy +
       ", log_seq=" + std::to_string(snapshot.log_seq) + ")");
+}
+
+// Acquires the live generation once and refuses any of `ids` that was
+// unobserved in it. The caller answers on the same generation, so a
+// PUBLISH landing mid-request can neither refuse an id that is observed
+// in the generation being served nor hand out an imputed vector.
+Result<std::shared_ptr<const Snapshot>> AcquireObserved(
+    const QueryEngine& engine, std::initializer_list<int64_t> ids) {
+  auto snapshot = engine.AcquireSnapshot();
+  if (!snapshot.ok()) return snapshot.status();
+  for (const int64_t id : ids) {
+    if (snapshot.value()->IsUnobserved(id)) {
+      return UnobservedError(*snapshot.value(), id);
+    }
+  }
+  return snapshot;
 }
 
 std::string NeighborsReply(const std::vector<Neighbor>& neighbors) {
@@ -135,13 +152,11 @@ std::string Server::HandleLine(const std::string& line) {
       }
       auto id = ParseInt(tokens[2], "id");
       if (!id.ok()) return fail(id.status());
-      if (auto snapshot = engine_.CurrentSnapshot();
-          snapshot != nullptr && snapshot->IsUnobserved(id.value())) {
-        return fail(UnobservedError(*snapshot, id.value()));
-      }
-      neighbors = engine_.KnnById(id.value(), k.value(),
-                                  /*exclude_self=*/true,
-                                  /*stats=*/nullptr, &ctx);
+      auto snapshot = AcquireObserved(engine_, {id.value()});
+      if (!snapshot.ok()) return fail(snapshot.status());
+      neighbors = QueryEngine::KnnByIdOnSnapshot(
+          *snapshot.value(), id.value(), k.value(), /*exclude_self=*/true,
+          /*stats=*/nullptr, &ctx);
     } else {
       std::vector<float> query;
       query.reserve(tokens.size() - 2);
@@ -166,15 +181,11 @@ std::string Server::HandleLine(const std::string& line) {
     if (!u.ok()) return fail(u.status());
     auto v = ParseInt(tokens[2], "v");
     if (!v.ok()) return fail(v.status());
-    if (auto snapshot = engine_.CurrentSnapshot(); snapshot != nullptr) {
-      for (const int64_t id : {u.value(), v.value()}) {
-        if (snapshot->IsUnobserved(id)) {
-          return fail(UnobservedError(*snapshot, id));
-        }
-      }
-    }
+    auto snapshot = AcquireObserved(engine_, {u.value(), v.value()});
+    if (!snapshot.ok()) return fail(snapshot.status());
     Stopwatch timer;
-    auto scores = engine_.ScoreLinks({{u.value(), v.value()}}, &ctx);
+    auto scores = QueryEngine::ScoreLinksOnSnapshot(
+        *snapshot.value(), {{u.value(), v.value()}}, &ctx);
     score_latency_.Record(timer.ElapsedSeconds());
     if (!scores.ok()) return fail(scores.status());
     return "OK " + FormatScore(scores.value()[0]);
@@ -186,12 +197,10 @@ std::string Server::HandleLine(const std::string& line) {
     }
     auto id = ParseInt(tokens[1], "id");
     if (!id.ok()) return fail(id.status());
-    if (auto snapshot = engine_.CurrentSnapshot();
-        snapshot != nullptr && snapshot->IsUnobserved(id.value())) {
-      return fail(UnobservedError(*snapshot, id.value()));
-    }
+    auto snapshot = AcquireObserved(engine_, {id.value()});
+    if (!snapshot.ok()) return fail(snapshot.status());
     Stopwatch timer;
-    auto row = engine_.Fetch(id.value());
+    auto row = QueryEngine::FetchOnSnapshot(*snapshot.value(), id.value());
     get_latency_.Record(timer.ElapsedSeconds());
     if (!row.ok()) return fail(row.status());
     std::string reply = "OK";
@@ -204,11 +213,9 @@ std::string Server::HandleLine(const std::string& line) {
   }
 
   if (cmd == "INFO") {
-    auto snapshot = engine_.CurrentSnapshot();
-    if (snapshot == nullptr) {
-      return fail(
-          Status::FailedPrecondition("no snapshot has been published yet"));
-    }
+    auto acquired = engine_.AcquireSnapshot();
+    if (!acquired.ok()) return fail(acquired.status());
+    const std::shared_ptr<const Snapshot>& snapshot = acquired.value();
     std::string reply =
         "OK count=" + std::to_string(snapshot->store->count()) +
         " dim=" + std::to_string(snapshot->store->dim()) +

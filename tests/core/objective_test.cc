@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/sequential_objective.h"
 #include "la/vector_ops.h"
 
 namespace coane {
@@ -168,6 +169,65 @@ TEST(ContextualNegativeLossTest, SelfPairSkipped) {
                                        &rng, &dz);
   EXPECT_DOUBLE_EQ(loss, 0.0);
   EXPECT_DOUBLE_EQ(dz.FrobeniusNorm(), 0.0);
+}
+
+// ParallelBatchObjective against its sequential oracles: the same losses
+// and the same dL/dZ, up to the reordering of the sums that the
+// shard-buffer fold introduces, with in-batch and out-of-batch partners
+// on both terms and a self pair that both must skip.
+TEST(ParallelBatchObjectiveTest, MatchesSequentialOracles) {
+  const NodeId n = 10;
+  const int64_t d = 6;
+  DenseMatrix z(n, d);
+  Rng init(17);
+  z.GaussianInit(&init, 0.0f, 0.5f);
+  std::vector<std::vector<PositivePair>> pairs(n);
+  std::vector<std::vector<NodeId>> negatives_of(n);
+  for (NodeId i = 0; i < n; ++i) {
+    pairs[i] = {{(i + 1) % n, 1.5f}, {(i + 4) % n, 0.5f}, {i, 1.0f}};
+    negatives_of[i] = {(i + 3) % n, (i + 7) % n, i};
+  }
+  const std::vector<NodeId> batch = {0, 2, 3, 5, 7, 8};
+  std::vector<uint8_t> in_batch(n, 0);
+  for (NodeId i : batch) in_batch[i] = 1;
+  std::vector<std::vector<NodeId>> negatives;
+  for (NodeId i : batch) negatives.push_back(negatives_of[i]);
+
+  class PerNodeSampler : public NegativeSampler {
+   public:
+    explicit PerNodeSampler(const std::vector<std::vector<NodeId>>* lists)
+        : lists_(lists) {}
+    std::vector<NodeId> Sample(NodeId target, int, const std::vector<NodeId>&,
+                               Rng*) override {
+      return (*lists_)[static_cast<size_t>(target)];
+    }
+
+   private:
+    const std::vector<std::vector<NodeId>>* lists_;
+  };
+
+  for (const bool split : {true, false}) {
+    const float a = 0.3f;
+    DenseMatrix dz_oracle(n, d, 0.0f);
+    PerNodeSampler sampler(&negatives_of);
+    Rng rng(1);
+    const double positive = PositiveLikelihoodLoss(z, pairs, batch, in_batch,
+                                                   split, &dz_oracle);
+    const double negative = ContextualNegativeLoss(
+        z, batch, in_batch, a, 3, &sampler, &rng, &dz_oracle);
+
+    DenseMatrix dz(n, d, 0.0f);
+    const BatchLosses losses = ParallelBatchObjective(
+        z, &pairs, split, &negatives, a, batch, in_batch, &dz);
+    EXPECT_NEAR(losses.positive, positive, 1e-9) << "split " << split;
+    EXPECT_NEAR(losses.negative, negative, 1e-9) << "split " << split;
+    for (NodeId i = 0; i < n; ++i) {
+      for (int64_t j = 0; j < d; ++j) {
+        EXPECT_NEAR(dz.At(i, j), dz_oracle.At(i, j), 1e-6)
+            << "split " << split << " row " << i << " col " << j;
+      }
+    }
+  }
 }
 
 }  // namespace

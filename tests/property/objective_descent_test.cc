@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/objective.h"
+#include "core/sequential_objective.h"
 #include "la/dense_matrix.h"
 
 namespace coane {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -117,6 +118,63 @@ TEST_F(KnnIndexTest, BruteForceMatchesNaiveScanOnBothMetrics) {
   }
 }
 
+// The exact index scores a dimension-major block copy of the store, four
+// rows per vector step. Every score must still equal, to the bit, the
+// per-row MetricScore over the row-major mapping, for every dim (odd dims
+// put a tail term into the even sum) and for row counts that leave a
+// partly padded tail block, at every thread count. Row 0 is duplicated
+// into the last row (a tie across blocks, broken by id) and row 1 is
+// zero (the cosine zero-norm rule).
+TEST_F(KnnIndexTest, BlockScanMatchesPerRowOracleBitForBit) {
+  const int64_t m = 13;
+  for (const int threads : {1, 2, 8}) {
+    SetGlobalParallelism(threads);
+    for (int64_t dim = 1; dim <= 130; ++dim) {
+      for (const int64_t n : {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{5},
+                              4 * m - 1, 4 * m + 1}) {
+        DenseMatrix rows(n, dim);
+        Rng rng(static_cast<uint64_t>(dim * 1000 + n));
+        rows.GaussianInit(&rng, 0.0f, 1.0f);
+        if (n > 2) {
+          std::memcpy(rows.Row(n - 1), rows.Row(0), sizeof(float) * dim);
+          std::fill(rows.Row(1), rows.Row(1) + dim, 0.0f);
+        }
+        std::vector<float> query(static_cast<size_t>(dim));
+        for (float& v : query) v = static_cast<float>(rng.Normal(0.0, 1.0));
+        auto store = MakeStore(rows, "oracle.store");
+        for (const Metric metric : {Metric::kDot, Metric::kCosine}) {
+          const float q_norm =
+              std::sqrt(DotScore(query.data(), query.data(), dim));
+          std::vector<Neighbor> oracle;
+          for (int64_t i = 0; i < n; ++i) {
+            oracle.push_back({i, MetricScore(metric, query.data(), q_norm,
+                                             store->Vector(i),
+                                             store->Norm(i), dim)});
+          }
+          std::sort(oracle.begin(), oracle.end(), BetterNeighbor);
+
+          const BruteForceIndex index(store, metric);
+          std::vector<Neighbor> got;
+          ASSERT_TRUE(index.Search(query.data(), n, &got).ok());
+          const std::string where =
+              std::string(MetricName(metric)) + " dim=" +
+              std::to_string(dim) + " n=" + std::to_string(n) +
+              " threads=" + std::to_string(threads);
+          ASSERT_EQ(got.size(), oracle.size()) << where;
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].id, oracle[i].id) << where << " rank " << i;
+            ASSERT_EQ(std::memcmp(&got[i].score, &oracle[i].score,
+                                  sizeof(float)),
+                      0)
+                << where << " rank " << i << ": " << got[i].score
+                << " vs " << oracle[i].score;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(KnnIndexTest, CosineSelfSimilarityRanksFirst) {
   const DenseMatrix m = ClusteredEmbeddings(100, 8, 4, 13);
   auto store = MakeStore(m, "self.store");
@@ -160,6 +218,37 @@ TEST_F(KnnIndexTest, IvfReachesHighRecallScanningAMinorityOfVectors) {
   EXPECT_GE(recall, 0.9) << "recall@10 over " << kQueries << " queries";
   EXPECT_LT(scan_fraction, 0.4)
       << "IVF must scan a minority of the store";
+}
+
+TEST_F(KnnIndexTest, IvfProbingEveryListEqualsExactIdsAndScores) {
+  const int64_t n = 203;
+  const DenseMatrix m = ClusteredEmbeddings(n, 37, 6, 31);
+  auto store = MakeStore(m, "parity.store");
+  for (const Metric metric : {Metric::kDot, Metric::kCosine}) {
+    const BruteForceIndex exact(store, metric);
+    IvfConfig config;
+    config.nlist = 8;
+    config.nprobe = 8;
+    auto ivf = IvfIndex::Build(store, metric, config);
+    ASSERT_TRUE(ivf.ok()) << ivf.status().ToString();
+    for (const int64_t id : {int64_t{0}, int64_t{101}, n - 1}) {
+      std::vector<Neighbor> exact_result, ivf_result;
+      SearchStats stats;
+      ASSERT_TRUE(exact.Search(m.Row(id), 25, &exact_result).ok());
+      ASSERT_TRUE(
+          ivf.value()->Search(m.Row(id), 25, &ivf_result, &stats).ok());
+      EXPECT_EQ(stats.vectors_scanned, n);
+      ASSERT_EQ(exact_result.size(), ivf_result.size());
+      for (size_t i = 0; i < exact_result.size(); ++i) {
+        EXPECT_EQ(exact_result[i].id, ivf_result[i].id)
+            << MetricName(metric) << " query " << id << " rank " << i;
+        EXPECT_EQ(std::memcmp(&exact_result[i].score, &ivf_result[i].score,
+                              sizeof(float)),
+                  0)
+            << MetricName(metric) << " query " << id << " rank " << i;
+      }
+    }
+  }
 }
 
 TEST_F(KnnIndexTest, IvfIsDeterministicAcrossThreadCountsAndRebuilds) {

@@ -66,6 +66,42 @@ TEST_F(QueryEngineTest, EngineWithoutSnapshotFailsPrecondition) {
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// What the server's unobserved-node gate relies on: a generation acquired
+// once keeps answering through the *OnSnapshot forms after a hot-swap,
+// while the engine's own entry points move on to the new generation.
+TEST_F(QueryEngineTest, AcquiredSnapshotKeepsAnsweringAfterASwap) {
+  auto server = MakeServer();
+  const QueryEngine& engine = server->engine();
+  auto acquired = engine.AcquireSnapshot();
+  ASSERT_TRUE(acquired.ok());
+  const Snapshot& first = *acquired.value();
+  const std::vector<float> row_before = engine.Fetch(5).value();
+  const std::vector<Neighbor> knn_before = engine.KnnById(5, 4).value();
+  const std::vector<double> score_before = engine.ScoreLinks({{0, 5}}).value();
+
+  DenseMatrix other(60, 8);
+  Rng rng(77);
+  other.GaussianInit(&rng, 0.0f, 1.0f);
+  const std::string other_path = (dir_ / "other.emb").string();
+  ASSERT_TRUE(SaveEmbeddings(other, other_path).ok());
+  ASSERT_TRUE(server->Publish(other_path).ok());
+  ASSERT_NE(engine.CurrentSnapshot().get(), &first);
+  EXPECT_NE(engine.Fetch(5).value(), row_before);
+
+  EXPECT_EQ(QueryEngine::FetchOnSnapshot(first, 5).value(), row_before);
+  const auto knn = QueryEngine::KnnByIdOnSnapshot(
+      first, 5, 4, /*exclude_self=*/true, nullptr, nullptr);
+  ASSERT_TRUE(knn.ok());
+  ASSERT_EQ(knn.value().size(), knn_before.size());
+  for (size_t i = 0; i < knn_before.size(); ++i) {
+    EXPECT_EQ(knn.value()[i].id, knn_before[i].id);
+    EXPECT_EQ(knn.value()[i].score, knn_before[i].score);
+  }
+  EXPECT_EQ(QueryEngine::ScoreLinksOnSnapshot(first, {{0, 5}}, nullptr)
+                .value(),
+            score_before);
+}
+
 TEST_F(QueryEngineTest, KnnByIdExcludesSelfAndRespectsK) {
   auto server = MakeServer();
   const auto result = server->engine().KnnById(7, 5);
