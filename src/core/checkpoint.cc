@@ -1,5 +1,7 @@
 #include "core/checkpoint.h"
 
+#include <cmath>
+#include <limits>
 #include <map>
 
 #include "common/atomic_file.h"
@@ -125,7 +127,15 @@ Result<TrainingCheckpoint> ReadCheckpointFile(const std::string& path) {
       return Status::DataLoss("checksum mismatch in checkpoint section " +
                               std::to_string(id) + ": " + path);
     }
-    sections[id] = std::move(payload);
+    if (!sections.emplace(id, std::move(payload)).second) {
+      return Status::DataLoss("checkpoint section " + std::to_string(id) +
+                              " appears twice: " + path);
+    }
+  }
+  if (reader.remaining() != 0) {
+    return Status::DataLoss(std::to_string(reader.remaining()) +
+                            " byte(s) after the last checkpoint section: " +
+                            path);
   }
 
   auto require = [&sections, &path](uint32_t id) -> Result<std::string> {
@@ -146,6 +156,20 @@ Result<TrainingCheckpoint> ReadCheckpointFile(const std::string& path) {
     if (!m.ReadI64(&ckpt.epochs_done) || !m.ReadF32(&ckpt.learning_rate) ||
         !m.ReadU64(&ckpt.config_fingerprint) || !m.ReadU32(&has_decoder)) {
       return Status::DataLoss("checkpoint meta section malformed: " + path);
+    }
+    // LoadCheckpoint narrows epochs_done to int; a non-finite learning
+    // rate poisons the first Adam step and a negative one ascends.
+    if (ckpt.epochs_done < 0 ||
+        ckpt.epochs_done > std::numeric_limits<int32_t>::max()) {
+      return Status::DataLoss("checkpoint epochs_done " +
+                              std::to_string(ckpt.epochs_done) +
+                              " out of range: " + path);
+    }
+    if (!std::isfinite(ckpt.learning_rate) || ckpt.learning_rate < 0.0f) {
+      return Status::DataLoss("checkpoint learning rate " +
+                              std::to_string(ckpt.learning_rate) +
+                              " is not a finite non-negative number: " +
+                              path);
     }
     ckpt.has_decoder = has_decoder != 0;
     // Optional trailing field (see WriteCheckpointFile): absent in

@@ -55,7 +55,9 @@ Status WriteCheckpointFile(const std::string& path,
                            const TrainingCheckpoint& ckpt);
 
 /// Parses and CRC-verifies `path`. Returns kIoError when the file cannot
-/// be read and kDataLoss for any structural or checksum failure.
+/// be read and kDataLoss for any structural or checksum failure: also for
+/// a repeated section id, bytes after the last section, epochs_done
+/// outside [0, INT32_MAX], or a non-finite or negative learning rate.
 Result<TrainingCheckpoint> ReadCheckpointFile(const std::string& path);
 
 /// CRC-verifies `path` and returns just its epochs_done. The supervisor

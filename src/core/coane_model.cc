@@ -67,6 +67,18 @@ SparseMatrix IdentityFeatures(int64_t n) {
   return SparseMatrix::FromTriplets(n, n, std::move(triplets));
 }
 
+// Reads one section payload into `target`. The payload must end where the
+// target's shapes end: trailing bytes are as foreign as missing ones.
+template <typename T>
+Status ReadSection(const std::string& payload, const char* section,
+                   Status (*read)(ByteReader*, T*), T* target) {
+  ByteReader reader(payload);
+  COANE_RETURN_IF_ERROR(read(&reader, target));
+  if (reader.remaining() == 0) return Status::OK();
+  return Status::DataLoss(std::to_string(reader.remaining()) +
+                          " trailing byte(s) in the " + section + " section");
+}
+
 }  // namespace
 
 CoaneModel::CoaneModel(const Graph& graph, const CoaneConfig& config)
@@ -200,13 +212,12 @@ Result<std::vector<EpochStats>> CoaneModel::Train(const RunContext* ctx) {
 }
 
 Result<EpochStats> CoaneModel::TrainEpoch(const RunContext* ctx) {
-  if (!preprocessed_) {
-    return Status::FailedPrecondition("call Preprocess() before training");
-  }
+  COANE_RETURN_IF_ERROR(RequirePreprocessed("TrainEpoch"));
   // Divergence-recovery policy: snapshot the mutable state, and on a
   // non-finite batch roll back, decay the learning rate, and retry the
   // epoch — bounded, then fail cleanly instead of emitting NaN embeddings.
-  const std::string snapshot = SnapshotState();
+  // The snapshot is this model's own capture: re-applying it needs no backup.
+  const TrainingCheckpoint snapshot = CaptureState();
   const float base_lr = optimizer_.config().learning_rate;
   for (int attempt = 0;; ++attempt) {
     auto stats = TrainEpochOnce(ctx);
@@ -219,13 +230,11 @@ Result<EpochStats> CoaneModel::TrainEpoch(const RunContext* ctx) {
       if (code == StatusCode::kCancelled ||
           code == StatusCode::kDeadlineExceeded ||
           code == StatusCode::kResourceExhausted) {
-        COANE_RETURN_IF_ERROR(RestoreState(snapshot));
-        RenewEmbeddings();
+        COANE_RETURN_IF_ERROR(ApplySections(snapshot, /*with_rng=*/true));
       }
       return stats.status();
     }
-    COANE_RETURN_IF_ERROR(RestoreState(snapshot));
-    RenewEmbeddings();
+    COANE_RETURN_IF_ERROR(ApplySections(snapshot, /*with_rng=*/true));
     if (attempt >= config_.divergence_max_retries) {
       return Status::Internal(
           "training diverged at epoch " + std::to_string(epochs_done_ + 1) +
@@ -432,63 +441,60 @@ DenseMatrix CoaneModel::BatchFeatures(
   return x;
 }
 
-std::string CoaneModel::SnapshotState() const {
-  std::string blob;
-  AppendF32(&blob, optimizer_.config().learning_rate);
-  const std::string rng_state = rng_.SerializeState();
-  AppendU64(&blob, rng_state.size());
-  blob.append(rng_state);
-  AppendEncoderWeights(&blob, *encoder_);
-  AppendU32(&blob, decoder_ ? 1 : 0);
-  if (decoder_) AppendMlpWeights(&blob, *decoder_);
-  AppendAdamState(&blob, optimizer_);
-  return blob;
+Status CoaneModel::RequirePreprocessed(const char* method) const {
+  if (preprocessed_) return Status::OK();
+  return Status::FailedPrecondition(std::string("call Preprocess() before ") +
+                                    method + "()");
 }
 
-Status CoaneModel::RestoreState(const std::string& blob) {
-  ByteReader reader(blob);
-  float lr = 0.0f;
-  uint64_t rng_size = 0;
-  std::string rng_state;
-  if (!reader.ReadF32(&lr) || !reader.ReadU64(&rng_size) ||
-      !reader.ReadBytes(rng_size, &rng_state)) {
-    return Status::DataLoss("truncated model state blob");
+TrainingCheckpoint CoaneModel::CaptureState() const {
+  TrainingCheckpoint state;
+  state.epochs_done = epochs_done_;
+  state.learning_rate = optimizer_.config().learning_rate;
+  state.config_fingerprint = ConfigFingerprint(config_);
+  state.data_fingerprint = data_fingerprint_;
+  state.has_decoder = decoder_ != nullptr;
+  state.rng_state = rng_.SerializeState();
+  AppendEncoderWeights(&state.encoder_blob, *encoder_);
+  if (decoder_) AppendMlpWeights(&state.decoder_blob, *decoder_);
+  AppendAdamState(&state.optimizer_blob, optimizer_);
+  return state;
+}
+
+Status CoaneModel::ApplySections(const TrainingCheckpoint& state,
+                                 bool with_rng) {
+  if (with_rng && !rng_.DeserializeState(state.rng_state)) {
+    return Status::DataLoss("corrupt RNG section");
   }
-  if (!rng_.DeserializeState(rng_state)) {
-    return Status::DataLoss("corrupt RNG state in model state blob");
-  }
-  COANE_RETURN_IF_ERROR(ReadEncoderWeightsInto(&reader, encoder_.get()));
-  uint32_t has_decoder = 0;
-  if (!reader.ReadU32(&has_decoder)) {
-    return Status::DataLoss("truncated model state blob");
-  }
-  if ((has_decoder != 0) != (decoder_ != nullptr)) {
-    return Status::DataLoss("decoder presence mismatch in state blob");
-  }
+  COANE_RETURN_IF_ERROR(ReadSection(state.encoder_blob, "encoder",
+                                    &ReadEncoderWeightsInto, encoder_.get()));
   if (decoder_) {
-    COANE_RETURN_IF_ERROR(ReadMlpWeightsInto(&reader, decoder_.get()));
+    COANE_RETURN_IF_ERROR(ReadSection(state.decoder_blob, "decoder",
+                                      &ReadMlpWeightsInto, decoder_.get()));
   }
-  COANE_RETURN_IF_ERROR(ReadAdamStateInto(&reader, &optimizer_));
-  optimizer_.set_learning_rate(lr);
+  COANE_RETURN_IF_ERROR(ReadSection(state.optimizer_blob, "optimizer",
+                                    &ReadAdamStateInto, &optimizer_));
+  optimizer_.set_learning_rate(state.learning_rate);
+  RenewEmbeddings();
   return Status::OK();
+}
+
+Status CoaneModel::AdoptState(const TrainingCheckpoint& state, bool with_rng,
+                              const std::string& source) {
+  if (state.has_decoder != (decoder_ != nullptr)) {
+    return Status::DataLoss("decoder presence mismatch in " + source);
+  }
+  const TrainingCheckpoint backup = CaptureState();
+  const Status st = ApplySections(state, with_rng);
+  if (st.ok()) return st;
+  COANE_CHECK(ApplySections(backup, /*with_rng=*/true).ok());
+  return Status(st.code(), st.message() + " in " + source);
 }
 
 Status CoaneModel::SaveCheckpoint(const std::string& path,
                                   const RetryPolicy* retry) const {
-  if (!preprocessed_) {
-    return Status::FailedPrecondition(
-        "call Preprocess() before SaveCheckpoint()");
-  }
-  TrainingCheckpoint ckpt;
-  ckpt.epochs_done = epochs_done_;
-  ckpt.learning_rate = optimizer_.config().learning_rate;
-  ckpt.config_fingerprint = ConfigFingerprint(config_);
-  ckpt.data_fingerprint = data_fingerprint_;
-  ckpt.has_decoder = decoder_ != nullptr;
-  ckpt.rng_state = rng_.SerializeState();
-  AppendEncoderWeights(&ckpt.encoder_blob, *encoder_);
-  if (decoder_) AppendMlpWeights(&ckpt.decoder_blob, *decoder_);
-  AppendAdamState(&ckpt.optimizer_blob, optimizer_);
+  COANE_RETURN_IF_ERROR(RequirePreprocessed("SaveCheckpoint"));
+  const TrainingCheckpoint ckpt = CaptureState();
   if (retry == nullptr) return WriteCheckpointFile(path, ckpt);
   // The serialized state is assembled once; only the write retries.
   return RetryOp(*retry, nullptr, "checkpoint.write",
@@ -498,10 +504,7 @@ Status CoaneModel::SaveCheckpoint(const std::string& path,
 }
 
 Status CoaneModel::LoadCheckpoint(const std::string& path) {
-  if (!preprocessed_) {
-    return Status::FailedPrecondition(
-        "call Preprocess() before LoadCheckpoint()");
-  }
+  COANE_RETURN_IF_ERROR(RequirePreprocessed("LoadCheckpoint"));
   auto loaded = ReadCheckpointFile(path);
   if (!loaded.ok()) return loaded.status();
   const TrainingCheckpoint& ckpt = loaded.value();
@@ -519,38 +522,9 @@ Status CoaneModel::LoadCheckpoint(const std::string& path) {
         "checkpoint " + path +
         " was written against differently-masked attribute data");
   }
-  if (ckpt.has_decoder != (decoder_ != nullptr)) {
-    return Status::DataLoss("decoder presence mismatch in " + path);
-  }
-
-  // All-or-nothing: restore section by section, and on any failure roll
-  // the model back to the state it had before this call.
-  const std::string backup = SnapshotState();
-  Status st = [&]() -> Status {
-    if (!rng_.DeserializeState(ckpt.rng_state)) {
-      return Status::DataLoss("corrupt RNG section in " + path);
-    }
-    ByteReader encoder_reader(ckpt.encoder_blob);
-    COANE_RETURN_IF_ERROR(
-        ReadEncoderWeightsInto(&encoder_reader, encoder_.get()));
-    if (decoder_) {
-      ByteReader decoder_reader(ckpt.decoder_blob);
-      COANE_RETURN_IF_ERROR(
-          ReadMlpWeightsInto(&decoder_reader, decoder_.get()));
-    }
-    ByteReader optimizer_reader(ckpt.optimizer_blob);
-    COANE_RETURN_IF_ERROR(
-        ReadAdamStateInto(&optimizer_reader, &optimizer_));
-    return Status::OK();
-  }();
-  if (!st.ok()) {
-    const Status rollback = RestoreState(backup);
-    COANE_CHECK(rollback.ok());
-    return st;
-  }
-  optimizer_.set_learning_rate(ckpt.learning_rate);
+  COANE_RETURN_IF_ERROR(AdoptState(ckpt, /*with_rng=*/true, path));
+  // ReadCheckpointFile bounds epochs_done to [0, INT32_MAX].
   epochs_done_ = static_cast<int>(ckpt.epochs_done);
-  RenewEmbeddings();
   return Status::OK();
 }
 
@@ -565,50 +539,18 @@ void CoaneModel::SetPrecomputedFeatures(SparseMatrix features) {
 }
 
 Status CoaneModel::WarmStartFrom(const TrainingCheckpoint& ckpt) {
-  if (!preprocessed_) {
-    return Status::FailedPrecondition(
-        "call Preprocess() before WarmStartFrom()");
-  }
-  if (ckpt.has_decoder != (decoder_ != nullptr)) {
-    return Status::DataLoss("decoder presence mismatch in warm-start state");
-  }
+  COANE_RETURN_IF_ERROR(RequirePreprocessed("WarmStartFrom"));
   // No config/data-fingerprint checks: warm-starting across a mutation
   // batch legitimately crosses mask (and log-position) fingerprints.
-  // Shape mismatches are still caught section by section below.
-  const std::string backup = SnapshotState();
-  Status st = [&]() -> Status {
-    ByteReader encoder_reader(ckpt.encoder_blob);
-    COANE_RETURN_IF_ERROR(
-        ReadEncoderWeightsInto(&encoder_reader, encoder_.get()));
-    if (decoder_) {
-      ByteReader decoder_reader(ckpt.decoder_blob);
-      COANE_RETURN_IF_ERROR(
-          ReadMlpWeightsInto(&decoder_reader, decoder_.get()));
-    }
-    ByteReader optimizer_reader(ckpt.optimizer_blob);
-    COANE_RETURN_IF_ERROR(
-        ReadAdamStateInto(&optimizer_reader, &optimizer_));
-    return Status::OK();
-  }();
-  if (!st.ok()) {
-    const Status rollback = RestoreState(backup);
-    COANE_CHECK(rollback.ok());
-    return st;
-  }
-  optimizer_.set_learning_rate(ckpt.learning_rate);
+  // Shape mismatches are still caught section by section.
+  COANE_RETURN_IF_ERROR(
+      AdoptState(ckpt, /*with_rng=*/false, "warm-start state"));
   epochs_done_ = 0;  // config.max_epochs now bounds the refinement budget
-  RenewEmbeddings();
   return Status::OK();
 }
 
 Status CoaneModel::ApplyAveragedState(const TrainingCheckpoint& merged) {
-  if (!preprocessed_) {
-    return Status::FailedPrecondition(
-        "call Preprocess() before ApplyAveragedState()");
-  }
-  if (merged.has_decoder != (decoder_ != nullptr)) {
-    return Status::DataLoss("decoder presence mismatch in merged state");
-  }
+  COANE_RETURN_IF_ERROR(RequirePreprocessed("ApplyAveragedState"));
   if (merged.data_fingerprint != 0 &&
       merged.data_fingerprint != data_fingerprint_) {
     return Status::FailedPrecondition(
@@ -620,29 +562,7 @@ Status CoaneModel::ApplyAveragedState(const TrainingCheckpoint& merged) {
         " but this model is at epoch " + std::to_string(epochs_done_) +
         " — merges apply only at matching round boundaries");
   }
-  const std::string backup = SnapshotState();
-  Status st = [&]() -> Status {
-    ByteReader encoder_reader(merged.encoder_blob);
-    COANE_RETURN_IF_ERROR(
-        ReadEncoderWeightsInto(&encoder_reader, encoder_.get()));
-    if (decoder_) {
-      ByteReader decoder_reader(merged.decoder_blob);
-      COANE_RETURN_IF_ERROR(
-          ReadMlpWeightsInto(&decoder_reader, decoder_.get()));
-    }
-    ByteReader optimizer_reader(merged.optimizer_blob);
-    COANE_RETURN_IF_ERROR(
-        ReadAdamStateInto(&optimizer_reader, &optimizer_));
-    return Status::OK();
-  }();
-  if (!st.ok()) {
-    const Status rollback = RestoreState(backup);
-    COANE_CHECK(rollback.ok());
-    return st;
-  }
-  optimizer_.set_learning_rate(merged.learning_rate);
-  RenewEmbeddings();
-  return Status::OK();
+  return AdoptState(merged, /*with_rng=*/false, "merged state");
 }
 
 Result<DenseMatrix> TrainCoaneEmbeddings(const Graph& graph,

@@ -160,11 +160,18 @@ class CoaneModel {
   // Runs one batch update (Embedding Updating + Loss Updating of Alg. 1).
   // Returns Internal when numerical-health checks reject the batch.
   Status TrainBatch(const std::vector<NodeId>& batch, EpochStats* stats);
-  // Serializes / restores the mutable training state (weights, optimizer
-  // moments, RNG, learning rate) for divergence rollback and for
-  // LoadCheckpoint's all-or-nothing guarantee.
-  std::string SnapshotState() const;
-  Status RestoreState(const std::string& blob);
+  // FailedPrecondition naming `method` until Preprocess() has run.
+  Status RequirePreprocessed(const char* method) const;
+  // The one way out of the training state: what SaveCheckpoint writes and
+  // TrainEpoch keeps as its rollback snapshot.
+  TrainingCheckpoint CaptureState() const;
+  // The one way in: the RNG (if `with_rng`), encoder, decoder and Adam
+  // sections, then the learning rate, then renews Z. Not atomic.
+  Status ApplySections(const TrainingCheckpoint& state, bool with_rng);
+  // ApplySections made all-or-nothing for outside states: checks decoder
+  // presence, rolls back to a CaptureState() on failure, names `source`.
+  Status AdoptState(const TrainingCheckpoint& state, bool with_rng,
+                    const std::string& source);
   // Recomputes z_v for all nodes from the current encoder.
   void RenewEmbeddings();
   // Densifies feature rows of `batch` into a (batch x d) matrix.

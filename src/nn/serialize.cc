@@ -56,13 +56,10 @@ Status ReadMatrixInto(ByteReader* reader, DenseMatrix* m) {
         std::to_string(cols) + ", target is " + std::to_string(m->rows()) +
         "x" + std::to_string(m->cols()));
   }
-  const size_t bytes = static_cast<size_t>(m->size()) * sizeof(float);
-  if (reader->remaining() < bytes) {
+  if (!reader->ReadRaw(m->data(),
+                       static_cast<size_t>(m->size()) * sizeof(float))) {
     return Status::DataLoss("truncated matrix payload");
   }
-  std::string raw;
-  reader->ReadBytes(bytes, &raw);
-  std::memcpy(m->data(), raw.data(), bytes);
   return Status::OK();
 }
 
@@ -133,6 +130,12 @@ Status ReadAdamStateInto(ByteReader* reader, AdamOptimizer* optimizer) {
     int64_t t = 0;
     if (!reader->ReadI64(&t)) {
       return Status::DataLoss("truncated optimizer slot");
+    }
+    if (t < 0) {
+      // Adam's bias correction divides by 1 - beta^t for the incremented
+      // count; a negative count makes that zero (t = 0) or negative.
+      return Status::DataLoss("negative step count " + std::to_string(t) +
+                              " in optimizer slot " + std::to_string(i));
     }
     optimizer->set_slot_step(i, t);
     COANE_RETURN_IF_ERROR(

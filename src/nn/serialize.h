@@ -33,12 +33,12 @@ class ByteReader {
   bool ReadF32(float* v);
   /// Reads exactly `n` raw bytes into `out`.
   bool ReadBytes(size_t n, std::string* out);
+  /// Copies exactly `n` raw bytes to `out`, which must have room for them.
+  bool ReadRaw(void* out, size_t n);
 
   size_t remaining() const { return size_ - pos_; }
 
  private:
-  bool ReadRaw(void* out, size_t n);
-
   const char* data_;
   size_t size_;
   size_t pos_ = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "common/atomic_file.h"
@@ -194,6 +195,119 @@ TEST(CoaneModelTest, NoAttributesGraphRequiresWfFlag) {
   cfg.use_attributes = false;
   cfg.use_attribute_loss = false;
   EXPECT_TRUE(CoaneModel(bare, cfg).Preprocess().ok());
+}
+
+// --- State adopters: WarmStartFrom and ApplyAveragedState take parameters
+// --- from a TrainingCheckpoint held in memory.
+
+bool SameBytes(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// The model's full training state as checkpoint-file bytes.
+std::string StateBytes(const CoaneModel& model, const std::string& name) {
+  const std::string path = ::testing::TempDir() + "coane_adopt_" + name +
+                           ".ckpt";
+  EXPECT_TRUE(model.SaveCheckpoint(path).ok());
+  auto bytes = ReadFileToString(path);
+  std::remove(path.c_str());
+  return bytes.ok() ? bytes.value() : std::string();
+}
+
+// Saves `model` and reads the file back as the in-memory state.
+TrainingCheckpoint SavedState(const CoaneModel& model,
+                              const std::string& name) {
+  const std::string path = ::testing::TempDir() + "coane_adopt_" + name +
+                           ".ckpt";
+  EXPECT_TRUE(model.SaveCheckpoint(path).ok());
+  auto state = ReadCheckpointFile(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(state.ok()) << state.status().ToString();
+  return state.ok() ? state.value() : TrainingCheckpoint();
+}
+
+TEST(CoaneModelAdoptTest, ShapeMismatchIsDataLossAndLeavesModelUnchanged) {
+  AttributedNetwork net = SmallNetwork();
+  // A different encoder width fails on the first section read; a
+  // different decoder width fails after the encoder has been written, so
+  // the rollback has to undo it.
+  CoaneConfig narrower = FastConfig();
+  narrower.embedding_dim = 8;
+  CoaneConfig other_decoder = FastConfig();
+  other_decoder.decoder_hidden = {24};
+  other_decoder.seed = 77;
+  for (const CoaneConfig& source_cfg : {narrower, other_decoder}) {
+    CoaneModel source(net.graph, source_cfg);
+    ASSERT_TRUE(source.Preprocess().ok());
+    const TrainingCheckpoint state = SavedState(source, "mismatch_src");
+
+    CoaneModel model(net.graph, FastConfig());
+    ASSERT_TRUE(model.Preprocess().ok());
+    const DenseMatrix z_before = model.embeddings();
+    const std::string bytes_before = StateBytes(model, "mismatch_before");
+
+    Status warm = model.WarmStartFrom(state);
+    EXPECT_EQ(warm.code(), StatusCode::kDataLoss) << warm.ToString();
+    EXPECT_TRUE(SameBytes(model.embeddings(), z_before));
+    EXPECT_TRUE(StateBytes(model, "mismatch_warm") == bytes_before);
+
+    Status merged = model.ApplyAveragedState(state);
+    EXPECT_EQ(merged.code(), StatusCode::kDataLoss) << merged.ToString();
+    EXPECT_TRUE(SameBytes(model.embeddings(), z_before));
+    EXPECT_TRUE(StateBytes(model, "mismatch_merged") == bytes_before);
+  }
+}
+
+TEST(CoaneModelAdoptTest, WarmStartResetsEpochsAndKeepsOwnRng) {
+  AttributedNetwork net = SmallNetwork();
+  const CoaneConfig cfg = FastConfig();
+  const std::string path = ::testing::TempDir() + "coane_warm_start.ckpt";
+  {
+    CoaneModel trained(net.graph, cfg);
+    ASSERT_TRUE(trained.Preprocess().ok());
+    ASSERT_TRUE(trained.TrainEpoch().ok());
+    ASSERT_TRUE(trained.SaveCheckpoint(path).ok());
+  }
+  auto state = ReadCheckpointFile(path);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+
+  CoaneModel loaded(net.graph, cfg);
+  ASSERT_TRUE(loaded.Preprocess().ok());
+  ASSERT_TRUE(loaded.LoadCheckpoint(path).ok());
+  CoaneModel warm(net.graph, cfg);
+  ASSERT_TRUE(warm.Preprocess().ok());
+  Status st = warm.WarmStartFrom(state.value());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  std::remove(path.c_str());
+
+  EXPECT_EQ(loaded.epochs_done(), 1);
+  EXPECT_EQ(warm.epochs_done(), 0);
+  // Same parameters, so the same embeddings ...
+  EXPECT_TRUE(SameBytes(loaded.embeddings(), warm.embeddings()));
+  // ... but only the loaded model continues the checkpoint's RNG stream,
+  // so the next epoch shuffles and samples differently.
+  ASSERT_TRUE(loaded.TrainEpoch().ok());
+  ASSERT_TRUE(warm.TrainEpoch().ok());
+  EXPECT_EQ(warm.epochs_done(), 1);
+  EXPECT_FALSE(SameBytes(loaded.embeddings(), warm.embeddings()));
+}
+
+TEST(CoaneModelAdoptTest, AveragedStateAtAnotherEpochIsRejected) {
+  AttributedNetwork net = SmallNetwork();
+  CoaneModel source(net.graph, FastConfig());
+  ASSERT_TRUE(source.Preprocess().ok());
+  ASSERT_TRUE(source.TrainEpoch().ok());
+  const TrainingCheckpoint state = SavedState(source, "epoch_src");
+
+  CoaneModel model(net.graph, FastConfig());
+  ASSERT_TRUE(model.Preprocess().ok());
+  const std::string bytes_before = StateBytes(model, "epoch_before");
+  Status st = model.ApplyAveragedState(state);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_EQ(model.epochs_done(), 0);
+  EXPECT_TRUE(StateBytes(model, "epoch_after") == bytes_before);
 }
 
 // Golden training bytes. Each case trains a tiny model for two epochs and

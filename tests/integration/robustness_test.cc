@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
 
 #include "common/atomic_file.h"
@@ -266,6 +268,111 @@ TEST(RobustnessTest, BitFlippedCheckpointIsDataLossAndNeverLoaded) {
     EXPECT_TRUE(BitIdentical(model.embeddings(), before));
   }
   std::remove(path.c_str());
+}
+
+// Checkpoints that pass every CRC but carry a value or structure no writer
+// produces: each must be DataLoss, and the model must keep its state.
+TEST(RobustnessTest, CraftedCheckpointIsDataLossAndNeverLoaded) {
+  AttributedNetwork net = TinyNet();
+  CoaneConfig cfg = TinyConfig();
+  const std::string path = "/tmp/coane_crafted.ckpt";
+  {
+    CoaneModel trained(net.graph, cfg);
+    ASSERT_TRUE(trained.Preprocess().ok());
+    ASSERT_TRUE(trained.TrainEpoch().ok());
+    ASSERT_TRUE(trained.SaveCheckpoint(path).ok());
+  }
+  auto good = ReadCheckpointFile(path);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+
+  struct Case {
+    const char* name;
+    // Caught by ReadCheckpointFile itself (and so by ReadCheckpointEpoch),
+    // not only when the sections are applied.
+    bool file_level;
+    // Edits the state before WriteCheckpointFile frames it ...
+    std::function<void(TrainingCheckpoint*)> edit_state;
+    // ... then edits the framed bytes.
+    std::function<void(std::string*)> edit_file;
+  };
+  const std::vector<Case> cases = {
+      {"negative epochs_done", true,
+       [](TrainingCheckpoint* c) { c->epochs_done = -5; }, nullptr},
+      {"epochs_done past int32", true,
+       [](TrainingCheckpoint* c) { c->epochs_done = (int64_t{1} << 32) + 1; },
+       nullptr},
+      {"NaN learning rate", true,
+       [](TrainingCheckpoint* c) {
+         c->learning_rate = std::numeric_limits<float>::quiet_NaN();
+       },
+       nullptr},
+      {"infinite learning rate", true,
+       [](TrainingCheckpoint* c) {
+         c->learning_rate = std::numeric_limits<float>::infinity();
+       },
+       nullptr},
+      {"negative learning rate", true,
+       [](TrainingCheckpoint* c) { c->learning_rate = -0.01f; }, nullptr},
+      {"negative Adam step", false,
+       [](TrainingCheckpoint* c) {
+         // Slot 0's step counter follows the u32 slot count.
+         const int64_t step = -1;
+         std::memcpy(&c->optimizer_blob[4], &step, sizeof(step));
+       },
+       nullptr},
+      {"bytes after the encoder section's data", false,
+       [](TrainingCheckpoint* c) { c->encoder_blob += "junk"; }, nullptr},
+      {"bytes after the decoder section's data", false,
+       [](TrainingCheckpoint* c) { c->decoder_blob += "junk"; }, nullptr},
+      {"bytes after the optimizer section's data", false,
+       [](TrainingCheckpoint* c) { c->optimizer_blob += "junk"; }, nullptr},
+      {"bytes after the last section", true, nullptr,
+       [](std::string* f) { *f += "junk"; }},
+      {"meta section twice", true, nullptr,
+       [](std::string* f) {
+         // Header: magic, version, count (u32 each); the meta section
+         // follows as id u32, len u64, crc u32, payload.
+         uint32_t count = 0;
+         uint64_t len = 0;
+         std::memcpy(&count, f->data() + 8, sizeof(count));
+         std::memcpy(&len, f->data() + 16, sizeof(len));
+         ++count;
+         std::memcpy(&(*f)[8], &count, sizeof(count));
+         *f += f->substr(12, 16 + static_cast<size_t>(len));
+       }},
+  };
+
+  const std::string own_path = "/tmp/coane_crafted_own.ckpt";
+  for (const Case& c : cases) {
+    // A fresh epoch-0 model per case, so each case stands on its own.
+    CoaneModel model(net.graph, cfg);
+    ASSERT_TRUE(model.Preprocess().ok());
+    const DenseMatrix before = model.embeddings();
+    ASSERT_TRUE(model.SaveCheckpoint(own_path).ok());
+    const std::string own_before = ReadFileToString(own_path).ValueOrDie();
+    TrainingCheckpoint state = good.value();
+    if (c.edit_state) c.edit_state(&state);
+    ASSERT_TRUE(WriteCheckpointFile(path, state).ok()) << c.name;
+    if (c.edit_file) {
+      std::string bytes = ReadFileToString(path).ValueOrDie();
+      c.edit_file(&bytes);
+      std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    }
+    if (c.file_level) {
+      EXPECT_EQ(ReadCheckpointEpoch(path).status().code(),
+                StatusCode::kDataLoss)
+          << c.name;
+    }
+    Status st = model.LoadCheckpoint(path);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss) << c.name << ": "
+                                                << st.ToString();
+    EXPECT_TRUE(BitIdentical(model.embeddings(), before)) << c.name;
+    ASSERT_TRUE(model.SaveCheckpoint(own_path).ok());
+    EXPECT_TRUE(ReadFileToString(own_path).ValueOrDie() == own_before)
+        << c.name;
+  }
+  std::remove(path.c_str());
+  std::remove(own_path.c_str());
 }
 
 TEST(RobustnessTest, CheckpointWriteFaultLeavesPreviousCheckpoint) {
