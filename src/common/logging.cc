@@ -3,7 +3,8 @@
 namespace coane {
 namespace {
 
-LogLevel g_log_level = LogLevel::kInfo;
+// The minimum severity that is printed.
+constexpr LogLevel kMinLogLevel = LogLevel::kInfo;
 
 const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -21,13 +22,10 @@ const char* LevelTag(LogLevel level) {
 
 }  // namespace
 
-LogLevel GetLogLevel() { return g_log_level; }
-void SetLogLevel(LogLevel level) { g_log_level = level; }
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line, bool fatal)
-    : level_(level), fatal_(fatal), enabled_(fatal || level >= g_log_level) {
+    : level_(level), fatal_(fatal), enabled_(fatal || level >= kMinLogLevel) {
   if (enabled_) {
     const char* base = file;
     for (const char* p = file; *p != '\0'; ++p) {

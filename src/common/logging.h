@@ -7,12 +7,9 @@
 
 namespace coane {
 
-/// Severity levels for the stream-style logger.
+/// Severity levels for the stream-style logger. Info and above are
+/// printed; Debug statements compile but print nothing.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Process-wide minimum severity that is actually printed. Defaults to Info.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 namespace internal {
 

@@ -20,10 +20,6 @@ std::string Trim(std::string_view s);
 /// True when `s` begins with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
-/// Joins `parts` with `sep` between consecutive elements.
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view sep);
-
 /// Formats a double with `digits` decimal places (fixed notation).
 std::string FormatDouble(double value, int digits);
 

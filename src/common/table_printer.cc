@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/logging.h"
-#include "common/string_utils.h"
 
 namespace coane {
 
@@ -18,15 +17,6 @@ void TablePrinter::SetHeader(std::vector<std::string> header) {
 void TablePrinter::AddRow(std::vector<std::string> row) {
   COANE_CHECK_EQ(row.size(), header_.size());
   rows_.push_back(std::move(row));
-}
-
-void TablePrinter::AddRow(const std::string& label,
-                          const std::vector<double>& values, int digits) {
-  std::vector<std::string> row;
-  row.reserve(values.size() + 1);
-  row.push_back(label);
-  for (double v : values) row.push_back(FormatDouble(v, digits));
-  AddRow(std::move(row));
 }
 
 std::string TablePrinter::ToString() const {

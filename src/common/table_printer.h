@@ -23,11 +23,6 @@ class TablePrinter {
   /// Appends one data row; its width must match the header.
   void AddRow(std::vector<std::string> row);
 
-  /// Convenience: formats doubles with `digits` decimals. The first `label`
-  /// cell is taken verbatim.
-  void AddRow(const std::string& label, const std::vector<double>& values,
-              int digits = 3);
-
   /// Renders the aligned table to a string (also used by ToStdout).
   std::string ToString() const;
 

@@ -68,11 +68,10 @@ struct CoaneConfig {
   float grad_clip_norm = 0.0f;
   /// When a batch produces a non-finite loss or gradient, the epoch is
   /// rolled back to its in-memory snapshot, the learning rate is
-  /// multiplied by divergence_lr_decay, and the epoch is retried — at
-  /// most divergence_max_retries times before training fails with a
-  /// clean error instead of NaN embeddings.
+  /// multiplied by a fixed 0.5, and the epoch is retried — at most
+  /// divergence_max_retries times before training fails with a clean
+  /// error instead of NaN embeddings.
   int divergence_max_retries = 2;
-  float divergence_lr_decay = 0.5f;
 
   // --- Degraded inputs (DESIGN.md "Degraded inputs").
   /// How Preprocess materializes attribute rows the observation mask

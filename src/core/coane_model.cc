@@ -22,6 +22,9 @@
 namespace coane {
 namespace {
 
+// Each divergence retry multiplies the epoch's learning rate by this.
+constexpr float kDivergenceLrDecay = 0.5f;
+
 Status ValidateConfig(const CoaneConfig& c) {
   if (c.context_size < 1 || c.context_size % 2 == 0) {
     return Status::InvalidArgument("context_size must be odd and >= 1");
@@ -51,10 +54,6 @@ Status ValidateConfig(const CoaneConfig& c) {
   if (c.divergence_max_retries < 0) {
     return Status::InvalidArgument(
         "divergence_max_retries must be non-negative");
-  }
-  if (!(c.divergence_lr_decay > 0.0f && c.divergence_lr_decay <= 1.0f)) {
-    return Status::InvalidArgument(
-        "divergence_lr_decay must be in (0, 1]");
   }
   return Status::OK();
 }
@@ -242,7 +241,7 @@ Result<EpochStats> CoaneModel::TrainEpoch(const RunContext* ctx) {
           " retry(ies); model rolled back to the epoch-start state: " +
           stats.status().message());
     }
-    const float lr = base_lr * std::pow(config_.divergence_lr_decay,
+    const float lr = base_lr * std::pow(kDivergenceLrDecay,
                                         static_cast<float>(attempt + 1));
     optimizer_.set_learning_rate(lr);
     COANE_LOG(Warning) << "epoch " << (epochs_done_ + 1)

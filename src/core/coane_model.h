@@ -92,7 +92,7 @@ class CoaneModel {
   /// Runs one epoch of batch updates and refreshes all embeddings. When a
   /// batch yields a non-finite loss or gradient, the epoch is rolled back
   /// to its in-memory snapshot and retried with a decayed learning rate
-  /// (config.divergence_max_retries / divergence_lr_decay); persistent
+  /// (config.divergence_max_retries, lr halved per retry); persistent
   /// divergence returns an Internal error with the model left at the
   /// pre-epoch state. A `ctx` cancel or deadline is honoured between
   /// batches: the partial epoch is rolled back so the model sits exactly

@@ -51,10 +51,25 @@ Status AverageOneMatrix(std::vector<ByteReader>& readers,
           std::to_string(cols));
     }
   }
+  // The payload is rows * cols floats. Check the shape against every
+  // shard's remaining bytes by division, so a crafted shape can neither
+  // overflow the product nor outrun the blob.
+  for (size_t k = 0; k < readers.size(); ++k) {
+    const uint64_t floats_left = readers[k].remaining() / sizeof(float);
+    if (rows != 0 && static_cast<uint64_t>(cols) >
+                         floats_left / static_cast<uint64_t>(rows)) {
+      return Status::DataLoss(
+          "matrix shape " + std::to_string(rows) + "x" +
+          std::to_string(cols) + " in shard blob " + std::to_string(k) +
+          " exceeds its remaining " +
+          std::to_string(readers[k].remaining()) + " byte(s)");
+    }
+  }
   AppendI64(out, rows);
   AppendI64(out, cols);
   std::vector<double> vals(readers.size());
-  for (int64_t i = 0; i < rows * cols; ++i) {
+  const int64_t elements = rows * cols;
+  for (int64_t i = 0; i < elements; ++i) {
     for (size_t k = 0; k < readers.size(); ++k) {
       float v = 0.0f;
       if (!readers[k].ReadF32(&v)) {

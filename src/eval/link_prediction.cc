@@ -1,8 +1,5 @@
 #include "eval/link_prediction.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "common/logging.h"
 #include "eval/logistic_regression.h"
 #include "eval/metrics.h"
@@ -21,21 +18,6 @@ DenseMatrix HadamardFeatures(
     for (int64_t j = 0; j < d; ++j) row[j] = u[j] * v[j];
   }
   return out;
-}
-
-double PrecisionAtK(const std::vector<double>& scores,
-                    const std::vector<int>& labels, int64_t k) {
-  COANE_CHECK_EQ(scores.size(), labels.size());
-  if (scores.empty() || k <= 0) return 0.0;
-  k = std::min<int64_t>(k, static_cast<int64_t>(scores.size()));
-  std::vector<size_t> idx(scores.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  std::stable_sort(idx.begin(), idx.end(), [&](size_t a, size_t b) {
-    return scores[a] > scores[b];
-  });
-  int64_t hits = 0;
-  for (int64_t i = 0; i < k; ++i) hits += labels[idx[static_cast<size_t>(i)]];
-  return static_cast<double>(hits) / static_cast<double>(k);
 }
 
 Result<LinkPredictionResult> EvaluateLinkPrediction(

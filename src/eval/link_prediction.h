@@ -32,13 +32,6 @@ DenseMatrix HadamardFeatures(
     const DenseMatrix& embeddings,
     const std::vector<std::pair<NodeId, NodeId>>& pairs);
 
-/// Precision@k of a ranked candidate list: scores and binary labels are
-/// sorted by score descending (stable for ties) and the fraction of
-/// positives within the first k is returned. k is clamped to the list
-/// size; returns 0 for empty input.
-double PrecisionAtK(const std::vector<double>& scores,
-                    const std::vector<int>& labels, int64_t k);
-
 }  // namespace coane
 
 #endif  // COANE_EVAL_LINK_PREDICTION_H_

@@ -56,11 +56,9 @@ Result<LinkSplit> SplitEdges(const Graph& graph,
   // Force a spanning forest into train so embedding training sees every
   // node. Shuffled order keeps the forest random.
   std::vector<bool> forced(edges.size(), false);
-  if (options.keep_spanning_forest) {
-    DisjointSet ds(graph.num_nodes());
-    for (size_t i = 0; i < edges.size(); ++i) {
-      if (ds.Union(edges[i].src, edges[i].dst)) forced[i] = true;
-    }
+  DisjointSet ds(graph.num_nodes());
+  for (size_t i = 0; i < edges.size(); ++i) {
+    if (ds.Union(edges[i].src, edges[i].dst)) forced[i] = true;
   }
 
   const int64_t m = static_cast<int64_t>(edges.size());

@@ -25,13 +25,12 @@ struct LinkSplit {
 struct EdgeSplitOptions {
   double val_fraction = 0.1;
   double test_fraction = 0.2;
-  /// When true (default), a random spanning forest of the graph is forced
-  /// into the training set so no node is isolated during embedding training
-  /// (standard practice for link-prediction evaluation on sparse graphs).
-  bool keep_spanning_forest = true;
 };
 
-/// Splits `graph`'s edges for link prediction. The residual train graph
+/// Splits `graph`'s edges for link prediction. A random spanning forest of
+/// the graph is always forced into the training set, so no node is
+/// isolated during embedding training (standard practice for
+/// link-prediction evaluation on sparse graphs). The residual train graph
 /// keeps the original attributes and labels.
 Result<LinkSplit> SplitEdges(const Graph& graph,
                              const EdgeSplitOptions& options, Rng* rng);

@@ -18,15 +18,6 @@ bool Graph::HasEdge(NodeId u, NodeId v) const {
   return it != nbrs.end() && it->node == v;
 }
 
-float Graph::EdgeWeight(NodeId u, NodeId v) const {
-  auto nbrs = Neighbors(u);
-  auto it = std::lower_bound(
-      nbrs.begin(), nbrs.end(), v,
-      [](const NeighborEntry& e, NodeId node) { return e.node < node; });
-  if (it != nbrs.end() && it->node == v) return it->weight;
-  return 0.0f;
-}
-
 double Graph::Density() const {
   if (num_nodes_ < 2) return 0.0;
   const double possible =

@@ -76,9 +76,6 @@ class Graph {
   /// True when the undirected edge {u, v} exists. O(log deg(u)).
   bool HasEdge(NodeId u, NodeId v) const;
 
-  /// Edge weight of {u, v}; 0 when absent.
-  float EdgeWeight(NodeId u, NodeId v) const;
-
   /// Sparse n x d attribute matrix X. Empty (0 cols) if not set.
   const SparseMatrix& attributes() const { return attributes_; }
 

@@ -228,10 +228,6 @@ std::string LoadSummary::ToString() const {
   return out.str();
 }
 
-Result<Graph> LoadEdgeList(const std::string& path, int64_t num_nodes) {
-  return LoadAttributedGraph(path, "", "", num_nodes);
-}
-
 Result<Graph> LoadAttributedGraph(const std::string& edges_path,
                                   const std::string& attributes_path,
                                   const std::string& labels_path,
@@ -663,11 +659,13 @@ Result<DenseMatrix> LoadEmbeddings(const std::string& path) {
 
   // A file that ends in a CRC footer is verified before any float is
   // parsed; files without one (hand-written, legacy) still load.
+  std::vector<RecordLine> lines;
   std::vector<std::vector<std::string>> data;
   COANE_RETURN_IF_ERROR(
       ForEachRecordLine(path, raw.value(), [&](const RecordLine& line) {
         const std::string trimmed = Trim(line.text);
         if (!trimmed.empty() && trimmed[0] != '#') {
+          lines.push_back(line);
           data.push_back(SplitWhitespace(trimmed));
         }
       }));
@@ -675,7 +673,10 @@ Result<DenseMatrix> LoadEmbeddings(const std::string& path) {
   const int64_t dim = static_cast<int64_t>(data[0].size()) - 1;
   if (dim <= 0) return Status::InvalidArgument("embedding rows need >= 2 fields");
   DenseMatrix m(static_cast<int64_t>(data.size()), dim);
-  for (const auto& row : data) {
+  // One row per line, so an id seen twice also means some id is missing.
+  std::vector<uint8_t> seen(data.size(), 0);
+  for (size_t i = 0; i < data.size(); ++i) {
+    const std::vector<std::string>& row = data[i];
     if (static_cast<int64_t>(row.size()) != dim + 1) {
       return Status::InvalidArgument("ragged embedding file " + path);
     }
@@ -688,15 +689,27 @@ Result<DenseMatrix> LoadEmbeddings(const std::string& path) {
     if (r < 0 || r >= m.rows()) {
       return Status::OutOfRange("embedding node id out of range");
     }
+    if (seen[static_cast<size_t>(r)] != 0) {
+      return RecordLineError(path, lines[i],
+                             "node id " + row[0] + " appears twice");
+    }
+    seen[static_cast<size_t>(r)] = 1;
     for (int64_t j = 0; j < dim; ++j) {
+      const std::string& token = row[static_cast<size_t>(j) + 1];
       double v = 0.0;
       bool finite = false;
-      if (!ParseDouble(row[static_cast<size_t>(j) + 1], &v, &finite)) {
-        return Status::InvalidArgument(
-            "bad number '" + row[static_cast<size_t>(j) + 1] + "' in " +
-            path);
+      if (!ParseDouble(token, &v, &finite)) {
+        return Status::InvalidArgument("bad number '" + token + "' in " +
+                                       path);
       }
-      m.At(r, j) = static_cast<float>(v);
+      // nan, inf and values past the float range would reach the matrix
+      // as non-finite floats.
+      const float f = static_cast<float>(v);
+      if (!std::isfinite(f)) {
+        return RecordLineError(path, lines[i],
+                               "value '" + token + "' is not a finite float");
+      }
+      m.At(r, j) = f;
     }
   }
   return m;

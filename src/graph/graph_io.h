@@ -87,10 +87,6 @@ struct LoadSummary {
   std::string ToString() const;
 };
 
-/// Reads an edge list. `num_nodes` is inferred as max id + 1 unless a larger
-/// value is passed.
-Result<Graph> LoadEdgeList(const std::string& path, int64_t num_nodes = 0);
-
 /// Loads a full attributed graph from three files. `attributes_path` or
 /// `labels_path` may be empty to skip that component. With `num_nodes` 0,
 /// the node count is max id + 1 over edge endpoints, attribute rows and

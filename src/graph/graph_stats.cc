@@ -81,10 +81,4 @@ int64_t CountConnectedComponents(const Graph& graph) {
   return components;
 }
 
-std::vector<int64_t> LabelHistogram(const Graph& graph) {
-  std::vector<int64_t> hist(static_cast<size_t>(graph.num_classes()), 0);
-  for (int32_t l : graph.labels()) hist[static_cast<size_t>(l)]++;
-  return hist;
-}
-
 }  // namespace coane

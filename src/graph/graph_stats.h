@@ -34,9 +34,6 @@ double GlobalClusteringCoefficient(const Graph& graph);
 /// Number of connected components.
 int64_t CountConnectedComponents(const Graph& graph);
 
-/// Per-class node counts; empty for unlabeled graphs.
-std::vector<int64_t> LabelHistogram(const Graph& graph);
-
 }  // namespace coane
 
 #endif  // COANE_GRAPH_GRAPH_STATS_H_

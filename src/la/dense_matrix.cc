@@ -189,12 +189,6 @@ void DenseMatrix::Axpy(float alpha, const DenseMatrix& other) {
 
 void DenseMatrix::Scale(float alpha) { coane::Scale(alpha, data(), size()); }
 
-double DenseMatrix::FrobeniusNorm() const {
-  double sum = 0.0;
-  for (float x : data_) sum += static_cast<double>(x) * x;
-  return std::sqrt(sum);
-}
-
 DenseMatrix DenseMatrix::MatMul(const DenseMatrix& other) const {
   COANE_CHECK_EQ(cols_, other.rows_);
   return Gemm(rows_, other.cols_, cols_, {data(), cols_, 1},
@@ -211,16 +205,6 @@ DenseMatrix DenseMatrix::MatMulTransposed(const DenseMatrix& other) const {
   COANE_CHECK_EQ(cols_, other.cols_);
   return Gemm(rows_, other.rows_, cols_, {data(), cols_, 1},
               {other.data(), other.cols_, 1});
-}
-
-DenseMatrix DenseMatrix::Transposed() const {
-  DenseMatrix out(cols_, rows_);
-  for (int64_t i = 0; i < rows_; ++i) {
-    for (int64_t j = 0; j < cols_; ++j) {
-      out.At(j, i) = At(i, j);
-    }
-  }
-  return out;
 }
 
 DenseMatrix DenseMatrix::SelectRows(const std::vector<int64_t>& rows) const {

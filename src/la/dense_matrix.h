@@ -51,9 +51,6 @@ class DenseMatrix {
   /// this *= alpha.
   void Scale(float alpha);
 
-  /// Frobenius norm.
-  double FrobeniusNorm() const;
-
   /// Returns this * other (rows x other.cols).
   ///
   /// Accumulation-order contract (DESIGN.md section 5): every output element
@@ -74,9 +71,6 @@ class DenseMatrix {
   /// the transpose; `other` is transposed panel by panel as it is packed.
   /// Same contract as MatMul.
   DenseMatrix MatMulTransposed(const DenseMatrix& other) const;
-
-  /// Returns the transpose.
-  DenseMatrix Transposed() const;
 
   /// Returns a matrix made of the given rows (in order).
   DenseMatrix SelectRows(const std::vector<int64_t>& rows) const;

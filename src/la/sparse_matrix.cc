@@ -71,14 +71,6 @@ DenseMatrix SparseMatrix::MatMulDense(const DenseMatrix& dense) const {
   return out;
 }
 
-DenseMatrix SparseMatrix::ToDense() const {
-  DenseMatrix out(rows_, cols_, 0.0f);
-  for (int64_t r = 0; r < rows_; ++r) {
-    for (const SparseEntry& e : Row(r)) out.At(r, e.col) = e.value;
-  }
-  return out;
-}
-
 SparseMatrix SparseMatrix::RowNormalized() const {
   SparseMatrix out = *this;
   for (int64_t r = 0; r < rows_; ++r) {

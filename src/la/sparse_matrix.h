@@ -63,9 +63,6 @@ class SparseMatrix {
   /// Returns this * dense, a rows() x dense.cols() dense matrix.
   DenseMatrix MatMulDense(const DenseMatrix& dense) const;
 
-  /// Returns the dense equivalent (for tests and small matrices only).
-  DenseMatrix ToDense() const;
-
   /// Returns a copy with each row scaled to sum to 1 (rows with zero sum are
   /// left as all-zeros). This is the D -> D^N normalization of Sec. 3.3.1.
   SparseMatrix RowNormalized() const;

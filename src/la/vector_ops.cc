@@ -1,6 +1,5 @@
 #include "la/vector_ops.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace coane {
@@ -31,19 +30,6 @@ float LogSigmoid(float x) {
     return -std::log1p(std::exp(-x));
   }
   return x - std::log1p(std::exp(x));
-}
-
-void SoftmaxInPlace(float* a, int64_t n) {
-  if (n <= 0) return;
-  float max_v = a[0];
-  for (int64_t i = 1; i < n; ++i) max_v = std::max(max_v, a[i]);
-  double sum = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    a[i] = std::exp(a[i] - max_v);
-    sum += a[i];
-  }
-  const float inv = static_cast<float>(1.0 / sum);
-  for (int64_t i = 0; i < n; ++i) a[i] *= inv;
 }
 
 double CosineSimilarity(const float* a, const float* b, int64_t n) {

@@ -62,9 +62,6 @@ float Sigmoid(float x);
 /// log(sigmoid(x)) computed without overflow for large |x|.
 float LogSigmoid(float x);
 
-/// In-place softmax over a length-n vector (stable: shifts by max).
-void SoftmaxInPlace(float* a, int64_t n);
-
 /// Cosine similarity of two length-n vectors; 0 if either has zero norm.
 double CosineSimilarity(const float* a, const float* b, int64_t n);
 

@@ -76,12 +76,6 @@ DenseMatrix ContextEncoder::EncodeAll(const ContextSet& contexts,
   return z;
 }
 
-void ContextEncoder::AccumulateGradient(const ContextSet& contexts,
-                                        const SparseMatrix& x, NodeId v,
-                                        const float* dz) {
-  AccumulateGradientInto(contexts, x, v, dz, &grads_);
-}
-
 std::vector<DenseMatrix> ContextEncoder::MakeGradBuffer() const {
   std::vector<DenseMatrix> buf;
   buf.reserve(grads_.size());

@@ -55,10 +55,6 @@ class ContextEncoder {
   DenseMatrix EncodeAll(const ContextSet& contexts,
                         const SparseMatrix& x) const;
 
-  /// Accumulates parameter gradients for node v given dL/dz_v.
-  void AccumulateGradient(const ContextSet& contexts, const SparseMatrix& x,
-                          NodeId v, const float* dz);
-
   /// Zeroed gradient buffer with the same shape as the internal one, for
   /// shard-private accumulation: each ParallelFor shard accumulates its
   /// nodes into its own buffer via AccumulateGradientInto, then the shards
@@ -67,8 +63,9 @@ class ContextEncoder {
   /// count.
   std::vector<DenseMatrix> MakeGradBuffer() const;
 
-  /// Like AccumulateGradient but writes into `grads` instead of the
-  /// internal buffer; const, so shards may run concurrently.
+  /// Accumulates node v's parameter gradients, given dL/dz_v, into
+  /// `grads` (a MakeGradBuffer buffer); const, so shards may run
+  /// concurrently.
   void AccumulateGradientInto(const ContextSet& contexts,
                               const SparseMatrix& x, NodeId v,
                               const float* dz,

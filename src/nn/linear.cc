@@ -1,8 +1,5 @@
 #include "nn/linear.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.h"
 #include "la/vector_ops.h"
 
@@ -70,27 +67,6 @@ DenseMatrix ReluActivation::Backward(const DenseMatrix& dy) const {
   COANE_CHECK(dy.SameShape(mask_));
   DenseMatrix dx = dy;
   for (int64_t i = 0; i < dx.size(); ++i) dx.data()[i] *= mask_.data()[i];
-  return dx;
-}
-
-DenseMatrix SigmoidActivation::Forward(const DenseMatrix& x) {
-  output_ = x;
-  for (int64_t i = 0; i < x.size(); ++i) {
-    const float v = x.data()[i];
-    output_.data()[i] =
-        v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
-                  : std::exp(v) / (1.0f + std::exp(v));
-  }
-  return output_;
-}
-
-DenseMatrix SigmoidActivation::Backward(const DenseMatrix& dy) const {
-  COANE_CHECK(dy.SameShape(output_));
-  DenseMatrix dx = dy;
-  for (int64_t i = 0; i < dx.size(); ++i) {
-    const float s = output_.data()[i];
-    dx.data()[i] *= s * (1.0f - s);
-  }
   return dx;
 }
 

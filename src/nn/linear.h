@@ -61,16 +61,6 @@ class ReluActivation {
   DenseMatrix mask_;
 };
 
-/// Elementwise logistic sigmoid with cached output for backward.
-class SigmoidActivation {
- public:
-  DenseMatrix Forward(const DenseMatrix& x);
-  DenseMatrix Backward(const DenseMatrix& dy) const;
-
- private:
-  DenseMatrix output_;
-};
-
 /// Mean-squared-error loss over all entries: L = mean((pred - target)^2).
 /// When `grad` is non-null it receives dL/dpred.
 double MseLoss(const DenseMatrix& pred, const DenseMatrix& target,

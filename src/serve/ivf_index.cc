@@ -11,6 +11,10 @@ namespace serve {
 
 namespace {
 
+// The quantizer's k-means budget: Lloyd iterations per restart, restarts.
+constexpr int kKMeansIterations = 25;
+constexpr int kKMeansRestarts = 2;
+
 // Squared L2 distance between `a` and `b`.
 double SquaredDistance(const float* a, const float* b, int64_t dim) {
   double sum = 0.0;
@@ -50,8 +54,8 @@ Result<std::unique_ptr<IvfIndex>> IvfIndex::Build(
   }
 
   KMeansConfig kmeans;
-  kmeans.max_iterations = config.kmeans_iterations;
-  kmeans.num_restarts = config.kmeans_restarts;
+  kmeans.max_iterations = kKMeansIterations;
+  kmeans.num_restarts = kKMeansRestarts;
   kmeans.seed = config.seed;
   auto clustering = RunKMeans(points, nlist, kmeans, ctx);
   if (!clustering.ok()) return clustering.status();

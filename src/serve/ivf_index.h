@@ -17,8 +17,6 @@ namespace serve {
 struct IvfConfig {
   int nlist = 16;   ///< number of k-means cells (clamped to the row count)
   int nprobe = 4;   ///< cells scanned per query (clamped to nlist)
-  int kmeans_iterations = 25;
-  int kmeans_restarts = 2;
   uint64_t seed = 42;
 };
 

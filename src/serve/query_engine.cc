@@ -149,14 +149,6 @@ Result<std::vector<std::vector<Neighbor>>> QueryEngine::KnnBatch(
   return results;
 }
 
-Result<std::vector<double>> QueryEngine::ScoreLinks(
-    const std::vector<std::pair<int64_t, int64_t>>& pairs,
-    const RunContext* ctx) const {
-  auto snapshot = AcquireSnapshot();
-  if (!snapshot.ok()) return snapshot.status();
-  return ScoreLinksOnSnapshot(*snapshot.value(), pairs, ctx);
-}
-
 Result<std::vector<double>> QueryEngine::ScoreLinksOnSnapshot(
     const Snapshot& snap,
     const std::vector<std::pair<int64_t, int64_t>>& pairs,
@@ -215,12 +207,6 @@ Result<std::vector<double>> QueryEngine::ScoreLinksOnSnapshot(
     scores[p] = sum;
   }
   return scores;
-}
-
-Result<std::vector<float>> QueryEngine::Fetch(int64_t id) const {
-  auto snapshot = AcquireSnapshot();
-  if (!snapshot.ok()) return snapshot.status();
-  return FetchOnSnapshot(*snapshot.value(), id);
 }
 
 Result<std::vector<float>> QueryEngine::FetchOnSnapshot(

@@ -50,17 +50,6 @@ class QueryEngine {
       const std::vector<int64_t>& ids, int64_t k, bool exclude_self = true,
       SearchStats* stats = nullptr, const RunContext* ctx = nullptr) const;
 
-  /// Pairwise link scores, reusing the link-prediction edge featurizer
-  /// (HadamardFeatures): score(u, v) = sum_j e_u[j] * e_v[j] — the inner
-  /// product the classifier consumes — normalized by |e_u||e_v| for
-  /// kCosine. One score per input pair, in order.
-  Result<std::vector<double>> ScoreLinks(
-      const std::vector<std::pair<int64_t, int64_t>>& pairs,
-      const RunContext* ctx = nullptr) const;
-
-  /// Copies stored row `id` out of the snapshot.
-  Result<std::vector<float>> Fetch(int64_t id) const;
-
   /// The live generation (nullptr before the first install).
   std::shared_ptr<const Snapshot> CurrentSnapshot() const {
     return registry_->Current();
@@ -73,14 +62,21 @@ class QueryEngine {
   /// same generation even if a hot-swap lands in between.
   Result<std::shared_ptr<const Snapshot>> AcquireSnapshot() const;
 
-  /// KnnById, ScoreLinks and Fetch against an explicit generation.
+  /// KnnById against an explicit generation.
   static Result<std::vector<Neighbor>> KnnByIdOnSnapshot(
       const Snapshot& snapshot, int64_t id, int64_t k, bool exclude_self,
       SearchStats* stats, const RunContext* ctx);
+
+  /// Pairwise link scores on `snapshot`, reusing the link-prediction edge
+  /// featurizer (HadamardFeatures): score(u, v) = sum_j e_u[j] * e_v[j] —
+  /// the inner product the classifier consumes — normalized by
+  /// |e_u||e_v| for kCosine. One score per input pair, in order.
   static Result<std::vector<double>> ScoreLinksOnSnapshot(
       const Snapshot& snapshot,
       const std::vector<std::pair<int64_t, int64_t>>& pairs,
       const RunContext* ctx);
+
+  /// Copies stored row `id` out of `snapshot`.
   static Result<std::vector<float>> FetchOnSnapshot(const Snapshot& snapshot,
                                                     int64_t id);
 

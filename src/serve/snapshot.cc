@@ -41,19 +41,16 @@ Result<std::shared_ptr<const Snapshot>> BuildSnapshot(
 
   // Trust gate first: the artifact must match what the trainer's manifest
   // recorded before any of its bytes are interpreted.
-  uint64_t fingerprint = options.expected_fingerprint;
   if (!options.manifest_path.empty()) {
     COANE_RETURN_IF_ERROR(VerifyArtifactAgainstManifest(
-        options.manifest_path, "embeddings", embeddings_path,
-        options.check_fingerprint ? &options.expected_fingerprint
-                                  : nullptr));
+        options.manifest_path, "embeddings", embeddings_path));
   }
 
   std::string store_path = embeddings_path;
   if (!LooksLikeStoreFile(embeddings_path)) {
     store_path = embeddings_path + ".store";
     COANE_RETURN_IF_ERROR(EmbeddingStore::BuildFromTextEmbeddings(
-        embeddings_path, store_path, fingerprint));
+        embeddings_path, store_path, /*config_fingerprint=*/0));
   }
 
   auto opened = EmbeddingStore::Open(store_path);

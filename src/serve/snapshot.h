@@ -27,10 +27,6 @@ struct SnapshotOptions {
   /// manifest (kind "embeddings" — what the trainer records) before a
   /// single byte of it is parsed; any failure rejects the snapshot.
   std::string manifest_path;
-  /// When set, the manifest entry must additionally carry this config
-  /// fingerprint (stale artifacts are rejected with kFailedPrecondition).
-  bool check_fingerprint = false;
-  uint64_t expected_fingerprint = 0;
 };
 
 /// One immutable serving generation: a mapped store plus the index built

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <set>
 #include <utility>
@@ -275,31 +274,6 @@ Result<Graph> ApplyMutations(const Graph& base,
                               structure_changed.end());
   d->attrs_changed.assign(attrs_changed.begin(), attrs_changed.end());
   return built;
-}
-
-std::vector<uint8_t> KHopNeighborhood(const Graph& graph,
-                                      const std::vector<NodeId>& seeds,
-                                      int k) {
-  std::vector<uint8_t> in(static_cast<size_t>(graph.num_nodes()), 0);
-  std::deque<std::pair<NodeId, int>> frontier;
-  for (const NodeId s : seeds) {
-    if (s < graph.num_nodes() && in[static_cast<size_t>(s)] == 0) {
-      in[static_cast<size_t>(s)] = 1;
-      frontier.emplace_back(s, 0);
-    }
-  }
-  while (!frontier.empty()) {
-    const auto [v, depth] = frontier.front();
-    frontier.pop_front();
-    if (depth >= k) continue;
-    for (const NeighborEntry& e : graph.Neighbors(v)) {
-      if (in[static_cast<size_t>(e.node)] == 0) {
-        in[static_cast<size_t>(e.node)] = 1;
-        frontier.emplace_back(e.node, depth + 1);
-      }
-    }
-  }
-  return in;
 }
 
 }  // namespace stream

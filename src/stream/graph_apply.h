@@ -24,9 +24,10 @@ struct ApplyDelta {
   /// prefix it came from.
   uint64_t chain_fingerprint = 0;
   /// Nodes (new-graph ids, sorted, deduped) whose adjacency changed:
-  /// endpoints of added/removed/reweighted edges plus appended nodes. A
-  /// stored walk that visits none of these replays byte-identically on
-  /// the new graph.
+  /// endpoints of added/removed/reweighted edges plus appended nodes. Walk
+  /// invalidation is the exact visited-set rule (DESIGN.md §10): a stored
+  /// walk that visits none of these replays byte-identically on the new
+  /// graph, so only walks that visit one are re-walked.
   std::vector<NodeId> structure_changed;
   /// Nodes whose raw attribute row or observation mask changed (including
   /// appended nodes). Drives churn-driven re-imputation.
@@ -77,15 +78,6 @@ Result<Graph> ApplyMutations(const Graph& base,
                              const std::vector<Mutation>& mutations,
                              uint64_t expected_first_seq, uint64_t chain_in,
                              ApplyDelta* delta);
-
-/// Flags (size n) of every node within `k` hops of a seed (seeds
-/// included). The coarse invalidation bound of DESIGN.md §10: any walk of
-/// length l starting outside KHopNeighborhood(seeds, l-1) provably never
-/// meets a changed vertex. The walk store uses the exact visited-set rule
-/// instead; this is the bound re-imputation and tests reason with.
-std::vector<uint8_t> KHopNeighborhood(const Graph& graph,
-                                      const std::vector<NodeId>& seeds,
-                                      int k);
 
 }  // namespace stream
 }  // namespace coane

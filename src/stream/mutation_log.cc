@@ -117,20 +117,6 @@ int64_t NowUnixMs() {
       .count();
 }
 
-const char* MutationOpName(MutationOp op) {
-  switch (op) {
-    case MutationOp::kAddEdge:
-      return "edge+";
-    case MutationOp::kRemoveEdge:
-      return "edge-";
-    case MutationOp::kAddNode:
-      return "node+";
-    case MutationOp::kSetAttr:
-      return "attr";
-  }
-  return "?";
-}
-
 Result<Mutation> ParseMutationBody(const std::string& body) {
   const std::vector<std::string> tokens = SplitWhitespace(body);
   if (tokens.empty()) {

@@ -49,8 +49,6 @@ struct Mutation {
   bool masked = false; // attr: true marks the cell missing
 };
 
-const char* MutationOpName(MutationOp op);
-
 /// Parses one record body ("edge+ 1 2 1.5"), the grammar the
 /// `coane_streamd append --op=...` flag and log lines share. Rejects
 /// malformed token counts, non-finite numerics, and negative ids.

@@ -4,6 +4,7 @@
 
 #include "common/atomic_file.h"
 #include "common/flags.h"
+#include "common/logging.h"
 #include "common/record_file.h"
 #include "common/string_utils.h"
 #include "core/artifact_manifest.h"
@@ -143,9 +144,12 @@ Result<std::unique_ptr<StreamPipeline>> StreamPipeline::Open(
     bool walks_ok = false;
     if (!p->walks_path_.empty()) {
       auto corpus = LoadWalkCorpus(p->walks_path_);
-      if (corpus.ok() &&
-          corpus.value().num_walks_per_node == options.config.num_walks &&
-          corpus.value().walk_length == options.config.walk_length) {
+      if (!corpus.ok()) {
+        COANE_LOG(Warning) << "rebuilding the walk corpus: "
+                           << corpus.status().ToString();
+      } else if (corpus.value().num_walks_per_node ==
+                     options.config.num_walks &&
+                 corpus.value().walk_length == options.config.walk_length) {
         p->corpus_ = std::move(corpus).ValueOrDie();
         walks_ok = true;
       }

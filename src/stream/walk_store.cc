@@ -1,5 +1,6 @@
 #include "stream/walk_store.h"
 
+#include <string>
 #include <utility>
 
 #include "common/atomic_file.h"
@@ -176,6 +177,18 @@ Result<WalkCorpus> LoadWalkCorpus(const std::string& path) {
       !reader.ReadU32(&len) || !reader.ReadU64(&count)) {
     return Status::DataLoss("walk store " + path + " is truncated");
   }
+  // Every walk costs at least its 4-byte length and every node 4 bytes, so
+  // a count the remaining bytes cannot hold is corrupt; it is rejected
+  // before it sizes an allocation.
+  auto too_long = [&](uint64_t n, const char* what) {
+    return Status::DataLoss("walk store " + path + " declares " +
+                            std::to_string(n) + " " + what + " but only " +
+                            std::to_string(reader.remaining()) +
+                            " byte(s) remain");
+  };
+  if (count > reader.remaining() / sizeof(uint32_t)) {
+    return too_long(count, "walks");
+  }
   WalkCorpus corpus;
   corpus.master = master;
   corpus.num_walks_per_node = static_cast<int>(r);
@@ -185,6 +198,9 @@ Result<WalkCorpus> LoadWalkCorpus(const std::string& path) {
     uint32_t walk_len = 0;
     if (!reader.ReadU32(&walk_len)) {
       return Status::DataLoss("walk store " + path + " is truncated");
+    }
+    if (walk_len > reader.remaining() / sizeof(uint32_t)) {
+      return too_long(walk_len, "nodes in a walk");
     }
     Walk& walk = corpus.walks[w];
     walk.resize(walk_len);

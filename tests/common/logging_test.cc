@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/stopwatch.h"
 
 namespace coane {
@@ -24,14 +26,14 @@ TEST(LoggingDeathTest, CheckAbortsOnFalse) {
 }
 
 TEST(LoggingTest, LevelFiltering) {
-  const LogLevel original = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  // Below-threshold logs are swallowed; nothing to assert except that the
-  // statements are safe to execute.
+  // Below-threshold logs are swallowed; the threshold is Info.
+  ::testing::internal::CaptureStderr();
   COANE_LOG(Debug) << "hidden";
-  COANE_LOG(Info) << "hidden";
-  COANE_LOG(Warning) << "hidden";
-  SetLogLevel(original);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  ::testing::internal::CaptureStderr();
+  COANE_LOG(Info) << "shown";
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("shown"),
+            std::string::npos);
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {

@@ -52,12 +52,6 @@ TEST(StartsWithTest, Basic) {
   EXPECT_TRUE(StartsWith("anything", ""));
 }
 
-TEST(JoinTest, Basic) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({"solo"}, ","), "solo");
-  EXPECT_EQ(Join({}, ","), "");
-}
-
 TEST(FormatDoubleTest, Digits) {
   EXPECT_EQ(FormatDouble(0.12345, 3), "0.123");
   EXPECT_EQ(FormatDouble(2.0, 1), "2.0");

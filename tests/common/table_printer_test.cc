@@ -21,16 +21,6 @@ TEST(TablePrinterTest, RendersAlignedTable) {
   EXPECT_NE(s.find("0.947"), std::string::npos);
 }
 
-TEST(TablePrinterTest, AddRowWithDoubles) {
-  TablePrinter t("t");
-  t.SetHeader({"m", "a", "b"});
-  t.AddRow("CoANE", {0.12345, 0.9}, 3);
-  std::string s = t.ToString();
-  EXPECT_NE(s.find("0.123"), std::string::npos);
-  EXPECT_NE(s.find("0.900"), std::string::npos);
-  EXPECT_EQ(t.num_rows(), 1u);
-}
-
 TEST(TablePrinterTest, WriteCsvRoundTrip) {
   TablePrinter t("t");
   t.SetHeader({"method", "score"});

@@ -12,6 +12,7 @@
 #include "common/parallel/global_pool.h"
 #include "datasets/attributed_sbm.h"
 #include "graph/graph_builder.h"
+#include "la/matrix_oracles.h"
 #include "la/vector_ops.h"
 
 namespace coane {
@@ -51,7 +52,7 @@ TEST(CoaneModelTest, EndToEndProducesEmbeddings) {
   const DenseMatrix& z = model.embeddings();
   EXPECT_EQ(z.rows(), 120);
   EXPECT_EQ(z.cols(), 16);
-  EXPECT_GT(z.FrobeniusNorm(), 0.0);
+  EXPECT_GT(FrobeniusNorm(z), 0.0);
 }
 
 TEST(CoaneModelTest, TrainingReducesTotalLoss) {
@@ -142,7 +143,7 @@ TEST(CoaneModelTest, AblationConfigsAllRun) {
   for (size_t i = 0; i < configs.size(); ++i) {
     auto z = TrainCoaneEmbeddings(net.graph, configs[i]);
     ASSERT_TRUE(z.ok()) << "config " << i << ": " << z.status().ToString();
-    EXPECT_GT(z.value().FrobeniusNorm(), 0.0) << "config " << i;
+    EXPECT_GT(FrobeniusNorm(z.value()), 0.0) << "config " << i;
   }
 }
 

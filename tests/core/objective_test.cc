@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/sequential_objective.h"
+#include "la/matrix_oracles.h"
 #include "la/vector_ops.h"
 
 namespace coane {
@@ -168,7 +169,7 @@ TEST(ContextualNegativeLossTest, SelfPairSkipped) {
   double loss = ContextualNegativeLoss(z, batch, in_batch, 0.1f, 1, &sampler,
                                        &rng, &dz);
   EXPECT_DOUBLE_EQ(loss, 0.0);
-  EXPECT_DOUBLE_EQ(dz.FrobeniusNorm(), 0.0);
+  EXPECT_DOUBLE_EQ(FrobeniusNorm(dz), 0.0);
 }
 
 // ParallelBatchObjective against its sequential oracles: the same losses

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "la/dense_matrix.h"
@@ -134,6 +135,27 @@ TEST(MergeTest, ShapeMismatchIsDataLoss) {
   auto merged = AverageCheckpoints({&a, &b}, 0x1ULL);
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kDataLoss);
+}
+
+// Both shards agree on an encoder shape whose float count overflows
+// int64 (2^32 x 2^32, and 3 x 2^62) and carry no payload: DataLoss, not a
+// signed overflow that skips the payload loop and returns OK.
+TEST(MergeTest, OverflowingShapeIsDataLoss) {
+  const std::pair<int64_t, int64_t> shapes[] = {
+      {int64_t{1} << 32, int64_t{1} << 32}, {3, int64_t{1} << 62}};
+  for (const auto& [rows, cols] : shapes) {
+    TrainingCheckpoint a = MakeCheckpoint(0.0f);
+    TrainingCheckpoint b = MakeCheckpoint(1.0f);
+    for (TrainingCheckpoint* c : {&a, &b}) {
+      c->encoder_blob.clear();
+      AppendU32(&c->encoder_blob, 1);
+      AppendI64(&c->encoder_blob, rows);
+      AppendI64(&c->encoder_blob, cols);
+    }
+    auto merged = AverageCheckpoints({&a, &b}, 0x1ULL);
+    ASSERT_FALSE(merged.ok()) << rows << "x" << cols;
+    EXPECT_EQ(merged.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(MergeTest, DecoderPresenceMismatchIsDataLoss) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "datasets/attributed_sbm.h"
+#include "la/matrix_oracles.h"
 
 namespace coane {
 namespace {
@@ -27,7 +28,7 @@ TEST(MethodZooTest, AllStandardMethodsTrain) {
     ASSERT_TRUE(z.ok()) << method << ": " << z.status().ToString();
     EXPECT_EQ(z.value().rows(), 80) << method;
     EXPECT_EQ(z.value().cols(), 16) << method;
-    EXPECT_GT(z.value().FrobeniusNorm(), 0.0) << method;
+    EXPECT_GT(FrobeniusNorm(z.value()), 0.0) << method;
   }
 }
 

@@ -114,22 +114,6 @@ TEST(LinkPredictionTest, OracleEmbeddingsGiveHighAuc) {
   EXPECT_GT(result.value().train_auc, 0.7);
 }
 
-TEST(PrecisionAtKTest, RankedCorrectly) {
-  std::vector<double> scores = {0.9, 0.1, 0.8, 0.2, 0.7};
-  std::vector<int> labels = {1, 1, 1, 0, 0};
-  EXPECT_DOUBLE_EQ(PrecisionAtK(scores, labels, 1), 1.0);   // 0.9 -> 1
-  EXPECT_DOUBLE_EQ(PrecisionAtK(scores, labels, 2), 1.0);   // 0.9, 0.8
-  EXPECT_DOUBLE_EQ(PrecisionAtK(scores, labels, 3), 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(PrecisionAtK(scores, labels, 5), 3.0 / 5.0);
-}
-
-TEST(PrecisionAtKTest, EdgeCases) {
-  EXPECT_DOUBLE_EQ(PrecisionAtK({}, {}, 3), 0.0);
-  EXPECT_DOUBLE_EQ(PrecisionAtK({0.5}, {1}, 0), 0.0);
-  // k beyond the list is clamped.
-  EXPECT_DOUBLE_EQ(PrecisionAtK({0.5, 0.4}, {1, 0}, 10), 0.5);
-}
-
 TEST(LinkPredictionTest, EmptySplitFails) {
   DenseMatrix z(10, 4, 0.0f);
   LinkSplit split;

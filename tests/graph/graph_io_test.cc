@@ -8,6 +8,7 @@
 #include <string>
 
 #include "graph/graph_builder.h"
+#include "graph/graph_oracles.h"
 
 namespace coane {
 namespace {
@@ -43,7 +44,7 @@ TEST_F(GraphIoTest, RoundTripFullGraph) {
   const Graph& h = loaded.value();
   EXPECT_EQ(h.num_nodes(), 3);
   EXPECT_EQ(h.num_edges(), 2);
-  EXPECT_FLOAT_EQ(h.EdgeWeight(0, 1), 2.0f);
+  EXPECT_FLOAT_EQ(EdgeWeight(h, 0, 1), 2.0f);
   EXPECT_EQ(h.num_attributes(), 5);
   EXPECT_FLOAT_EQ(h.attributes().At(2, 4), 0.5f);
   EXPECT_EQ(h.labels(), g.labels());
@@ -53,15 +54,16 @@ TEST_F(GraphIoTest, LoadEdgeListSkipsComments) {
   std::ofstream out(edges_path_);
   out << "# a comment\n\n0 1\n1 2 3.0\n";
   out.close();
-  auto g = LoadEdgeList(edges_path_);
+  auto g = LoadAttributedGraph(edges_path_, "", "");
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g.value().num_nodes(), 3);
   EXPECT_EQ(g.value().num_edges(), 2);
-  EXPECT_FLOAT_EQ(g.value().EdgeWeight(1, 2), 3.0f);
+  EXPECT_FLOAT_EQ(EdgeWeight(g.value(), 1, 2), 3.0f);
 }
 
 TEST_F(GraphIoTest, MissingFileFails) {
-  auto g = LoadEdgeList("/tmp/definitely_not_here_coane.txt");
+  auto g =
+      LoadAttributedGraph("/tmp/definitely_not_here_coane.txt", "", "");
   EXPECT_FALSE(g.ok());
   EXPECT_EQ(g.status().code(), StatusCode::kIoError);
 }
@@ -70,7 +72,7 @@ TEST_F(GraphIoTest, MalformedEdgeLineFails) {
   std::ofstream out(edges_path_);
   out << "0 1 2 3\n";
   out.close();
-  auto g = LoadEdgeList(edges_path_);
+  auto g = LoadAttributedGraph(edges_path_, "", "");
   EXPECT_FALSE(g.ok());
 }
 
@@ -78,7 +80,7 @@ TEST_F(GraphIoTest, NonNumericFieldFails) {
   std::ofstream out(edges_path_);
   out << "0 abc\n";
   out.close();
-  auto g = LoadEdgeList(edges_path_);
+  auto g = LoadAttributedGraph(edges_path_, "", "");
   EXPECT_FALSE(g.ok());
   EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
 }
@@ -87,7 +89,7 @@ TEST_F(GraphIoTest, NumNodesOverridesInference) {
   std::ofstream out(edges_path_);
   out << "0 1\n";
   out.close();
-  auto g = LoadEdgeList(edges_path_, 10);
+  auto g = LoadAttributedGraph(edges_path_, "", "", 10);
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g.value().num_nodes(), 10);
 }
@@ -182,6 +184,33 @@ TEST_F(GraphIoTest, LegacyEmbeddingsWithoutFooterStillLoad) {
   EXPECT_EQ(loaded.value().rows(), 2);
   EXPECT_EQ(loaded.value().cols(), 2);
   EXPECT_FLOAT_EQ(loaded.value().At(1, 1), 4.0f);
+  std::remove(path.c_str());
+}
+
+// The reader is strict on footer-less files too: a non-finite value or a
+// repeated node id (which, with one row per line, also leaves an id
+// missing) is DataLoss naming the offending path:line.
+TEST_F(GraphIoTest, NonFiniteOrRepeatedEmbeddingRowsAreDataLoss) {
+  const std::string path = "/tmp/coane_io_embed_strict.txt";
+  struct Case {
+    const char* contents;
+    int line;
+  };
+  for (const Case& c : {Case{"0 1 2\n1 3 4\n2 nan 6\n", 3},
+                        Case{"0 1 2\n1 inf 4\n2 5 6\n", 2},
+                        Case{"0 1 2\n0 3 4\n2 5 6\n", 2}}) {
+    {
+      std::ofstream out(path);
+      out << c.contents;
+    }
+    auto loaded = LoadEmbeddings(path);
+    ASSERT_FALSE(loaded.ok()) << c.contents;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << c.contents;
+    EXPECT_NE(loaded.status().message().find(path + ":" +
+                                             std::to_string(c.line) + ":"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
   std::remove(path.c_str());
 }
 

@@ -73,12 +73,5 @@ TEST(ConnectedComponentsTest, CountsComponents) {
   EXPECT_EQ(CountConnectedComponents(h), 3);
 }
 
-TEST(LabelHistogramTest, Counts) {
-  auto hist = LabelHistogram(MakeTriangleWithTail());
-  ASSERT_EQ(hist.size(), 2u);
-  EXPECT_EQ(hist[0], 3);
-  EXPECT_EQ(hist[1], 2);
-}
-
 }  // namespace
 }  // namespace coane

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph_builder.h"
+#include "graph/graph_oracles.h"
 
 namespace coane {
 namespace {
@@ -47,9 +48,9 @@ TEST(GraphTest, HasEdgeSymmetric) {
 
 TEST(GraphTest, EdgeWeight) {
   Graph g = MakeExample();
-  EXPECT_FLOAT_EQ(g.EdgeWeight(1, 3), 2.0f);
-  EXPECT_FLOAT_EQ(g.EdgeWeight(3, 1), 2.0f);
-  EXPECT_FLOAT_EQ(g.EdgeWeight(0, 3), 0.0f);
+  EXPECT_FLOAT_EQ(EdgeWeight(g, 1, 3), 2.0f);
+  EXPECT_FLOAT_EQ(EdgeWeight(g, 3, 1), 2.0f);
+  EXPECT_FLOAT_EQ(EdgeWeight(g, 0, 3), 0.0f);
 }
 
 TEST(GraphTest, WeightedDegree) {
@@ -76,7 +77,7 @@ TEST(GraphBuilderTest, DuplicateEdgesSumWeights) {
   auto g = std::move(b).Build();
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g.value().num_edges(), 1);
-  EXPECT_FLOAT_EQ(g.value().EdgeWeight(0, 1), 3.5f);
+  EXPECT_FLOAT_EQ(EdgeWeight(g.value(), 0, 1), 3.5f);
 }
 
 TEST(GraphBuilderTest, RejectsSelfLoop) {

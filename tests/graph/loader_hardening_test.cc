@@ -296,7 +296,7 @@ TEST_F(LoaderHardeningTest, FaultInjectedOpenFailsCleanly) {
   fault::Reset();
   WriteFile(edges_, "0 1\n");
   fault::Arm("graph_io.load", /*trigger_hit=*/1);
-  auto g = LoadEdgeList(edges_);
+  auto g = LoadAttributedGraph(edges_, "", "");
   fault::Reset();
   ASSERT_FALSE(g.ok());
   EXPECT_EQ(g.status().code(), StatusCode::kIoError);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph_builder.h"
+#include "graph/graph_oracles.h"
 
 namespace coane {
 namespace {
@@ -30,7 +31,7 @@ TEST(SubgraphTest, KeepsInducedEdgesAndMetadata) {
   EXPECT_EQ(s.old_to_new[3], 0);
   EXPECT_EQ(s.old_to_new[0], -1) << "dropped node maps to -1";
   // Weight carried: original 1-2 had weight 2 -> new (1,2).
-  EXPECT_FLOAT_EQ(s.graph.EdgeWeight(1, 2), 2.0f);
+  EXPECT_FLOAT_EQ(EdgeWeight(s.graph, 1, 2), 2.0f);
   // Attribute row of original node 3 -> new row 0.
   EXPECT_FLOAT_EQ(s.graph.attributes().At(0, 0), 4.0f);
   // Labels follow.

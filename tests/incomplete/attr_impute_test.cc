@@ -15,6 +15,7 @@
 #include "core/coane_model.h"
 #include "graph/attr_impute.h"
 #include "graph/graph_builder.h"
+#include "la/matrix_oracles.h"
 #include "quality/quality_harness.h"
 #include "quality/substrate.h"
 
@@ -57,8 +58,8 @@ Graph CompletePathGraph() {
 
 bool SameDense(const SparseMatrix& a, const SparseMatrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  const DenseMatrix da = a.ToDense();
-  const DenseMatrix db = b.ToDense();
+  const DenseMatrix da = ToDense(a);
+  const DenseMatrix db = ToDense(b);
   for (int64_t r = 0; r < da.rows(); ++r) {
     for (int64_t c = 0; c < da.cols(); ++c) {
       if (da.At(r, c) != db.At(r, c)) return false;

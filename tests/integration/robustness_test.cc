@@ -17,6 +17,7 @@
 #include "datasets/attributed_sbm.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
+#include "la/matrix_oracles.h"
 
 namespace coane {
 namespace {
@@ -63,7 +64,7 @@ TEST(RobustnessTest, CorruptedEdgeFilesRejected) {
       std::ofstream out(path);
       out << contents;
     }
-    auto g = LoadEdgeList(path);
+    auto g = LoadAttributedGraph(path, "", "");
     EXPECT_FALSE(g.ok()) << "accepted: " << contents;
   }
   std::remove(path.c_str());
@@ -94,7 +95,7 @@ TEST(RobustnessTest, ZeroNegativesAndZeroEpochs) {
   cfg.max_epochs = 0;  // preprocessing only; embeddings from init filters
   auto z = TrainCoaneEmbeddings(net.graph, cfg);
   ASSERT_TRUE(z.ok());
-  EXPECT_GT(z.value().FrobeniusNorm(), 0.0)
+  EXPECT_GT(FrobeniusNorm(z.value()), 0.0)
       << "untrained encoder still produces non-zero pooled features";
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/parallel/global_pool.h"
+#include "la/matrix_oracles.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
 
@@ -57,8 +58,8 @@ DenseMatrix ReluNoise(int64_t rows, int64_t cols, Rng* rng) {
 // product a * b at threads 1/3/8.
 void ExpectAllProductsMatchOracle(const DenseMatrix& a, const DenseMatrix& b) {
   const DenseMatrix want = ReferenceMatMul(a, b);
-  const DenseMatrix a_t = a.Transposed();
-  const DenseMatrix b_t = b.Transposed();
+  const DenseMatrix a_t = Transposed(a);
+  const DenseMatrix b_t = Transposed(b);
   for (int threads : {1, 3, 8}) {
     ScopedThreads scoped(threads);
     EXPECT_TRUE(SameBytes(a.MatMul(b), want))
@@ -130,7 +131,7 @@ TEST(DenseMatrixTest, FrobeniusNorm) {
   DenseMatrix m(1, 2);
   m.At(0, 0) = 3.0f;
   m.At(0, 1) = 4.0f;
-  EXPECT_DOUBLE_EQ(m.FrobeniusNorm(), 5.0);
+  EXPECT_DOUBLE_EQ(FrobeniusNorm(m), 5.0);
 }
 
 TEST(DenseMatrixTest, MatMulKnownValues) {
@@ -163,7 +164,7 @@ TEST(DenseMatrixTest, MatMulIdentity) {
 TEST(DenseMatrixTest, Transposed) {
   DenseMatrix a(2, 3);
   for (int i = 0; i < 6; ++i) a.data()[i] = static_cast<float>(i);
-  DenseMatrix t = a.Transposed();
+  DenseMatrix t = Transposed(a);
   EXPECT_EQ(t.rows(), 3);
   EXPECT_EQ(t.cols(), 2);
   for (int64_t i = 0; i < 2; ++i) {
@@ -235,7 +236,7 @@ TEST(DenseMatrixTest, ProductsOfDecoderShapesMatchOracle) {
   // ...and the input gradient dy * W^T.
   DenseMatrix dy(256, 6024);
   dy.GaussianInit(&rng, 0.0f, 1.0f);
-  ExpectAllProductsMatchOracle(dy, w.Transposed());
+  ExpectAllProductsMatchOracle(dy, Transposed(w));
 }
 
 TEST(DenseMatrixTest, NonFiniteOppositeZerosIsSkipped) {
@@ -327,13 +328,13 @@ TEST(DenseMatrixTest, MlpGradientsMatchTransposeThenMultiply) {
             d.data()[i] *= masks[l].data()[i];
           }
         }
-        want_w[l].Axpy(1.0f, ReferenceMatMul(inputs[l].Transposed(), d));
+        want_w[l].Axpy(1.0f, ReferenceMatMul(Transposed(inputs[l]), d));
         for (int64_t i = 0; i < d.rows(); ++i) {
           for (int64_t j = 0; j < d.cols(); ++j) {
             want_b[l].At(0, j) += d.At(i, j);
           }
         }
-        d = ReferenceMatMul(d, mlp.layer(l).weight().Transposed());
+        d = ReferenceMatMul(d, Transposed(mlp.layer(l).weight()));
       }
       EXPECT_TRUE(SameBytes(dx, d)) << "round " << round;
       for (size_t l = 0; l < layers; ++l) {

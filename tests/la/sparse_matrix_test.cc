@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "la/matrix_oracles.h"
+
 namespace coane {
 namespace {
 
@@ -62,7 +64,7 @@ TEST(SparseMatrixTest, MatMulDenseMatchesDense) {
   DenseMatrix d(3, 2);
   for (int i = 0; i < 6; ++i) d.data()[i] = static_cast<float>(i + 1);
   DenseMatrix got = m.MatMulDense(d);
-  DenseMatrix want = m.ToDense().MatMul(d);
+  DenseMatrix want = ToDense(m).MatMul(d);
   ASSERT_TRUE(got.SameShape(want));
   for (int64_t i = 0; i < got.size(); ++i) {
     EXPECT_FLOAT_EQ(got.data()[i], want.data()[i]);
@@ -71,7 +73,7 @@ TEST(SparseMatrixTest, MatMulDenseMatchesDense) {
 
 TEST(SparseMatrixTest, ToDense) {
   SparseMatrix m = MakeExample();
-  DenseMatrix d = m.ToDense();
+  DenseMatrix d = ToDense(m);
   EXPECT_FLOAT_EQ(d.At(0, 1), 2.0f);
   EXPECT_FLOAT_EQ(d.At(1, 2), 3.0f);
   EXPECT_FLOAT_EQ(d.At(2, 0), 0.0f);
@@ -102,7 +104,7 @@ TEST(SparseMatrixTest, EmptyMatrix) {
   for (int64_t r = 0; r < 4; ++r) EXPECT_EQ(m.RowNnz(r), 0);
   DenseMatrix d(4, 3, 1.0f);
   DenseMatrix out = m.MatMulDense(d);
-  EXPECT_DOUBLE_EQ(out.FrobeniusNorm(), 0.0);
+  EXPECT_DOUBLE_EQ(FrobeniusNorm(out), 0.0);
 }
 
 }  // namespace

@@ -161,21 +161,6 @@ TEST(VectorOpsTest, LogSigmoidNoOverflow) {
   EXPECT_NEAR(LogSigmoid(500.0f), 0.0f, 1e-6);
 }
 
-TEST(VectorOpsTest, SoftmaxSumsToOne) {
-  float a[] = {1.0f, 2.0f, 3.0f};
-  SoftmaxInPlace(a, 3);
-  EXPECT_NEAR(a[0] + a[1] + a[2], 1.0f, 1e-6);
-  EXPECT_GT(a[2], a[1]);
-  EXPECT_GT(a[1], a[0]);
-}
-
-TEST(VectorOpsTest, SoftmaxStableForLargeInputs) {
-  float a[] = {1000.0f, 1000.0f};
-  SoftmaxInPlace(a, 2);
-  EXPECT_NEAR(a[0], 0.5f, 1e-6);
-  EXPECT_NEAR(a[1], 0.5f, 1e-6);
-}
-
 TEST(VectorOpsTest, CosineSimilarity) {
   float a[] = {1, 0};
   float b[] = {0, 1};

@@ -135,7 +135,9 @@ TEST(ContextEncoderTest, FilterGradientMatchesFiniteDifference) {
     std::vector<float> z(2);
     enc.EncodeNode(cs, x, 1, z.data());
     enc.ZeroGrad();
-    enc.AccumulateGradient(cs, x, 1, z.data());
+    std::vector<DenseMatrix> buf = enc.MakeGradBuffer();
+    enc.AccumulateGradientInto(cs, x, 1, z.data(), &buf);
+    enc.MergeGrad(buf);
 
     // Compare the analytic gradient entry by entry with a central
     // difference of the loss.
@@ -189,7 +191,9 @@ TEST(ContextEncoderTest, TrainingReducesLoss) {
     std::vector<float> dz(2);
     for (int j = 0; j < 2; ++j) dz[j] = z[j] - target[j];
     enc.ZeroGrad();
-    enc.AccumulateGradient(cs, x, 1, dz.data());
+    std::vector<DenseMatrix> buf = enc.MakeGradBuffer();
+    enc.AccumulateGradientInto(cs, x, 1, dz.data(), &buf);
+    enc.MergeGrad(buf);
     enc.ApplyGrad(&opt);
   }
   EXPECT_LT(current_loss(), initial * 0.01);

@@ -169,20 +169,6 @@ TEST(ReluTest, ForwardAndBackward) {
   EXPECT_FLOAT_EQ(dx.At(0, 3), 0.0f);
 }
 
-TEST(SigmoidTest, ForwardAndBackward) {
-  SigmoidActivation sig;
-  DenseMatrix x(1, 2);
-  x.At(0, 0) = 0.0f;
-  x.At(0, 1) = 100.0f;
-  DenseMatrix y = sig.Forward(x);
-  EXPECT_FLOAT_EQ(y.At(0, 0), 0.5f);
-  EXPECT_NEAR(y.At(0, 1), 1.0f, 1e-6);
-  DenseMatrix dy(1, 2, 1.0f);
-  DenseMatrix dx = sig.Backward(dy);
-  EXPECT_FLOAT_EQ(dx.At(0, 0), 0.25f);  // s(1-s) at s=0.5
-  EXPECT_NEAR(dx.At(0, 1), 0.0f, 1e-6);
-}
-
 TEST(MseLossTest, ValueAndGradient) {
   DenseMatrix pred(1, 2);
   pred.At(0, 0) = 1.0f;

@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "la/dense_matrix.h"
+#include "la/matrix_oracles.h"
 #include "la/sparse_matrix.h"
 
 namespace coane {
@@ -40,7 +41,7 @@ TEST_P(MatrixAlgebraTest, DoubleTransposeIsIdentity) {
   auto [r, k, c] = GetParam();
   Rng rng(static_cast<uint64_t>(r * 100 + k * 10 + c));
   DenseMatrix a = RandomDense(r, c, &rng);
-  DenseMatrix tt = a.Transposed().Transposed();
+  DenseMatrix tt = Transposed(Transposed(a));
   ASSERT_TRUE(tt.SameShape(a));
   for (int64_t i = 0; i < a.size(); ++i) {
     EXPECT_FLOAT_EQ(tt.data()[i], a.data()[i]);
@@ -52,8 +53,8 @@ TEST_P(MatrixAlgebraTest, TransposeOfProduct) {
   Rng rng(static_cast<uint64_t>(r * 101 + k * 11 + c));
   DenseMatrix a = RandomDense(r, k, &rng);
   DenseMatrix b = RandomDense(k, c, &rng);
-  DenseMatrix left = a.MatMul(b).Transposed();
-  DenseMatrix right = b.Transposed().MatMul(a.Transposed());
+  DenseMatrix left = Transposed(a.MatMul(b));
+  DenseMatrix right = Transposed(b).MatMul(Transposed(a));
   ASSERT_TRUE(left.SameShape(right));
   for (int64_t i = 0; i < left.size(); ++i) {
     EXPECT_NEAR(left.data()[i], right.data()[i], 1e-4f);
@@ -83,7 +84,7 @@ TEST_P(MatrixAlgebraTest, SparseMatMulMatchesDense) {
   SparseMatrix s = RandomSparse(r, k, 0.3, &rng);
   DenseMatrix d = RandomDense(k, c, &rng);
   DenseMatrix via_sparse = s.MatMulDense(d);
-  DenseMatrix via_dense = s.ToDense().MatMul(d);
+  DenseMatrix via_dense = ToDense(s).MatMul(d);
   ASSERT_TRUE(via_sparse.SameShape(via_dense));
   for (int64_t i = 0; i < via_sparse.size(); ++i) {
     EXPECT_NEAR(via_sparse.data()[i], via_dense.data()[i], 1e-4f);
@@ -96,9 +97,9 @@ TEST_P(MatrixAlgebraTest, SparseAddMatchesDenseAdd) {
   Rng rng(static_cast<uint64_t>(r * 104 + k * 14));
   SparseMatrix a = RandomSparse(r, k, 0.25, &rng);
   SparseMatrix b = RandomSparse(r, k, 0.25, &rng);
-  DenseMatrix sum_sparse = SparseMatrix::Add(a, b).ToDense();
-  DenseMatrix sum_dense = a.ToDense();
-  sum_dense.Axpy(1.0f, b.ToDense());
+  DenseMatrix sum_sparse = ToDense(SparseMatrix::Add(a, b));
+  DenseMatrix sum_dense = ToDense(a);
+  sum_dense.Axpy(1.0f, ToDense(b));
   for (int64_t i = 0; i < sum_sparse.size(); ++i) {
     EXPECT_NEAR(sum_sparse.data()[i], sum_dense.data()[i], 1e-5f);
   }

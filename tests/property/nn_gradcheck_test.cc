@@ -59,7 +59,9 @@ TEST_P(ConvGradcheckTest, FilterGradientsMatchFiniteDifference) {
   std::vector<float> z(static_cast<size_t>(out));
   enc.EncodeNode(cs, x, 1, z.data());
   enc.ZeroGrad();
-  enc.AccumulateGradient(cs, x, 1, z.data());
+  std::vector<DenseMatrix> buf = enc.MakeGradBuffer();
+  enc.AccumulateGradientInto(cs, x, 1, z.data(), &buf);
+  enc.MergeGrad(buf);
 
   // Analytic gradient of filters = sum over contexts/positions of
   // (1/|C|) x_u outer dz. Verify numerically against the loss.

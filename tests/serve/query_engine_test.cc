@@ -68,16 +68,22 @@ TEST_F(QueryEngineTest, EngineWithoutSnapshotFailsPrecondition) {
 
 // What the server's unobserved-node gate relies on: a generation acquired
 // once keeps answering through the *OnSnapshot forms after a hot-swap,
-// while the engine's own entry points move on to the new generation.
+// while a fresh AcquireSnapshot (and the engine's own KnnById) moves on to
+// the new generation.
 TEST_F(QueryEngineTest, AcquiredSnapshotKeepsAnsweringAfterASwap) {
   auto server = MakeServer();
   const QueryEngine& engine = server->engine();
   auto acquired = engine.AcquireSnapshot();
   ASSERT_TRUE(acquired.ok());
   const Snapshot& first = *acquired.value();
-  const std::vector<float> row_before = engine.Fetch(5).value();
+  const std::vector<float> row_before =
+      QueryEngine::FetchOnSnapshot(*engine.AcquireSnapshot().value(), 5)
+          .value();
   const std::vector<Neighbor> knn_before = engine.KnnById(5, 4).value();
-  const std::vector<double> score_before = engine.ScoreLinks({{0, 5}}).value();
+  const std::vector<double> score_before =
+      QueryEngine::ScoreLinksOnSnapshot(*engine.AcquireSnapshot().value(),
+                                        {{0, 5}}, nullptr)
+          .value();
 
   DenseMatrix other(60, 8);
   Rng rng(77);
@@ -86,7 +92,10 @@ TEST_F(QueryEngineTest, AcquiredSnapshotKeepsAnsweringAfterASwap) {
   ASSERT_TRUE(SaveEmbeddings(other, other_path).ok());
   ASSERT_TRUE(server->Publish(other_path).ok());
   ASSERT_NE(engine.CurrentSnapshot().get(), &first);
-  EXPECT_NE(engine.Fetch(5).value(), row_before);
+  EXPECT_NE(
+      QueryEngine::FetchOnSnapshot(*engine.AcquireSnapshot().value(), 5)
+          .value(),
+      row_before);
 
   EXPECT_EQ(QueryEngine::FetchOnSnapshot(first, 5).value(), row_before);
   const auto knn = QueryEngine::KnnByIdOnSnapshot(
@@ -265,7 +274,8 @@ TEST_F(QueryEngineTest, ScoreLinksMatchesManualCosine) {
   };
   const std::vector<std::pair<int64_t, int64_t>> pairs = {
       {4, 4}, {0, 59}, {12, 3}};
-  const auto scores = server->engine().ScoreLinks(pairs);
+  const auto scores =
+      QueryEngine::ScoreLinksOnSnapshot(*snapshot, pairs, nullptr);
   ASSERT_TRUE(scores.ok()) << scores.status().ToString();
   ASSERT_EQ(scores.value().size(), pairs.size());
   EXPECT_NEAR(scores.value()[0], 1.0, 1e-5);  // self-similarity
@@ -277,7 +287,8 @@ TEST_F(QueryEngineTest, ScoreLinksMatchesManualCosine) {
 
 TEST_F(QueryEngineTest, ScoreLinksRejectsBadRow) {
   auto server = MakeServer();
-  const auto scores = server->engine().ScoreLinks({{0, -1}});
+  const auto scores = QueryEngine::ScoreLinksOnSnapshot(
+      *server->engine().AcquireSnapshot().value(), {{0, -1}}, nullptr);
   ASSERT_FALSE(scores.ok());
   EXPECT_EQ(scores.status().code(), StatusCode::kOutOfRange);
 }
@@ -285,7 +296,7 @@ TEST_F(QueryEngineTest, ScoreLinksRejectsBadRow) {
 TEST_F(QueryEngineTest, FetchCopiesStoredRow) {
   auto server = MakeServer();
   auto snapshot = server->engine().CurrentSnapshot();
-  const auto row = server->engine().Fetch(42);
+  const auto row = QueryEngine::FetchOnSnapshot(*snapshot, 42);
   ASSERT_TRUE(row.ok());
   ASSERT_EQ(static_cast<int64_t>(row.value().size()),
             snapshot->store->dim());
@@ -293,7 +304,7 @@ TEST_F(QueryEngineTest, FetchCopiesStoredRow) {
     EXPECT_EQ(row.value()[j],
               snapshot->store->Vector(42)[static_cast<int64_t>(j)]);
   }
-  EXPECT_EQ(server->engine().Fetch(999).status().code(),
+  EXPECT_EQ(QueryEngine::FetchOnSnapshot(*snapshot, 999).status().code(),
             StatusCode::kOutOfRange);
 }
 

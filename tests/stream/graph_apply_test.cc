@@ -1,14 +1,14 @@
 // Deterministic mutation application (ctest tier `stream`): op
 // semantics including the observation-mask rules, the change delta that
 // drives every incremental stage, chain-fingerprint purity (timestamps
-// excluded, payloads included), sequence contiguity, and the k-hop
-// invalidation bound.
+// excluded, payloads included) and sequence contiguity.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "graph/graph_builder.h"
+#include "graph/graph_oracles.h"
 #include "stream/graph_apply.h"
 #include "stream/mutation_log.h"
 
@@ -55,8 +55,8 @@ TEST(GraphApplyTest, EdgeUpsertAddRemoveReweight) {
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   const Graph& g = applied.value();
   EXPECT_TRUE(g.HasEdge(0, 3));
-  EXPECT_EQ(g.EdgeWeight(0, 1), 5.0f);
-  EXPECT_EQ(g.EdgeWeight(1, 2), 1.0f);
+  EXPECT_EQ(EdgeWeight(g, 0, 1), 5.0f);
+  EXPECT_EQ(EdgeWeight(g, 1, 2), 1.0f);
   EXPECT_FALSE(g.HasEdge(2, 3));
   EXPECT_EQ(g.num_edges(), 3);
 
@@ -231,19 +231,6 @@ TEST(GraphApplyTest, ChainFingerprintIsPureAndOrderSensitive) {
             GraphFingerprint(ApplyMutations(base, batch, 1, seed, nullptr)
                                  .ValueOrDie()));
   EXPECT_NE(GraphFingerprint(replay.value()), seed);
-}
-
-TEST(GraphApplyTest, KHopNeighborhoodBound) {
-  // Path 0-1-2-3: seeds {0}.
-  const Graph g = MakePath4();
-  auto h0 = KHopNeighborhood(g, {0}, 0);
-  EXPECT_EQ(h0, (std::vector<uint8_t>{1, 0, 0, 0}));
-  auto h1 = KHopNeighborhood(g, {0}, 1);
-  EXPECT_EQ(h1, (std::vector<uint8_t>{1, 1, 0, 0}));
-  auto h2 = KHopNeighborhood(g, {0}, 2);
-  EXPECT_EQ(h2, (std::vector<uint8_t>{1, 1, 1, 0}));
-  auto h9 = KHopNeighborhood(g, {0}, 9);
-  EXPECT_EQ(h9, (std::vector<uint8_t>{1, 1, 1, 1}));
 }
 
 }  // namespace

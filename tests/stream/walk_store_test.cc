@@ -11,9 +11,11 @@
 #include <vector>
 
 #include "common/atomic_file.h"
+#include "common/checksum.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "graph/graph_builder.h"
+#include "nn/serialize.h"
 #include "stream/graph_apply.h"
 #include "stream/mutation_log.h"
 #include "stream/walk_store.h"
@@ -218,6 +220,47 @@ TEST(WalkStoreTest, SaveLoadRoundTripsAndDetectsCorruption) {
   auto corrupt = LoadWalkCorpus(path);
   ASSERT_FALSE(corrupt.ok());
   EXPECT_EQ(corrupt.status().code(), StatusCode::kDataLoss);
+
+  ASSERT_TRUE(RemoveTree(dir).ok());
+}
+
+// A CRC-valid 40-byte store whose walk count or walk length is larger than
+// its bytes can hold is DataLoss naming the path, rejected before the
+// length can size an allocation.
+TEST(WalkStoreTest, CraftedLengthsAreDataLossNotAllocations) {
+  char tmpl[] = "/tmp/coane_wstore_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string path = dir + "/gen_0.walks";
+
+  // The genuine header: magic, version, master, walks per node, length.
+  const Graph g = MakeRing();
+  auto corpus = BuildWalkCorpus(g, kWalksPerNode, kWalkLength, kSeed);
+  ASSERT_TRUE(corpus.ok());
+  ASSERT_TRUE(SaveWalkCorpus(corpus.value(), path).ok());
+  auto saved = ReadFileToString(path);
+  ASSERT_TRUE(saved.ok());
+  const std::string header = saved.value().substr(0, 24);
+
+  struct Case {
+    const char* name;
+    uint64_t count;
+    uint32_t first_walk_len;
+  };
+  for (const Case& c : {Case{"2^62 walks", uint64_t{1} << 62, 0},
+                        Case{"one walk of 4e9 nodes", 1, 4000000000u}}) {
+    std::string blob = header;
+    AppendU64(&blob, c.count);
+    AppendU32(&blob, c.first_walk_len);
+    AppendU32(&blob, Crc32(blob));
+    ASSERT_EQ(blob.size(), 40u);
+    ASSERT_TRUE(WriteFileAtomic(path, blob).ok());
+    auto loaded = LoadWalkCorpus(path);
+    ASSERT_FALSE(loaded.ok()) << c.name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << c.name;
+    EXPECT_NE(loaded.status().message().find(path), std::string::npos)
+        << loaded.status().ToString();
+  }
 
   ASSERT_TRUE(RemoveTree(dir).ok());
 }
