@@ -30,6 +30,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/string_utils.h"
+#include "graph/graph_io.h"
 #include "serve/brute_force_index.h"
 #include "serve/embedding_store.h"
 #include "serve/frontend.h"
@@ -115,11 +116,19 @@ std::string RoundTrip(int port, const std::string& request) {
 // requests stays flat as offered load grows past capacity: excess load is
 // refused in O(1), it does not queue behind the pool and poison latency.
 void RunOverload(const benchutil::BenchOptions& opt,
-                 const std::string& store_path) {
+                 const DenseMatrix& embeddings) {
   std::signal(SIGPIPE, SIG_IGN);
+  const std::string artifact_path =
+      (std::filesystem::temp_directory_path() /
+       ("coane_bench_latency_" + std::to_string(::getpid()) + ".emb"))
+          .string();
+  CheckOk(SaveEmbeddings(embeddings, artifact_path), "SaveEmbeddings");
   serve::ServerOptions server_options;
   serve::Server server(server_options);
-  CheckOk(server.Start(store_path), "Server::Start");
+  // The snapshot is held in memory, so the artifact can go at once.
+  const Status started = server.Start(artifact_path);
+  std::filesystem::remove(artifact_path);
+  CheckOk(started, "Server::Start");
 
   serve::FrontendOptions frontend_options;
   frontend_options.port = 0;
@@ -196,16 +205,7 @@ void Run(const benchutil::BenchOptions& opt) {
 
   const DenseMatrix embeddings =
       ClusteredEmbeddings(n, dim, /*clusters=*/32, opt.seed);
-  const std::string store_path =
-      (std::filesystem::temp_directory_path() /
-       ("coane_bench_latency_" + std::to_string(::getpid()) + ".store"))
-          .string();
-  CheckOk(EmbeddingStore::Write(embeddings, 0, store_path),
-          "EmbeddingStore::Write");
-  auto opened = benchutil::Unwrap(EmbeddingStore::Open(store_path),
-                                  "EmbeddingStore::Open");
-  auto store =
-      std::make_shared<const EmbeddingStore>(std::move(opened));
+  auto store = std::make_shared<const EmbeddingStore>(embeddings);
 
   auto exact = std::make_shared<const BruteForceIndex>(
       store, Metric::kCosine);
@@ -327,8 +327,7 @@ void Run(const benchutil::BenchOptions& opt) {
 
   table.ToStdout();
   benchutil::WriteCsv(table, "serve_latency");
-  RunOverload(opt, store_path);
-  std::filesystem::remove(store_path);
+  RunOverload(opt, embeddings);
 }
 
 }  // namespace

@@ -77,6 +77,16 @@ bool ParseDouble(const std::string& s, double* out, bool* finite) {
   return true;
 }
 
+// `token` as a diagnostic quotes it: bytes outside printable ASCII (a
+// binary file read as text) show as '?', and a long token is cut short.
+std::string Shown(const std::string& token) {
+  std::string shown = token.substr(0, 24);
+  for (char& c : shown) {
+    if (!std::isprint(static_cast<unsigned char>(c))) c = '?';
+  }
+  return shown.size() < token.size() ? shown + "..." : shown;
+}
+
 std::string Diagnostic(const std::string& path, int64_t line, int column,
                        const std::string& message) {
   return path + ":" + std::to_string(line) + ":" + std::to_string(column) +
@@ -660,34 +670,41 @@ Result<DenseMatrix> LoadEmbeddings(const std::string& path) {
   // A file that ends in a CRC footer is verified before any float is
   // parsed; files without one (hand-written, legacy) still load.
   std::vector<RecordLine> lines;
-  std::vector<std::vector<std::string>> data;
   COANE_RETURN_IF_ERROR(
       ForEachRecordLine(path, raw.value(), [&](const RecordLine& line) {
         const std::string trimmed = Trim(line.text);
-        if (!trimmed.empty() && trimmed[0] != '#') {
-          lines.push_back(line);
-          data.push_back(SplitWhitespace(trimmed));
-        }
+        if (!trimmed.empty() && trimmed[0] != '#') lines.push_back(line);
       }));
-  if (data.empty()) return Status::InvalidArgument("empty embedding file");
-  const int64_t dim = static_cast<int64_t>(data[0].size()) - 1;
-  if (dim <= 0) return Status::InvalidArgument("embedding rows need >= 2 fields");
-  DenseMatrix m(static_cast<int64_t>(data.size()), dim);
+  if (lines.empty()) {
+    return Status::InvalidArgument("empty embedding file " + path);
+  }
+  const int64_t dim =
+      static_cast<int64_t>(SplitWhitespace(lines[0].text).size()) - 1;
+  if (dim <= 0) {
+    return RecordLineError(path, lines[0],
+                           "embedding rows need >= 2 fields");
+  }
+  DenseMatrix m(static_cast<int64_t>(lines.size()), dim);
   // One row per line, so an id seen twice also means some id is missing.
-  std::vector<uint8_t> seen(data.size(), 0);
-  for (size_t i = 0; i < data.size(); ++i) {
-    const std::vector<std::string>& row = data[i];
+  std::vector<uint8_t> seen(lines.size(), 0);
+  // Rows are split one at a time: every token of the file at once costs
+  // about eight times the matrix, and a serving generation keeps the
+  // matrix allocated above whatever the parse leaves behind.
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const std::vector<std::string> row = SplitWhitespace(lines[i].text);
     if (static_cast<int64_t>(row.size()) != dim + 1) {
-      return Status::InvalidArgument("ragged embedding file " + path);
+      return RecordLineError(path, lines[i],
+                             "ragged row: " + std::to_string(row.size()) +
+                                 " fields, expected " +
+                                 std::to_string(dim + 1));
     }
     bool overflow = false;
     int64_t r = 0;
-    if (!ParseId(row[0], &r, &overflow)) {
-      return Status::InvalidArgument("bad node id '" + row[0] + "' in " +
-                                     path);
-    }
-    if (r < 0 || r >= m.rows()) {
-      return Status::OutOfRange("embedding node id out of range");
+    if (!ParseId(row[0], &r, &overflow) || r < 0 || r >= m.rows()) {
+      return RecordLineError(path, lines[i],
+                             "node id '" + Shown(row[0]) +
+                                 "' is not in [0, " +
+                                 std::to_string(m.rows()) + ")");
     }
     if (seen[static_cast<size_t>(r)] != 0) {
       return RecordLineError(path, lines[i],
@@ -699,8 +716,9 @@ Result<DenseMatrix> LoadEmbeddings(const std::string& path) {
       double v = 0.0;
       bool finite = false;
       if (!ParseDouble(token, &v, &finite)) {
-        return Status::InvalidArgument("bad number '" + token + "' in " +
-                                       path);
+        return RecordLineError(path, lines[i],
+                               "value '" + Shown(token) +
+                                   "' is not a number");
       }
       // nan, inf and values past the float range would reach the matrix
       // as non-finite floats.

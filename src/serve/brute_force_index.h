@@ -21,7 +21,7 @@ namespace serve {
 /// construction: blocks of kLanes rows, so one vector step scores kLanes
 /// rows at once. Each lane repeats DotScore's operation order for its row,
 /// so every score is bit-identical to the row-major MetricScore. The copy
-/// costs kLanes * ceil(count / kLanes) * dim floats, on top of the mapping.
+/// costs kLanes * ceil(count / kLanes) * dim floats, on top of the store.
 ///
 /// This is the recall=1.0 reference the IVF index is measured against,
 /// and the right choice up to a few hundred thousand vectors.

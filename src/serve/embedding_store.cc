@@ -1,147 +1,22 @@
 #include "serve/embedding_store.h"
 
 #include <cmath>
-#include <cstring>
-
-#include "common/atomic_file.h"
-#include "common/checksum.h"
-#include "graph/graph_io.h"
+#include <utility>
 
 namespace coane {
 namespace serve {
 
-namespace {
-
-void AppendBytes(std::string* out, const void* data, size_t size) {
-  out->append(static_cast<const char*>(data), size);
-}
-
-template <typename T>
-void AppendScalar(std::string* out, T value) {
-  AppendBytes(out, &value, sizeof(value));
-}
-
-template <typename T>
-T ReadScalar(const uint8_t* data) {
-  T value;
-  std::memcpy(&value, data, sizeof(value));
-  return value;
-}
-
-Status Corrupt(const std::string& path, const std::string& what) {
-  return Status::DataLoss("embedding store " + path + " is corrupt: " + what);
-}
-
-}  // namespace
-
-Status EmbeddingStore::Write(const DenseMatrix& embeddings,
-                             uint64_t config_fingerprint,
-                             const std::string& store_path) {
-  if (embeddings.rows() <= 0 || embeddings.cols() <= 0) {
-    return Status::InvalidArgument(
-        "embedding store needs a non-empty matrix");
-  }
-  const int64_t count = embeddings.rows();
-  const int64_t dim = embeddings.cols();
-
-  std::string body;
-  body.reserve(static_cast<size_t>(4 * count * (dim + 1)));
-  for (int64_t i = 0; i < count; ++i) {
+EmbeddingStore::EmbeddingStore(DenseMatrix embeddings)
+    : matrix_(std::move(embeddings)) {
+  // Sum of squares in double, in row order, rounded once: every cosine
+  // score depends on these exact bits.
+  norms_.reserve(static_cast<size_t>(count()));
+  for (int64_t i = 0; i < count(); ++i) {
     double sq = 0.0;
-    const float* row = embeddings.Row(i);
-    for (int64_t j = 0; j < dim; ++j) sq += double(row[j]) * row[j];
-    AppendScalar<float>(&body, static_cast<float>(std::sqrt(sq)));
+    const float* row = Vector(i);
+    for (int64_t j = 0; j < dim(); ++j) sq += double(row[j]) * row[j];
+    norms_.push_back(static_cast<float>(std::sqrt(sq)));
   }
-  AppendBytes(&body, embeddings.data(),
-              static_cast<size_t>(4 * count * dim));
-
-  std::string header;
-  header.reserve(kHeaderBytes);
-  AppendBytes(&header, kMagic, sizeof(kMagic));
-  AppendScalar<uint32_t>(&header, kVersion);
-  AppendScalar<uint32_t>(&header, static_cast<uint32_t>(dim));
-  AppendScalar<uint64_t>(&header, static_cast<uint64_t>(count));
-  AppendScalar<uint64_t>(&header, config_fingerprint);
-  AppendScalar<uint32_t>(&header, Crc32(body.data(), body.size()));
-  AppendScalar<uint32_t>(&header, Crc32(header.data(), header.size()));
-
-  return WriteFileAtomic(store_path, header + body, "serve.store_write");
-}
-
-Status EmbeddingStore::BuildFromTextEmbeddings(
-    const std::string& text_path, const std::string& store_path,
-    uint64_t config_fingerprint) {
-  auto embeddings = LoadEmbeddings(text_path);
-  if (!embeddings.ok()) return embeddings.status();
-  return Write(embeddings.value(), config_fingerprint, store_path);
-}
-
-Result<EmbeddingStore> EmbeddingStore::Open(const std::string& store_path) {
-  auto mapped = MmapFile::Open(store_path);
-  if (!mapped.ok()) return mapped.status();
-  EmbeddingStore store;
-  store.file_ = std::move(mapped).ValueOrDie();
-  const uint8_t* data = store.file_.data();
-  const size_t size = store.file_.size();
-
-  if (size < kHeaderBytes) {
-    return Corrupt(store_path, "file is " + std::to_string(size) +
-                                   " bytes, header needs " +
-                                   std::to_string(kHeaderBytes));
-  }
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
-    return Corrupt(store_path, "bad magic");
-  }
-  const uint32_t header_crc = ReadScalar<uint32_t>(data + 36);
-  const uint32_t actual_header_crc = Crc32(data, 36);
-  if (header_crc != actual_header_crc) {
-    return Corrupt(store_path, "header CRC mismatch");
-  }
-  const uint32_t version = ReadScalar<uint32_t>(data + 8);
-  if (version != kVersion) {
-    return Corrupt(store_path,
-                   "unsupported version " + std::to_string(version));
-  }
-  const uint32_t dim = ReadScalar<uint32_t>(data + 12);
-  const uint64_t count = ReadScalar<uint64_t>(data + 16);
-  store.config_fingerprint_ = ReadScalar<uint64_t>(data + 24);
-  const uint32_t body_crc = ReadScalar<uint32_t>(data + 32);
-
-  if (dim == 0 || count == 0) {
-    return Corrupt(store_path, "empty dimensions (dim=" +
-                                   std::to_string(dim) + ", count=" +
-                                   std::to_string(count) + ")");
-  }
-  // Exact-size check: both truncation and trailing garbage are rejected.
-  // All arithmetic in uint64 with an overflow guard before multiplying.
-  if (count > (uint64_t{1} << 40) || dim > (1u << 20)) {
-    return Corrupt(store_path, "implausible dimensions");
-  }
-  const uint64_t body_bytes = 4 * count * (uint64_t{dim} + 1);
-  if (size != kHeaderBytes + body_bytes) {
-    return Corrupt(store_path,
-                   "file is " + std::to_string(size) + " bytes, header (" +
-                       std::to_string(count) + " x " + std::to_string(dim) +
-                       ") requires " +
-                       std::to_string(kHeaderBytes + body_bytes));
-  }
-  const uint32_t actual_body_crc =
-      Crc32(data + kHeaderBytes, static_cast<size_t>(body_bytes));
-  if (body_crc != actual_body_crc) {
-    return Corrupt(store_path, "body CRC mismatch");
-  }
-
-  store.count_ = static_cast<int64_t>(count);
-  store.dim_ = static_cast<int64_t>(dim);
-  store.norms_ = reinterpret_cast<const float*>(data + kHeaderBytes);
-  store.vectors_ = store.norms_ + count;
-  return store;
-}
-
-DenseMatrix EmbeddingStore::ToDenseMatrix() const {
-  DenseMatrix m(count_, dim_);
-  std::memcpy(m.data(), vectors_, static_cast<size_t>(4 * count_ * dim_));
-  return m;
 }
 
 }  // namespace serve

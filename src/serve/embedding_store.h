@@ -2,85 +2,42 @@
 #define COANE_SERVE_EMBEDDING_STORE_H_
 
 #include <cstdint>
-#include <string>
+#include <vector>
 
-#include "common/mmap_file.h"
-#include "common/status.h"
 #include "la/dense_matrix.h"
 
 namespace coane {
 namespace serve {
 
-/// Immutable, memory-mapped embedding snapshot — the storage format of the
-/// serving read path.
+/// Immutable in-memory embedding table — what one serving generation
+/// reads. It holds the matrix `LoadEmbeddings` parsed from the published
+/// artifact (row i is node i) plus a table of per-row L2 norms, computed
+/// once here so cosine scoring never recomputes them.
 ///
-/// The trainer publishes text embeddings (`SaveEmbeddings`, CRC-footered);
-/// the server compiles them once into this binary layout and then serves
-/// straight out of the page cache. On-disk layout, little-endian:
-///
-///   [ 0, 40)  header: magic "COANEST1", u32 version, u32 dim, u64 count,
-///             u64 config_fingerprint, u32 body_crc, u32 header_crc
-///   [40, 40 + 4*count)                norm table (float L2 norm per row)
-///   [.., .. + 4*count*dim)            vectors, row-major float
-///
-/// header_crc covers the 36 bytes before it; body_crc covers the norm
-/// table and vectors. Open() proves both before a single float is
-/// trusted, and rejects any size that disagrees with (count, dim) — a
-/// truncated or appended-to file is kDataLoss, never a short read.
-///
-/// Store files are written atomically (temp + rename) and never modified
-/// in place; hot-swap replaces the whole snapshot, so an open store stays
-/// valid for its lifetime even while newer snapshots are published.
+/// Every snapshot build parses its artifact afresh (the CRC footer is
+/// checked before any float is read); nothing is written beside the
+/// artifact. Hot-swap replaces the whole snapshot, so a store stays valid
+/// for as long as any in-flight query holds its generation.
 class EmbeddingStore {
  public:
-  static constexpr char kMagic[8] = {'C', 'O', 'A', 'N',
-                                     'E', 'S', 'T', '1'};
-  static constexpr uint32_t kVersion = 1;
-  static constexpr size_t kHeaderBytes = 40;
+  /// Takes `embeddings` as the table and computes its norm table.
+  explicit EmbeddingStore(DenseMatrix embeddings);
 
-  /// Serializes `embeddings` (with per-row norms and `config_fingerprint`
-  /// in the header) atomically to `store_path`. Fault point:
-  /// "serve.store_write".
-  static Status Write(const DenseMatrix& embeddings,
-                      uint64_t config_fingerprint,
-                      const std::string& store_path);
+  int64_t count() const { return matrix_.rows(); }
+  int64_t dim() const { return matrix_.cols(); }
 
-  /// Reads a text embedding file (SaveEmbeddings format; its CRC footer
-  /// is verified by the loader) and compiles it to `store_path`.
-  static Status BuildFromTextEmbeddings(const std::string& text_path,
-                                        const std::string& store_path,
-                                        uint64_t config_fingerprint);
-
-  /// Maps `store_path` and verifies magic, version, both CRCs, and the
-  /// exact file size. kIoError when the file cannot be mapped (fault
-  /// point "serve.mmap" via MmapFile); kDataLoss naming the path for any
-  /// corruption.
-  static Result<EmbeddingStore> Open(const std::string& store_path);
-
-  int64_t count() const { return count_; }
-  int64_t dim() const { return dim_; }
-  uint64_t config_fingerprint() const { return config_fingerprint_; }
-  const std::string& path() const { return file_.path(); }
-
-  /// Row `i`, valid for 0 <= i < count(). Points into the mapping.
-  const float* Vector(int64_t i) const { return vectors_ + i * dim_; }
+  /// Row `i`, valid for 0 <= i < count().
+  const float* Vector(int64_t i) const { return matrix_.Row(i); }
 
   /// Precomputed L2 norm of row `i`.
-  float Norm(int64_t i) const { return norms_[i]; }
+  float Norm(int64_t i) const { return norms_[static_cast<size_t>(i)]; }
 
-  /// Copies the whole table into a DenseMatrix (index construction,
-  /// tests). O(count * dim) memory — not for the per-query path.
-  DenseMatrix ToDenseMatrix() const;
+  /// The whole table (index construction copies it).
+  const DenseMatrix& matrix() const { return matrix_; }
 
  private:
-  EmbeddingStore() = default;
-
-  MmapFile file_;
-  int64_t count_ = 0;
-  int64_t dim_ = 0;
-  uint64_t config_fingerprint_ = 0;
-  const float* norms_ = nullptr;
-  const float* vectors_ = nullptr;
+  DenseMatrix matrix_;
+  std::vector<float> norms_;
 };
 
 }  // namespace serve

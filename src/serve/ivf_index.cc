@@ -46,7 +46,7 @@ Result<std::unique_ptr<IvfIndex>> IvfIndex::Build(
   const int nlist = static_cast<int>(
       std::min<int64_t>(config.nlist, n));
 
-  DenseMatrix points = store->ToDenseMatrix();
+  DenseMatrix points = store->matrix();
   if (metric == Metric::kCosine) {
     for (int64_t i = 0; i < n; ++i) {
       NormalizeRow(points.Row(i), points.cols());

@@ -88,8 +88,8 @@ float MetricScore(Metric metric, const float* q, float q_norm,
 /// Read-only k-nearest-neighbor index over one EmbeddingStore snapshot.
 /// Implementations are immutable after construction and safe for
 /// concurrent Search calls from many serving threads; they keep the
-/// store alive via shared ownership, so a snapshot cannot be unmapped
-/// while an index still references it.
+/// store alive via shared ownership, so a snapshot's table cannot be
+/// freed while an index still references it.
 class KnnIndex {
  public:
   virtual ~KnnIndex() = default;

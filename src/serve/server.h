@@ -77,10 +77,10 @@ struct ServerOptions {
 ///   "STATS"               latency histogram table + swap count +
 ///                         freshness line (snapshot_seq, log_pos,
 ///                         snapshot_age_sec)
-///   "PUBLISH" path        build a snapshot from `path` (text embeddings
-///                         or compiled store; manifest-verified when the
-///                         server was configured with one) and hot-swap
-///                         it in
+///   "PUBLISH" path        build a snapshot from the text embeddings at
+///                         `path` (manifest-verified when the server was
+///                         configured with one) and hot-swap it in;
+///                         nothing is written beside `path`
 ///   "QUIT"                mark the session done (ShouldQuit() flips)
 ///
 /// Replies: "OK ..." on one line ("OK" + table lines for STATS), or
@@ -107,7 +107,7 @@ class Server {
   /// Builds a snapshot from `embeddings_path` off the serving structures
   /// (queries keep flowing during the build) and atomically swaps it in.
   /// On any failure — unreadable/corrupt artifact, failed manifest
-  /// verification, injected serve.mmap/serve.swap fault — the previous
+  /// verification, injected serve.swap fault — the previous
   /// snapshot keeps serving untouched.
   Status Publish(const std::string& embeddings_path);
 

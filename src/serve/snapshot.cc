@@ -1,34 +1,17 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "common/atomic_file.h"
 #include "common/fault_injection.h"
 #include "core/artifact_manifest.h"
+#include "graph/graph_io.h"
 #include "serve/brute_force_index.h"
 #include "stream/provenance.h"
 
 namespace coane {
 namespace serve {
-
-namespace {
-
-// True when `path` starts with the EmbeddingStore magic (i.e. is already
-// a compiled store file rather than text embeddings).
-bool LooksLikeStoreFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char magic[sizeof(EmbeddingStore::kMagic)];
-  const size_t read = std::fread(magic, 1, sizeof(magic), f);
-  std::fclose(f);
-  return read == sizeof(magic) &&
-         std::memcmp(magic, EmbeddingStore::kMagic, sizeof(magic)) == 0;
-}
-
-}  // namespace
 
 bool Snapshot::IsUnobserved(int64_t id) const {
   return std::binary_search(unobserved.begin(), unobserved.end(), id);
@@ -46,17 +29,12 @@ Result<std::shared_ptr<const Snapshot>> BuildSnapshot(
         options.manifest_path, "embeddings", embeddings_path));
   }
 
-  std::string store_path = embeddings_path;
-  if (!LooksLikeStoreFile(embeddings_path)) {
-    store_path = embeddings_path + ".store";
-    COANE_RETURN_IF_ERROR(EmbeddingStore::BuildFromTextEmbeddings(
-        embeddings_path, store_path, /*config_fingerprint=*/0));
-  }
-
-  auto opened = EmbeddingStore::Open(store_path);
-  if (!opened.ok()) return opened.status();
+  // The strict reader checks the CRC footer before it parses a float and
+  // rejects every defective row as DataLoss naming path:line.
+  auto embeddings = LoadEmbeddings(embeddings_path);
+  if (!embeddings.ok()) return embeddings.status();
   auto store = std::make_shared<const EmbeddingStore>(
-      std::move(opened).ValueOrDie());
+      std::move(embeddings).ValueOrDie());
 
   auto snapshot = std::make_shared<Snapshot>();
   snapshot->store = store;

@@ -29,10 +29,10 @@ struct SnapshotOptions {
   std::string manifest_path;
 };
 
-/// One immutable serving generation: a mapped store plus the index built
-/// over it. Reached only through shared_ptr<const Snapshot>, so an
+/// One immutable serving generation: an in-memory store plus the index
+/// built over it. Reached only through shared_ptr<const Snapshot>, so an
 /// in-flight query keeps its generation alive across any number of
-/// hot-swaps; the mapping is released when the last query drops it.
+/// hot-swaps; the table is freed when the last query drops it.
 struct Snapshot {
   std::shared_ptr<const EmbeddingStore> store;
   std::shared_ptr<const KnnIndex> index;
@@ -61,12 +61,12 @@ struct Snapshot {
   bool IsUnobserved(int64_t id) const;
 };
 
-/// Builds a snapshot from `embeddings_path` — either a text embedding
-/// file (SaveEmbeddings format; compiled to `<path>.store` next to it) or
-/// an existing binary store file (sniffed by magic). Verification order:
-/// manifest (when configured), then the store's own header/body CRCs,
-/// then index construction. Any failure leaves no snapshot behind —
-/// the caller's current generation is untouched.
+/// Builds a snapshot from `embeddings_path`, a text embedding file
+/// (SaveEmbeddings format), held in memory; nothing is written to disk.
+/// Verification order: manifest (when configured), then the file's CRC
+/// footer and every row (LoadEmbeddings), then the provenance sidecar,
+/// then index construction. Any failure leaves no snapshot behind — the
+/// caller's current generation is untouched.
 Result<std::shared_ptr<const Snapshot>> BuildSnapshot(
     const std::string& embeddings_path, const SnapshotOptions& options,
     uint64_t sequence, const RunContext* ctx = nullptr);

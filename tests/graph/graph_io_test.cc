@@ -187,10 +187,11 @@ TEST_F(GraphIoTest, LegacyEmbeddingsWithoutFooterStillLoad) {
   std::remove(path.c_str());
 }
 
-// The reader is strict on footer-less files too: a non-finite value or a
+// The reader is strict on footer-less files too: a non-finite value, a
 // repeated node id (which, with one row per line, also leaves an id
-// missing) is DataLoss naming the offending path:line.
-TEST_F(GraphIoTest, NonFiniteOrRepeatedEmbeddingRowsAreDataLoss) {
+// missing), a ragged row, an unparsable or out-of-range node id and an
+// unparsable value are each DataLoss naming the offending path:line.
+TEST_F(GraphIoTest, DefectiveEmbeddingRowsAreDataLossAtTheirLine) {
   const std::string path = "/tmp/coane_io_embed_strict.txt";
   struct Case {
     const char* contents;
@@ -198,7 +199,11 @@ TEST_F(GraphIoTest, NonFiniteOrRepeatedEmbeddingRowsAreDataLoss) {
   };
   for (const Case& c : {Case{"0 1 2\n1 3 4\n2 nan 6\n", 3},
                         Case{"0 1 2\n1 inf 4\n2 5 6\n", 2},
-                        Case{"0 1 2\n0 3 4\n2 5 6\n", 2}}) {
+                        Case{"0 1 2\n0 3 4\n2 5 6\n", 2},
+                        Case{"0 1 2\n1 3\n", 2},
+                        Case{"0 1 2\nx 3 4\n2 5 6\n", 2},
+                        Case{"0 1 2\n1 3 4\n7 5 6\n", 3},
+                        Case{"0 1 2\n1 abc 4\n2 5 6\n", 2}}) {
     {
       std::ofstream out(path);
       out << c.contents;

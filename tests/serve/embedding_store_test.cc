@@ -1,7 +1,8 @@
-// EmbeddingStore: the mmap'ed snapshot format of the serving read path.
-// Covers the text-embeddings -> binary store -> mmap round trip (through
-// the trainer's CRC-footered format), corruption/truncation/dim-mismatch
-// rejection, and byte-identical query results across thread counts.
+// EmbeddingStore: the in-memory table of the serving read path. Covers
+// the text-embeddings -> store round trip (through the trainer's
+// CRC-footered format) with bit-exact rows and norms, rejection of a
+// corrupt artifact before a snapshot is built, and byte-identical query
+// results across thread counts.
 
 #include "serve/embedding_store.h"
 
@@ -15,12 +16,11 @@
 #include <string>
 #include <vector>
 
-#include "common/checksum.h"
-#include "common/fault_injection.h"
 #include "common/parallel/global_pool.h"
 #include "common/rng.h"
 #include "graph/graph_io.h"
 #include "serve/brute_force_index.h"
+#include "serve/snapshot.h"
 
 namespace coane {
 namespace serve {
@@ -32,11 +32,9 @@ class EmbeddingStoreTest : public ::testing::Test {
     dir_ = std::filesystem::temp_directory_path() /
            ("coane_store_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
-    fault::Reset();
   }
   void TearDown() override {
     SetGlobalParallelism(1);
-    fault::Reset();
     std::filesystem::remove_all(dir_);
   }
 
@@ -54,49 +52,38 @@ class EmbeddingStoreTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(EmbeddingStoreTest, RoundTripsThroughTextEmbeddingsAndMmap) {
+TEST_F(EmbeddingStoreTest, RoundTripsThroughTextEmbeddings) {
   const DenseMatrix original = MakeEmbeddings(37, 9, 5);
   const std::string text = Path("a.emb");
-  const std::string store_path = Path("a.store");
   ASSERT_TRUE(SaveEmbeddings(original, text).ok());
-  ASSERT_TRUE(EmbeddingStore::BuildFromTextEmbeddings(text, store_path,
-                                                      /*fingerprint=*/77)
-                  .ok());
-
-  auto store = EmbeddingStore::Open(store_path);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ(store.value().count(), 37);
-  EXPECT_EQ(store.value().dim(), 9);
-  EXPECT_EQ(store.value().config_fingerprint(), 77u);
 
   // The text format prints floats with default precision, so compare
   // against what a reader of the text file sees — the store must match
   // the *published artifact* bit-for-bit, not the in-memory matrix.
-  DenseMatrix reloaded = LoadEmbeddings(text).ValueOrDie();
+  const DenseMatrix reloaded = LoadEmbeddings(text).ValueOrDie();
+  const EmbeddingStore store(LoadEmbeddings(text).ValueOrDie());
+  EXPECT_EQ(store.count(), 37);
+  EXPECT_EQ(store.dim(), 9);
+  const size_t row_bytes = sizeof(float) * static_cast<size_t>(store.dim());
   for (int64_t i = 0; i < reloaded.rows(); ++i) {
-    const float* row = store.value().Vector(i);
-    for (int64_t j = 0; j < reloaded.cols(); ++j) {
-      EXPECT_EQ(row[j], reloaded.At(i, j)) << "row " << i << " col " << j;
-    }
-    // Norm table matches a freshly computed norm.
+    EXPECT_EQ(std::memcmp(store.Vector(i), reloaded.Row(i), row_bytes), 0)
+        << "row " << i;
+    // The norm table holds the double sum of squares, rounded once.
     double sq = 0.0;
     for (int64_t j = 0; j < reloaded.cols(); ++j) {
       sq += double(reloaded.At(i, j)) * reloaded.At(i, j);
     }
-    EXPECT_NEAR(store.value().Norm(i), std::sqrt(sq), 1e-5);
+    EXPECT_EQ(store.Norm(i), static_cast<float>(std::sqrt(sq)))
+        << "row " << i;
   }
 }
 
-TEST_F(EmbeddingStoreTest, DirectWriteRoundTripsExactly) {
+TEST_F(EmbeddingStoreTest, KeepsTheGivenMatrixBitForBit) {
   const DenseMatrix original = MakeEmbeddings(12, 4, 9);
-  const std::string store_path = Path("direct.store");
-  ASSERT_TRUE(EmbeddingStore::Write(original, 0, store_path).ok());
-  auto store = EmbeddingStore::Open(store_path);
-  ASSERT_TRUE(store.ok());
-  const DenseMatrix copy = store.value().ToDenseMatrix();
-  ASSERT_TRUE(copy.SameShape(original));
-  for (int64_t i = 0; i < copy.size(); ++i) {
-    EXPECT_EQ(copy.data()[i], original.data()[i]);
+  const EmbeddingStore store(original);
+  ASSERT_TRUE(store.matrix().SameShape(original));
+  for (int64_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(store.matrix().data()[i], original.data()[i]);
   }
 }
 
@@ -116,110 +103,15 @@ TEST_F(EmbeddingStoreTest, CorruptTextFooterIsRejectedBeforeBuilding) {
     std::ofstream out(text);
     out << contents;
   }
-  const Status st = EmbeddingStore::BuildFromTextEmbeddings(
-      text, Path("corrupt.store"), 0);
-  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
-}
-
-TEST_F(EmbeddingStoreTest, TruncatedStoreIsRejected) {
-  const std::string store_path = Path("trunc.store");
-  ASSERT_TRUE(
-      EmbeddingStore::Write(MakeEmbeddings(20, 6, 2), 0, store_path).ok());
-  const auto full_size = std::filesystem::file_size(store_path);
-  std::filesystem::resize_file(store_path, full_size - 13);
-  auto store = EmbeddingStore::Open(store_path);
-  ASSERT_FALSE(store.ok());
-  EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(store.status().message().find("trunc.store"),
-            std::string::npos)
-      << "rejection must name the path";
-}
-
-TEST_F(EmbeddingStoreTest, TrailingGarbageIsRejected) {
-  const std::string store_path = Path("grow.store");
-  ASSERT_TRUE(
-      EmbeddingStore::Write(MakeEmbeddings(5, 3, 3), 0, store_path).ok());
-  std::ofstream out(store_path, std::ios::app | std::ios::binary);
-  out << "extra";
-  out.close();
-  auto store = EmbeddingStore::Open(store_path);
-  ASSERT_FALSE(store.ok());
-  EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
-}
-
-TEST_F(EmbeddingStoreTest, FlippedBodyByteIsRejected) {
-  const std::string store_path = Path("flip.store");
-  ASSERT_TRUE(
-      EmbeddingStore::Write(MakeEmbeddings(16, 8, 4), 0, store_path).ok());
-  std::fstream f(store_path,
-                 std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(static_cast<std::streamoff>(EmbeddingStore::kHeaderBytes + 41));
-  char byte = 0;
-  f.read(&byte, 1);
-  f.seekp(static_cast<std::streamoff>(EmbeddingStore::kHeaderBytes + 41));
-  byte = static_cast<char>(byte ^ 0x40);
-  f.write(&byte, 1);
-  f.close();
-  auto store = EmbeddingStore::Open(store_path);
-  ASSERT_FALSE(store.ok());
-  EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(store.status().message().find("body CRC"), std::string::npos);
-}
-
-TEST_F(EmbeddingStoreTest, DimMismatchInHeaderIsRejected) {
-  const std::string store_path = Path("dim.store");
-  ASSERT_TRUE(
-      EmbeddingStore::Write(MakeEmbeddings(10, 4, 6), 0, store_path).ok());
-  // Forge dim 4 -> 5 and refresh the header CRC so only the size check
-  // (header vs actual payload) can catch the lie.
-  std::string contents;
-  {
-    std::ifstream in(store_path, std::ios::binary);
-    contents.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  contents[12] = 5;
-  const uint32_t new_crc = Crc32(contents.data(), 36);
-  std::memcpy(&contents[36], &new_crc, sizeof(new_crc));
-  {
-    std::ofstream out(store_path, std::ios::binary | std::ios::trunc);
-    out << contents;
-  }
-  auto store = EmbeddingStore::Open(store_path);
-  ASSERT_FALSE(store.ok());
-  EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(store.status().message().find("requires"), std::string::npos);
-}
-
-TEST_F(EmbeddingStoreTest, NonStoreFileIsRejectedByMagic) {
-  const std::string path = Path("not_a.store");
-  std::ofstream(path) << "node embedding gibberish\n";
-  auto store = EmbeddingStore::Open(path);
-  ASSERT_FALSE(store.ok());
-  EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
-}
-
-TEST_F(EmbeddingStoreTest, InjectedMmapFaultSurfacesAsIoError) {
-  const std::string store_path = Path("fault.store");
-  ASSERT_TRUE(
-      EmbeddingStore::Write(MakeEmbeddings(6, 2, 8), 0, store_path).ok());
-  fault::Arm("serve.mmap", /*trigger_hit=*/1);
-  auto store = EmbeddingStore::Open(store_path);
-  ASSERT_FALSE(store.ok());
-  EXPECT_EQ(store.status().code(), StatusCode::kIoError);
-  // And it recovers on the next open.
-  auto retry = EmbeddingStore::Open(store_path);
-  EXPECT_TRUE(retry.ok());
+  auto snapshot = BuildSnapshot(text, SnapshotOptions(), /*sequence=*/1);
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().code(), StatusCode::kDataLoss)
+      << snapshot.status().ToString();
 }
 
 TEST_F(EmbeddingStoreTest, QueriesAreByteIdenticalAcrossThreadCounts) {
-  const std::string store_path = Path("threads.store");
-  ASSERT_TRUE(EmbeddingStore::Write(MakeEmbeddings(500, 24, 10), 0,
-                                    store_path)
-                  .ok());
-  auto opened = EmbeddingStore::Open(store_path);
-  ASSERT_TRUE(opened.ok());
-  auto store = std::make_shared<const EmbeddingStore>(
-      std::move(opened).ValueOrDie());
+  auto store =
+      std::make_shared<const EmbeddingStore>(MakeEmbeddings(500, 24, 10));
   const BruteForceIndex index(store, Metric::kCosine);
 
   // Reference at one thread; 2 and 8 must match byte for byte.

@@ -27,8 +27,8 @@
 
 #include "common/fault_injection.h"
 #include "common/string_utils.h"
+#include "graph/graph_io.h"
 #include "la/dense_matrix.h"
-#include "serve/embedding_store.h"
 #include "serve/server.h"
 
 namespace coane {
@@ -137,7 +137,7 @@ class FrontendChaosTest : public ::testing::Test {
                 ->current_test_info()
                 ->name());
     std::filesystem::create_directories(dir_);
-    store_path_ = (dir_ / "emb.store").string();
+    artifact_path_ = (dir_ / "emb.emb").string();
     DenseMatrix embeddings(256, 8);
     for (int64_t i = 0; i < embeddings.rows(); ++i) {
       for (int64_t j = 0; j < embeddings.cols(); ++j) {
@@ -145,9 +145,9 @@ class FrontendChaosTest : public ::testing::Test {
             static_cast<float>(((i * 31 + j * 7) % 17) - 8) * 0.25f;
       }
     }
-    ASSERT_TRUE(EmbeddingStore::Write(embeddings, 0, store_path_).ok());
+    ASSERT_TRUE(SaveEmbeddings(embeddings, artifact_path_).ok());
     server_ = std::make_unique<Server>(MakeServerOptions());
-    ASSERT_TRUE(server_->Start(store_path_).ok());
+    ASSERT_TRUE(server_->Start(artifact_path_).ok());
   }
 
   void TearDown() override {
@@ -170,7 +170,7 @@ class FrontendChaosTest : public ::testing::Test {
   }
 
   std::filesystem::path dir_;
-  std::string store_path_;
+  std::string artifact_path_;
   std::unique_ptr<Server> server_;
 };
 

@@ -5,13 +5,11 @@
 #include "serve/knn_index.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <set>
 #include <vector>
@@ -46,27 +44,11 @@ DenseMatrix ClusteredEmbeddings(int64_t n, int64_t dim, int clusters,
 
 class KnnIndexTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("coane_knn_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override {
-    SetGlobalParallelism(1);
-    std::filesystem::remove_all(dir_);
-  }
+  void TearDown() override { SetGlobalParallelism(1); }
 
-  std::shared_ptr<const EmbeddingStore> MakeStore(const DenseMatrix& m,
-                                                  const char* name) {
-    const std::string path = (dir_ / name).string();
-    EXPECT_TRUE(EmbeddingStore::Write(m, 0, path).ok());
-    auto opened = EmbeddingStore::Open(path);
-    EXPECT_TRUE(opened.ok());
-    return std::make_shared<const EmbeddingStore>(
-        std::move(opened).ValueOrDie());
+  std::shared_ptr<const EmbeddingStore> MakeStore(const DenseMatrix& m) {
+    return std::make_shared<const EmbeddingStore>(m);
   }
-
-  std::filesystem::path dir_;
 };
 
 TEST(TopKAccumulatorTest, KeepsBestKWithDeterministicTieBreak) {
@@ -95,7 +77,7 @@ TEST(TopKAccumulatorTest, HandlesFewerCandidatesThanK) {
 
 TEST_F(KnnIndexTest, BruteForceMatchesNaiveScanOnBothMetrics) {
   const DenseMatrix m = ClusteredEmbeddings(200, 16, 5, 11);
-  auto store = MakeStore(m, "naive.store");
+  auto store = MakeStore(m);
   for (const Metric metric : {Metric::kDot, Metric::kCosine}) {
     const BruteForceIndex index(store, metric);
     std::vector<Neighbor> got;
@@ -141,7 +123,7 @@ TEST_F(KnnIndexTest, BlockScanMatchesPerRowOracleBitForBit) {
         }
         std::vector<float> query(static_cast<size_t>(dim));
         for (float& v : query) v = static_cast<float>(rng.Normal(0.0, 1.0));
-        auto store = MakeStore(rows, "oracle.store");
+        auto store = MakeStore(rows);
         for (const Metric metric : {Metric::kDot, Metric::kCosine}) {
           const float q_norm =
               std::sqrt(DotScore(query.data(), query.data(), dim));
@@ -177,7 +159,7 @@ TEST_F(KnnIndexTest, BlockScanMatchesPerRowOracleBitForBit) {
 
 TEST_F(KnnIndexTest, CosineSelfSimilarityRanksFirst) {
   const DenseMatrix m = ClusteredEmbeddings(100, 8, 4, 13);
-  auto store = MakeStore(m, "self.store");
+  auto store = MakeStore(m);
   const BruteForceIndex index(store, Metric::kCosine);
   std::vector<Neighbor> got;
   ASSERT_TRUE(index.Search(m.Row(42), 1, &got).ok());
@@ -189,7 +171,7 @@ TEST_F(KnnIndexTest, CosineSelfSimilarityRanksFirst) {
 TEST_F(KnnIndexTest, IvfReachesHighRecallScanningAMinorityOfVectors) {
   const int64_t n = 1200;
   const DenseMatrix m = ClusteredEmbeddings(n, 24, 16, 17);
-  auto store = MakeStore(m, "ivf.store");
+  auto store = MakeStore(m);
   const BruteForceIndex exact(store, Metric::kCosine);
   IvfConfig config;
   config.nlist = 16;
@@ -223,7 +205,7 @@ TEST_F(KnnIndexTest, IvfReachesHighRecallScanningAMinorityOfVectors) {
 TEST_F(KnnIndexTest, IvfProbingEveryListEqualsExactIdsAndScores) {
   const int64_t n = 203;
   const DenseMatrix m = ClusteredEmbeddings(n, 37, 6, 31);
-  auto store = MakeStore(m, "parity.store");
+  auto store = MakeStore(m);
   for (const Metric metric : {Metric::kDot, Metric::kCosine}) {
     const BruteForceIndex exact(store, metric);
     IvfConfig config;
@@ -253,7 +235,7 @@ TEST_F(KnnIndexTest, IvfProbingEveryListEqualsExactIdsAndScores) {
 
 TEST_F(KnnIndexTest, IvfIsDeterministicAcrossThreadCountsAndRebuilds) {
   const DenseMatrix m = ClusteredEmbeddings(400, 12, 8, 19);
-  auto store = MakeStore(m, "det.store");
+  auto store = MakeStore(m);
   IvfConfig config;
   config.nlist = 8;
   config.nprobe = 3;
@@ -278,7 +260,7 @@ TEST_F(KnnIndexTest, IvfIsDeterministicAcrossThreadCountsAndRebuilds) {
 
 TEST_F(KnnIndexTest, IvfClampsNlistToRowCount) {
   const DenseMatrix m = ClusteredEmbeddings(5, 4, 2, 23);
-  auto store = MakeStore(m, "tiny.store");
+  auto store = MakeStore(m);
   IvfConfig config;
   config.nlist = 64;
   config.nprobe = 64;
@@ -292,7 +274,7 @@ TEST_F(KnnIndexTest, IvfClampsNlistToRowCount) {
 
 TEST_F(KnnIndexTest, SearchHonorsCancelledContext) {
   const DenseMatrix m = ClusteredEmbeddings(300, 8, 4, 29);
-  auto store = MakeStore(m, "cancel.store");
+  auto store = MakeStore(m);
   const BruteForceIndex index(store, Metric::kDot);
   std::atomic<bool> cancelled{true};
   RunContext ctx;

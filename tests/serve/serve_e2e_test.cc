@@ -179,16 +179,16 @@ TEST_F(ServeE2eTest, ServeBinaryAnswersOverStdin) {
 /// closed, final STATS land on stderr, and the exit code is 0 — rather
 /// than dying mid-request.
 TEST_F(ServeE2eTest, SigtermDuringTcpServingDrainsAndExitsZero) {
-  // Signal/drain semantics do not need a trained model; a small compiled
-  // store keeps this test about process lifecycle, not training.
+  // Signal/drain semantics do not need a trained model; a small written
+  // artifact keeps this test about process lifecycle, not training.
   DenseMatrix embeddings(64, 8);
   for (int64_t i = 0; i < embeddings.rows(); ++i) {
     for (int64_t j = 0; j < embeddings.cols(); ++j) {
       embeddings.At(i, j) = static_cast<float>((i * 13 + j) % 7) - 3.0f;
     }
   }
-  const std::string store_path = Path("drain.store");
-  ASSERT_TRUE(EmbeddingStore::Write(embeddings, 0, store_path).ok());
+  const std::string artifact_path = Path("drain.emb");
+  ASSERT_TRUE(SaveEmbeddings(embeddings, artifact_path).ok());
 
   int out_pipe[2], err_pipe[2];
   ASSERT_EQ(pipe(out_pipe), 0);
@@ -202,7 +202,7 @@ TEST_F(ServeE2eTest, SigtermDuringTcpServingDrainsAndExitsZero) {
     close(out_pipe[1]);
     close(err_pipe[0]);
     close(err_pipe[1]);
-    const std::string embeddings_flag = "--embeddings=" + store_path;
+    const std::string embeddings_flag = "--embeddings=" + artifact_path;
     execl(COANE_SERVE_BIN, COANE_SERVE_BIN, embeddings_flag.c_str(),
           "--port=0", "--max-conns=2", "--queue-cap=4", "--threads=2",
           "--drain-deadline-sec=5", static_cast<char*>(nullptr));

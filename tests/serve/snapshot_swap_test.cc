@@ -1,15 +1,19 @@
-// Snapshot lifecycle under faults and concurrency: a corrupt candidate is
-// rejected while the previous generation keeps serving, the serve.mmap
-// and serve.swap fault points fire where documented, manifest
-// verification gates PUBLISH, and hot-swaps race live queries cleanly
-// (this file runs under TSan in CI).
+// Snapshot lifecycle under faults and concurrency: a corrupt, missing or
+// binary candidate is rejected while the previous generation keeps
+// serving, a publish writes nothing beside the artifact, the serve.swap
+// fault point fires where documented, manifest verification gates
+// PUBLISH, and hot-swaps race live queries cleanly (this file runs under
+// TSan in CI).
 
 #include "serve/snapshot.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -18,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/fault_injection.h"
 #include "common/parallel/global_pool.h"
 #include "common/rng.h"
@@ -108,25 +113,89 @@ TEST_F(SnapshotSwapTest, CorruptCandidateIsRejectedAndOldKeepsServing) {
   EXPECT_TRUE(StartsWith(server.HandleLine("KNN 3 0"), "OK 3 "));
 }
 
-TEST_F(SnapshotSwapTest, MmapFaultRejectsCandidateAndOldKeepsServing) {
+TEST_F(SnapshotSwapTest, MissingArtifactRejectsCandidateAndOldKeepsServing) {
   const std::string v1 = WriteArtifact("m1.emb", 20, 3);
-  const std::string v2 = WriteArtifact("m2.emb", 20, 4);
+  const std::string v2 = Path("m2.emb");
   ServerOptions options;
   Server server(options);
   ASSERT_TRUE(server.Start(v1).ok());
 
-  fault::Arm("serve.mmap", /*trigger_hit=*/1);
   const Status st = server.Publish(v2);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kIoError);
   EXPECT_EQ(server.engine().CurrentSnapshot()->source_path, v1);
   EXPECT_TRUE(StartsWith(server.HandleLine("KNN 2 1"), "OK 2 "));
 
-  // Fault disarmed: the same publish now succeeds and bumps the sequence.
-  fault::Reset();
+  // The artifact lands: the same publish now succeeds and bumps the
+  // sequence.
+  ASSERT_EQ(WriteArtifact("m2.emb", 20, 4), v2);
   ASSERT_TRUE(server.Publish(v2).ok());
   EXPECT_EQ(server.engine().CurrentSnapshot()->source_path, v2);
   EXPECT_EQ(server.registry()->swaps(), 2);
+}
+
+TEST_F(SnapshotSwapTest, PublishWritesNothingBesideTheArtifact) {
+  const std::string v1 = WriteArtifact("w1.emb", 20, 7);
+  const std::string v2 = WriteArtifact("w2.emb", 20, 8);
+  auto listing = [this] {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  const std::vector<std::string> before = listing();
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start(v1).ok());
+  ASSERT_TRUE(server.Publish(v2).ok());
+  EXPECT_EQ(listing(), before);
+}
+
+// A file in the retired binary store layout ("COANEST1" header, norm
+// table, vectors; both CRCs valid) is not an artifact: the text reader
+// rejects its first line, and the live generation keeps answering.
+TEST_F(SnapshotSwapTest, OldBinaryStoreIsDataLossAndOldKeepsServing) {
+  const std::string v1 = WriteArtifact("b1.emb", 20, 9);
+  // dim 32 is byte 0x20, a space: the header's first line splits into
+  // fields, and its binary first field reaches the message as a node id.
+  const uint32_t dim = 32;
+  const uint64_t count = 20;
+  std::string body(4 * count * (dim + 1), '\0');
+  for (size_t i = 0; i < body.size(); i += 4) {
+    const float value = 0.5f;
+    std::memcpy(&body[i], &value, sizeof(value));
+  }
+  std::string header = "COANEST1";
+  auto append = [&header](const auto& value) {
+    header.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append(uint32_t{1});
+  append(dim);
+  append(count);
+  append(uint64_t{0});
+  append(Crc32(body.data(), body.size()));
+  append(Crc32(header.data(), header.size()));
+  const std::string old_store = Path("b2.emb.store");
+  {
+    std::ofstream out(old_store, std::ios::binary);
+    out << header << body;
+  }
+
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start(v1).ok());
+  const Status st = server.Publish(old_store);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
+  EXPECT_NE(st.message().find(old_store + ":1:"), std::string::npos)
+      << st.ToString();
+  // The message goes out as an ERR line: no raw header byte rides along.
+  const std::string& message = st.message();
+  EXPECT_TRUE(std::all_of(message.begin(), message.end(), [](char c) {
+    return std::isprint(static_cast<unsigned char>(c)) != 0;
+  })) << message;
+  EXPECT_EQ(server.engine().CurrentSnapshot()->source_path, v1);
+  EXPECT_TRUE(StartsWith(server.HandleLine("KNN 2 1"), "OK 2 "));
 }
 
 TEST_F(SnapshotSwapTest, SwapFaultLeavesRegistryUnchanged) {
@@ -136,7 +205,7 @@ TEST_F(SnapshotSwapTest, SwapFaultLeavesRegistryUnchanged) {
   Server server(options);
   ASSERT_TRUE(server.Start(v1).ok());
 
-  // The candidate builds fine (mmap + CRC + index all pass); the injected
+  // The candidate builds fine (CRC + rows + index all pass); the injected
   // fault fires inside Install itself, after the expensive work.
   fault::Arm("serve.swap", /*trigger_hit=*/1);
   const Status st = server.Publish(v2);

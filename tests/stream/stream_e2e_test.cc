@@ -3,7 +3,8 @@
 // hot-swaps into a live coane_serve over TCP. Asserted through the wire:
 // the served snapshot's sequence and log position advance with each
 // publish, STATS carries the freshness line, a stale artifact is refused
-// without disturbing the live generation, and a torn append injected via
+// without disturbing the live generation, no generation leaves a file
+// beside its artifact, and a torn append injected via
 // COANE_FAULT is quarantined by `coane_streamd recover`.
 
 #include <arpa/inet.h>
@@ -224,6 +225,12 @@ TEST_F(StreamE2eTest, PublisherFeedsLiveServeAndStalePublishIsRefused) {
   const std::string republished =
       Request(fd, "PUBLISH " + work_ + "/gen_4.emb");
   EXPECT_TRUE(StartsWith(republished, "OK snapshot ")) << republished;
+
+  // Every generation was served from memory: no publish left a file
+  // beside its artifact.
+  for (const auto& entry : std::filesystem::directory_iterator(work_)) {
+    EXPECT_NE(entry.path().extension(), ".store") << entry.path();
+  }
 
   ::close(fd);
   ASSERT_EQ(::kill(pid, SIGTERM), 0);

@@ -1,8 +1,8 @@
 // coane_serve — embedding serving daemon over trained CoANE outputs.
 //
 // Loads a published embedding artifact (the CRC-footered text file the
-// trainer writes, or an already-compiled .store file), optionally proves
-// it against the trainer's artifact manifest, builds a k-NN index, and
+// trainer writes) into memory, optionally proves it against the
+// trainer's artifact manifest first, builds a k-NN index, and
 // answers a line-oriented request protocol (see src/serve/server.h for
 // the grammar) on stdin or on a TCP port. PUBLISH hot-swaps a new
 // snapshot without dropping in-flight queries.
@@ -50,8 +50,8 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: coane_serve --embeddings=FILE [--flags]\n"
-      "  --embeddings=FILE   text embeddings (trainer output) or compiled\n"
-      "                      .store file; text is compiled to FILE.store\n"
+      "  --embeddings=FILE   text embeddings (trainer output), served\n"
+      "                      from memory; nothing is written beside it\n"
       "  --manifest=FILE     verify the artifact against this manifest\n"
       "                      before every snapshot build\n"
       "  --index=exact|ivf   k-NN index (default exact)\n"
