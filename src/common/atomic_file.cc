@@ -8,8 +8,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "common/fault_injection.h"
 
@@ -80,12 +78,27 @@ Status WriteFileAtomic(const std::string& path, const std::string& contents,
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failure on " + path);
-  return buffer.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("cannot open " + path);
+  // The size is a hint, one byte over so EOF shows without growing; a
+  // file that grows, or reports 0 (procfs), still reads to EOF.
+  struct stat st;
+  const bool sized = ::fstat(fd, &st) == 0 && st.st_size > 0;
+  std::string contents(sized ? static_cast<size_t>(st.st_size) + 1 : 1, '\0');
+  size_t done = 0;
+  ssize_t n;
+  while ((n = ::read(fd, &contents[done], contents.size() - done)) != 0) {
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      ::close(fd);
+      return Status::IoError("read failure on " + path);
+    }
+    done += static_cast<size_t>(n);
+    if (done == contents.size()) contents.resize(2 * done);
+  }
+  ::close(fd);
+  contents.resize(done);
+  return contents;
 }
 
 bool PathExists(const std::string& path) {

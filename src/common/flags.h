@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -16,7 +17,7 @@ namespace flags {
 /// repo's one numeric-flag policy — no exceptions, no silent prefix
 /// parses ("8x" is not 8), no atoi-style zero-on-garbage.
 template <typename T>
-bool ParseWhole(const std::string& value, T* out) {
+bool ParseWhole(std::string_view value, T* out) {
   const char* begin = value.data();
   const char* end = begin + value.size();
   auto [ptr, ec] = std::from_chars(begin, end, *out);

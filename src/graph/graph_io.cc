@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <unordered_set>
 
 #include "common/atomic_file.h"
@@ -26,6 +28,21 @@ constexpr size_t kMaxSampleDiagnostics = 8;
 // Deadline/cancel granularity while scanning large files.
 constexpr int64_t kLinesPerContextCheck = 4096;
 
+// Calls `visit` on each whitespace-separated field of `line`, a view of
+// its bytes. The test is std::isspace in the "C" locale, inlined: a call
+// per byte costs more than parsing the floats.
+template <typename Visit>
+void ForEachField(std::string_view line, const Visit& visit) {
+  size_t start = 0;
+  for (size_t i = 0; i <= line.size(); ++i) {
+    if (i == line.size() || line[i] == ' ' ||
+        (line[i] >= '\t' && line[i] <= '\r')) {
+      if (i > start) visit(line.substr(start, i - start));
+      start = i + 1;
+    }
+  }
+}
+
 // A whitespace-separated field with its 1-based column in the raw line.
 struct Token {
   std::string text;
@@ -34,27 +51,17 @@ struct Token {
 
 std::vector<Token> TokenizeWithColumns(const std::string& line) {
   std::vector<Token> tokens;
-  size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    if (i >= line.size()) break;
-    const size_t start = i;
-    while (i < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
+  ForEachField(line, [&](std::string_view f) {
     tokens.push_back(
-        {line.substr(start, i - start), static_cast<int>(start) + 1});
-  }
+        {std::string(f), static_cast<int>(f.data() - line.data()) + 1});
+  });
   return tokens;
 }
 
 // Strict integer parse (flags::ParseWhole). `overflow` distinguishes "not
 // a number" from "a number too large": an all-digit token that does not
 // parse is out of range.
-bool ParseId(const std::string& s, int64_t* out, bool* overflow) {
+bool ParseId(std::string_view s, int64_t* out, bool* overflow) {
   if (flags::ParseWhole(s, out)) {
     *overflow = false;
     return true;
@@ -77,10 +84,32 @@ bool ParseDouble(const std::string& s, double* out, bool* finite) {
   return true;
 }
 
+// `token` as a double: std::from_chars when it takes the whole token,
+// else ParseDouble (strtod) decides. Only tokens no writer emits reach
+// strtod: a leading '+', a hex float, a value past the double range.
+bool ParseValue(std::string_view token, double* out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  bool finite = false;
+  return (ec == std::errc() && ptr == end) ||
+         ParseDouble(std::string(token), out, &finite);
+}
+
+// Appends `sep`, then `value` as `operator<<` prints a float by default:
+// "%.6g" of the value promoted to double.
+void AppendFloat(std::string* out, char sep, float value) {
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof(buf),
+                               static_cast<double>(value),
+                               std::chars_format::general, 6);
+  out->push_back(sep);
+  out->append(buf, r.ptr);
+}
+
 // `token` as a diagnostic quotes it: bytes outside printable ASCII (a
 // binary file read as text) show as '?', and a long token is cut short.
-std::string Shown(const std::string& token) {
-  std::string shown = token.substr(0, 24);
+std::string Shown(std::string_view token) {
+  std::string shown(token.substr(0, 24));
   for (char& c : shown) {
     if (!std::isprint(static_cast<unsigned char>(c))) c = '?';
   }
@@ -613,54 +642,55 @@ Status SaveAttributedGraph(const Graph& graph, const std::string& edges_path,
   // All three files go through WriteFileAtomic: a killed `generate` or
   // `train` never leaves a truncated file for a later run to consume.
   {
-    std::ostringstream out;
-    out << "# src dst weight\n";
+    std::string out = "# src dst weight\n";
     for (const Edge& e : graph.UndirectedEdges()) {
-      out << e.src << " " << e.dst << " " << e.weight << "\n";
+      out += std::to_string(e.src) + ' ' + std::to_string(e.dst);
+      AppendFloat(&out, ' ', e.weight);
+      out += '\n';
     }
-    COANE_RETURN_IF_ERROR(
-        WriteFileAtomic(edges_path, out.str(), "graph_io.save"));
+    COANE_RETURN_IF_ERROR(WriteFileAtomic(edges_path, out, "graph_io.save"));
   }
   if (!attributes_path.empty() && graph.num_attributes() > 0) {
-    std::ostringstream out;
-    out << "# node attr_index value\n";
+    std::string out = "# node attr_index value\n";
     for (int64_t v = 0; v < graph.num_nodes(); ++v) {
       for (const SparseEntry& e : graph.attributes().Row(v)) {
-        out << v << " " << e.col << " " << e.value << "\n";
+        out += std::to_string(v) + ' ' + std::to_string(e.col);
+        AppendFloat(&out, ' ', e.value);
+        out += '\n';
       }
     }
     COANE_RETURN_IF_ERROR(
-        WriteFileAtomic(attributes_path, out.str(), "graph_io.save"));
+        WriteFileAtomic(attributes_path, out, "graph_io.save"));
   }
   if (!labels_path.empty() && !graph.labels().empty()) {
-    std::ostringstream out;
-    out << "# node label\n";
+    std::string out = "# node label\n";
     for (int64_t v = 0; v < graph.num_nodes(); ++v) {
-      out << v << " " << graph.labels()[static_cast<size_t>(v)] << "\n";
+      out += std::to_string(v) + ' ' +
+             std::to_string(graph.labels()[static_cast<size_t>(v)]) + '\n';
     }
-    COANE_RETURN_IF_ERROR(
-        WriteFileAtomic(labels_path, out.str(), "graph_io.save"));
+    COANE_RETURN_IF_ERROR(WriteFileAtomic(labels_path, out, "graph_io.save"));
   }
   return Status::OK();
 }
 
 Status SaveEmbeddings(const DenseMatrix& embeddings,
                       const std::string& path) {
-  std::ostringstream out;
-  out << "# node embedding[" << embeddings.cols() << "]\n";
+  const int64_t cols = embeddings.cols();
+  std::string out = "# node embedding[" + std::to_string(cols) + "]\n";
+  // Room for a 20-digit id, 13 bytes a value and the footer: one buffer.
+  out.reserve(64 + static_cast<size_t>(embeddings.rows() * (21 + 13 * cols)));
   for (int64_t i = 0; i < embeddings.rows(); ++i) {
-    out << i;
-    for (int64_t j = 0; j < embeddings.cols(); ++j) {
-      out << " " << embeddings.At(i, j);
+    out += std::to_string(i);
+    for (int64_t j = 0; j < cols; ++j) {
+      AppendFloat(&out, ' ', embeddings.At(i, j));
     }
-    out << "\n";
+    out += '\n';
   }
   // Trailing CRC-32 footer over every byte above it, so a reader can
   // prove the floats it is about to consume are the floats that were
   // written. Readers of the legacy format skip it as a comment.
-  std::string contents = out.str();
-  AppendCrcFooter(&contents);
-  return WriteFileAtomic(path, contents, "graph_io.save");
+  AppendCrcFooter(&out);
+  return WriteFileAtomic(path, out, "graph_io.save");
 }
 
 Result<DenseMatrix> LoadEmbeddings(const std::string& path) {
@@ -672,14 +702,21 @@ Result<DenseMatrix> LoadEmbeddings(const std::string& path) {
   std::vector<RecordLine> lines;
   COANE_RETURN_IF_ERROR(
       ForEachRecordLine(path, raw.value(), [&](const RecordLine& line) {
-        const std::string trimmed = Trim(line.text);
-        if (!trimmed.empty() && trimmed[0] != '#') lines.push_back(line);
+        const size_t first = line.text.find_first_not_of(" \t\n\v\f\r");
+        if (first != line.text.npos && line.text[first] != '#') {
+          lines.push_back(line);
+        }
       }));
   if (lines.empty()) {
     return Status::InvalidArgument("empty embedding file " + path);
   }
-  const int64_t dim =
-      static_cast<int64_t>(SplitWhitespace(lines[0].text).size()) - 1;
+  std::vector<std::string_view> row;
+  const auto split = [&row](std::string_view text) {
+    row.clear();
+    ForEachField(text, [&row](std::string_view f) { row.push_back(f); });
+  };
+  split(lines[0].text);
+  const int64_t dim = static_cast<int64_t>(row.size()) - 1;
   if (dim <= 0) {
     return RecordLineError(path, lines[0],
                            "embedding rows need >= 2 fields");
@@ -687,11 +724,8 @@ Result<DenseMatrix> LoadEmbeddings(const std::string& path) {
   DenseMatrix m(static_cast<int64_t>(lines.size()), dim);
   // One row per line, so an id seen twice also means some id is missing.
   std::vector<uint8_t> seen(lines.size(), 0);
-  // Rows are split one at a time: every token of the file at once costs
-  // about eight times the matrix, and a serving generation keeps the
-  // matrix allocated above whatever the parse leaves behind.
   for (size_t i = 0; i < lines.size(); ++i) {
-    const std::vector<std::string> row = SplitWhitespace(lines[i].text);
+    split(lines[i].text);
     if (static_cast<int64_t>(row.size()) != dim + 1) {
       return RecordLineError(path, lines[i],
                              "ragged row: " + std::to_string(row.size()) +
@@ -708,14 +742,14 @@ Result<DenseMatrix> LoadEmbeddings(const std::string& path) {
     }
     if (seen[static_cast<size_t>(r)] != 0) {
       return RecordLineError(path, lines[i],
-                             "node id " + row[0] + " appears twice");
+                             "node id " + std::string(row[0]) +
+                                 " appears twice");
     }
     seen[static_cast<size_t>(r)] = 1;
     for (int64_t j = 0; j < dim; ++j) {
-      const std::string& token = row[static_cast<size_t>(j) + 1];
+      const std::string_view token = row[static_cast<size_t>(j) + 1];
       double v = 0.0;
-      bool finite = false;
-      if (!ParseDouble(token, &v, &finite)) {
+      if (!ParseValue(token, &v)) {
         return RecordLineError(path, lines[i],
                                "value '" + Shown(token) +
                                    "' is not a number");
@@ -725,7 +759,8 @@ Result<DenseMatrix> LoadEmbeddings(const std::string& path) {
       const float f = static_cast<float>(v);
       if (!std::isfinite(f)) {
         return RecordLineError(path, lines[i],
-                               "value '" + token + "' is not a finite float");
+                               "value '" + std::string(token) +
+                                   "' is not a finite float");
       }
       m.At(r, j) = f;
     }

@@ -72,5 +72,50 @@ TEST_F(RemoveTreeTest, UnlinksSymlinkWithoutFollowing) {
   EXPECT_TRUE(Exists(victim + "/keep.txt"));
 }
 
+using ReadFileToStringTest = RemoveTreeTest;
+
+TEST_F(ReadFileToStringTest, EmptyFileReadsEmpty) {
+  const std::string file = dir_ + "/empty";
+  ASSERT_TRUE(WriteFileAtomic(file, "").ok());
+  auto contents = ReadFileToString(file);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  EXPECT_EQ(contents.value(), "");
+}
+
+TEST_F(ReadFileToStringTest, EmbeddedNulBytesReadWhole) {
+  std::string bytes("a\0b\0\0c\xff\n", 8);
+  for (int i = 0; i < 5000; ++i) bytes += std::string("\0x\n", 3);
+  const std::string file = dir_ + "/nul";
+  ASSERT_TRUE(WriteFileAtomic(file, bytes).ok());
+  auto contents = ReadFileToString(file);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  EXPECT_EQ(contents.value(), bytes);
+}
+
+TEST_F(ReadFileToStringTest, MissingPathIsIoErrorNamingIt) {
+  const std::string file = dir_ + "/missing";
+  auto contents = ReadFileToString(file);
+  ASSERT_FALSE(contents.ok());
+  EXPECT_EQ(contents.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(contents.status().message(), "cannot open " + file);
+}
+
+// A directory opens but does not read: an error, not an empty file.
+TEST_F(ReadFileToStringTest, DirectoryIsReadFailure) {
+  auto contents = ReadFileToString(dir_);
+  ASSERT_FALSE(contents.ok());
+  EXPECT_EQ(contents.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(contents.status().message(), "read failure on " + dir_);
+}
+
+// procfs reports size 0 for files that are not empty: the size is a
+// hint, and the read goes on to EOF.
+TEST_F(ReadFileToStringTest, FileReportingSizeZeroReadsWhole) {
+  auto contents = ReadFileToString("/proc/self/status");
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  EXPECT_NE(contents.value().find("Name:"), std::string::npos);
+  EXPECT_EQ(contents.value().back(), '\n');
+}
+
 }  // namespace
 }  // namespace coane
