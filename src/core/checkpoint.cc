@@ -1,13 +1,14 @@
 #include "core/checkpoint.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
+#include <string_view>
 
 #include "common/atomic_file.h"
 #include "common/checksum.h"
 #include "common/fnv.h"
-#include "nn/serialize.h"
 
 namespace coane {
 namespace {
@@ -20,12 +21,20 @@ enum SectionId : uint32_t {
   kOptimizer = 5,
 };
 
-void AppendSection(std::string* out, uint32_t id,
-                   const std::string& payload) {
+// Appends section `id`: its header, the payload `write` appends, then the
+// payload's length and CRC patched into the header.
+template <typename Write>
+void AppendSection(std::string* out, uint32_t id, Write&& write) {
   AppendU32(out, id);
-  AppendU64(out, payload.size());
-  AppendU32(out, Crc32(payload));
-  out->append(payload);
+  const size_t header = out->size();
+  AppendU64(out, 0);
+  AppendU32(out, 0);
+  const size_t begin = out->size();
+  write(out);
+  const uint64_t len = out->size() - begin;
+  const uint32_t crc = Crc32(out->data() + begin, len);
+  std::memcpy(&(*out)[header], &len, sizeof(len));
+  std::memcpy(&(*out)[header + sizeof(len)], &crc, sizeof(crc));
 }
 
 // FNV-1a over the in-memory bytes of one config field.
@@ -71,22 +80,42 @@ Status WriteCheckpointFile(const std::string& path,
   AppendI64(&meta, ckpt.epochs_done);
   AppendF32(&meta, ckpt.learning_rate);
   AppendU64(&meta, ckpt.config_fingerprint);
-  AppendU32(&meta, ckpt.has_decoder ? 1 : 0);
+  const bool has_decoder = !ckpt.decoder.empty();
+  AppendU32(&meta, has_decoder ? 1 : 0);
   // Appended after the original fields so pre-field readers (which stop
   // at has_decoder) and pre-field files (which simply end there) both
   // keep working without a format-version bump.
   AppendU64(&meta, ckpt.data_fingerprint);
 
+  const uint32_t count = has_decoder ? 5 : 4;
+  // The exact file size, so the buffer is allocated once: headers, meta,
+  // RNG, section counts, Adam steps, and each matrix's dims and floats.
+  size_t size = 3 * sizeof(uint32_t) + count * 16 + meta.size() +
+                ckpt.rng_state.size() + (count - 2) * sizeof(uint32_t) +
+                ckpt.adam.size() * sizeof(int64_t);
+  ForEachMatrix(ckpt, [&size](const DenseMatrix& m) {
+    size += 2 * sizeof(int64_t) +
+            static_cast<size_t>(m.size()) * sizeof(float);
+  });
   std::string out;
+  out.reserve(size);
   AppendU32(&out, kCheckpointMagic);
   AppendU32(&out, kCheckpointFormatVersion);
-  const uint32_t count = ckpt.has_decoder ? 5 : 4;
   AppendU32(&out, count);
-  AppendSection(&out, kMeta, meta);
-  AppendSection(&out, kRng, ckpt.rng_state);
-  AppendSection(&out, kEncoder, ckpt.encoder_blob);
-  if (ckpt.has_decoder) AppendSection(&out, kDecoder, ckpt.decoder_blob);
-  AppendSection(&out, kOptimizer, ckpt.optimizer_blob);
+  AppendSection(&out, kMeta, [&](std::string* s) { s->append(meta); });
+  AppendSection(&out, kRng,
+                [&](std::string* s) { s->append(ckpt.rng_state); });
+  AppendSection(&out, kEncoder, [&](std::string* s) {
+    AppendEncoderWeights(s, ckpt.encoder);
+  });
+  if (has_decoder) {
+    AppendSection(&out, kDecoder, [&](std::string* s) {
+      AppendMlpWeights(s, ckpt.decoder);
+    });
+  }
+  AppendSection(&out, kOptimizer, [&](std::string* s) {
+    AppendAdamState(s, ckpt.adam);
+  });
 
   return WriteFileAtomic(path, out, "checkpoint.write");
 }
@@ -109,7 +138,8 @@ Result<TrainingCheckpoint> ReadCheckpointFile(const std::string& path) {
                             std::to_string(version) + " in " + path);
   }
 
-  std::map<uint32_t, std::string> sections;
+  // Payloads stay views into `contents` until they are parsed.
+  std::map<uint32_t, std::string_view> sections;
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t id = 0, crc = 0;
     uint64_t len = 0;
@@ -118,16 +148,16 @@ Result<TrainingCheckpoint> ReadCheckpointFile(const std::string& path) {
       return Status::DataLoss("checkpoint section header truncated: " +
                               path);
     }
-    std::string payload;
-    if (!reader.ReadBytes(len, &payload)) {
+    std::string_view payload;
+    if (!reader.ReadView(len, &payload)) {
       return Status::DataLoss("checkpoint section " + std::to_string(id) +
                               " truncated: " + path);
     }
-    if (Crc32(payload) != crc) {
+    if (Crc32(payload.data(), payload.size()) != crc) {
       return Status::DataLoss("checksum mismatch in checkpoint section " +
                               std::to_string(id) + ": " + path);
     }
-    if (!sections.emplace(id, std::move(payload)).second) {
+    if (!sections.emplace(id, payload).second) {
       return Status::DataLoss("checkpoint section " + std::to_string(id) +
                               " appears twice: " + path);
     }
@@ -138,21 +168,17 @@ Result<TrainingCheckpoint> ReadCheckpointFile(const std::string& path) {
                             path);
   }
 
-  auto require = [&sections, &path](uint32_t id) -> Result<std::string> {
-    auto it = sections.find(id);
-    if (it == sections.end()) {
+  for (uint32_t id : {kMeta, kRng, kEncoder, kOptimizer}) {
+    if (sections.count(id) == 0) {
       return Status::DataLoss("checkpoint missing section " +
                               std::to_string(id) + ": " + path);
     }
-    return it->second;
-  };
+  }
 
-  auto meta = require(kMeta);
-  if (!meta.ok()) return meta.status();
   TrainingCheckpoint ckpt;
+  uint32_t has_decoder = 0;
   {
-    ByteReader m(meta.value());
-    uint32_t has_decoder = 0;
+    ByteReader m(sections[kMeta].data(), sections[kMeta].size());
     if (!m.ReadI64(&ckpt.epochs_done) || !m.ReadF32(&ckpt.learning_rate) ||
         !m.ReadU64(&ckpt.config_fingerprint) || !m.ReadU32(&has_decoder)) {
       return Status::DataLoss("checkpoint meta section malformed: " + path);
@@ -171,31 +197,42 @@ Result<TrainingCheckpoint> ReadCheckpointFile(const std::string& path) {
                               " is not a finite non-negative number: " +
                               path);
     }
-    ckpt.has_decoder = has_decoder != 0;
     // Optional trailing field (see WriteCheckpointFile): absent in
     // pre-field files, leaving the default 0 = "unknown".
     uint64_t data_fp = 0;
     if (m.ReadU64(&data_fp)) ckpt.data_fingerprint = data_fp;
   }
+  ckpt.rng_state = std::string(sections[kRng]);
 
-  auto rng = require(kRng);
-  if (!rng.ok()) return rng.status();
-  ckpt.rng_state = std::move(rng).ValueOrDie();
-
-  auto encoder = require(kEncoder);
-  if (!encoder.ok()) return encoder.status();
-  ckpt.encoder_blob = std::move(encoder).ValueOrDie();
-
-  if (ckpt.has_decoder) {
-    auto decoder = require(kDecoder);
-    if (!decoder.ok()) return decoder.status();
-    ckpt.decoder_blob = std::move(decoder).ValueOrDie();
+  // Parses section `id` into `out` with `read`; bytes left after the data
+  // are as foreign as missing ones. (A missing decoder section reads as
+  // empty, which is truncated.)
+  auto parse = [&sections, &path](uint32_t id, const char* name, auto read,
+                                  auto* out) -> Status {
+    ByteReader r(sections[id].data(), sections[id].size());
+    Status st = read(&r, out);
+    if (st.ok() && r.remaining() != 0) {
+      st = Status::DataLoss(std::to_string(r.remaining()) +
+                            " byte(s) after the section's data");
+    }
+    if (st.ok()) return st;
+    return Status::DataLoss("checkpoint " + std::string(name) +
+                            " section: " + st.message() + ": " + path);
+  };
+  COANE_RETURN_IF_ERROR(
+      parse(kEncoder, "encoder", &ReadEncoderWeights, &ckpt.encoder));
+  if (has_decoder != 0) {
+    COANE_RETURN_IF_ERROR(
+        parse(kDecoder, "decoder", &ReadMlpWeights, &ckpt.decoder));
+    // An empty decoder means "no decoder" in memory; no writer sets the
+    // flag for one.
+    if (ckpt.decoder.empty()) {
+      return Status::DataLoss("checkpoint decoder section has no layers: " +
+                              path);
+    }
   }
-
-  auto optimizer = require(kOptimizer);
-  if (!optimizer.ok()) return optimizer.status();
-  ckpt.optimizer_blob = std::move(optimizer).ValueOrDie();
-
+  COANE_RETURN_IF_ERROR(
+      parse(kOptimizer, "optimizer", &ReadAdamState, &ckpt.adam));
   return ckpt;
 }
 

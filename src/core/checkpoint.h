@@ -3,9 +3,12 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "core/coane_config.h"
+#include "la/dense_matrix.h"
+#include "nn/serialize.h"
 
 namespace coane {
 
@@ -30,8 +33,9 @@ namespace coane {
 constexpr uint32_t kCheckpointMagic = 0x434F414Eu;
 constexpr uint32_t kCheckpointFormatVersion = 1;
 
-/// The serialized training state, section-by-section. CoaneModel
-/// assembles/applies this; checkpoint.cc only handles framing + CRC.
+/// The full training state as matrices. CoaneModel captures and adopts
+/// it; WriteCheckpointFile/ReadCheckpointFile are the only places that
+/// turn it into section bytes and back (layouts in src/nn/serialize.h).
 struct TrainingCheckpoint {
   int64_t epochs_done = 0;
   float learning_rate = 0.0f;      // current (possibly decayed) Adam lr
@@ -43,12 +47,27 @@ struct TrainingCheckpoint {
   /// rejects the resume: continuing a run against differently-degraded
   /// data would silently train on different features.
   uint64_t data_fingerprint = 0;
-  bool has_decoder = false;
-  std::string rng_state;       // Rng::SerializeState blob
-  std::string encoder_blob;    // AppendEncoderWeights payload
-  std::string decoder_blob;    // AppendMlpWeights payload (may be empty)
-  std::string optimizer_blob;  // AppendAdamState payload
+  std::string rng_state;               // Rng::SerializeState text
+  std::vector<DenseMatrix> encoder;    // ContextEncoder weight matrices
+  std::vector<LayerWeights> decoder;   // per MLP layer; empty: no decoder
+  std::vector<AdamSlotState> adam;     // per Adam slot, Register() order
 };
+
+/// Calls `fn` on every matrix of `c` (const or not) in section order: the
+/// encoder's, then each decoder layer's weight and bias, then each Adam
+/// slot's m and v.
+template <typename Checkpoint, typename Fn>
+void ForEachMatrix(Checkpoint& c, Fn&& fn) {
+  for (auto& w : c.encoder) fn(w);
+  for (auto& layer : c.decoder) {
+    fn(layer.weight);
+    fn(layer.bias);
+  }
+  for (auto& slot : c.adam) {
+    fn(slot.m);
+    fn(slot.v);
+  }
+}
 
 /// Writes `ckpt` to `path` atomically. Fault point: "checkpoint.write".
 Status WriteCheckpointFile(const std::string& path,
@@ -57,7 +76,9 @@ Status WriteCheckpointFile(const std::string& path,
 /// Parses and CRC-verifies `path`. Returns kIoError when the file cannot
 /// be read and kDataLoss for any structural or checksum failure: also for
 /// a repeated section id, bytes after the last section, epochs_done
-/// outside [0, INT32_MAX], or a non-finite or negative learning rate.
+/// outside [0, INT32_MAX], a non-finite or negative learning rate, a
+/// matrix shape that does not fit its section's bytes, a negative Adam
+/// step, or bytes left in a section after its data.
 Result<TrainingCheckpoint> ReadCheckpointFile(const std::string& path);
 
 /// CRC-verifies `path` and returns just its epochs_done. The supervisor

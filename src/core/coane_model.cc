@@ -66,18 +66,6 @@ SparseMatrix IdentityFeatures(int64_t n) {
   return SparseMatrix::FromTriplets(n, n, std::move(triplets));
 }
 
-// Reads one section payload into `target`. The payload must end where the
-// target's shapes end: trailing bytes are as foreign as missing ones.
-template <typename T>
-Status ReadSection(const std::string& payload, const char* section,
-                   Status (*read)(ByteReader*, T*), T* target) {
-  ByteReader reader(payload);
-  COANE_RETURN_IF_ERROR(read(&reader, target));
-  if (reader.remaining() == 0) return Status::OK();
-  return Status::DataLoss(std::to_string(reader.remaining()) +
-                          " trailing byte(s) in the " + section + " section");
-}
-
 }  // namespace
 
 CoaneModel::CoaneModel(const Graph& graph, const CoaneConfig& config)
@@ -215,7 +203,7 @@ Result<EpochStats> CoaneModel::TrainEpoch(const RunContext* ctx) {
   // Divergence-recovery policy: snapshot the mutable state, and on a
   // non-finite batch roll back, decay the learning rate, and retry the
   // epoch — bounded, then fail cleanly instead of emitting NaN embeddings.
-  // The snapshot is this model's own capture: re-applying it needs no backup.
+  // The snapshot is this model's own capture, so re-adopting it cannot fail.
   const TrainingCheckpoint snapshot = CaptureState();
   const float base_lr = optimizer_.config().learning_rate;
   for (int attempt = 0;; ++attempt) {
@@ -229,11 +217,13 @@ Result<EpochStats> CoaneModel::TrainEpoch(const RunContext* ctx) {
       if (code == StatusCode::kCancelled ||
           code == StatusCode::kDeadlineExceeded ||
           code == StatusCode::kResourceExhausted) {
-        COANE_RETURN_IF_ERROR(ApplySections(snapshot, /*with_rng=*/true));
+        COANE_RETURN_IF_ERROR(
+            AdoptState(snapshot, /*with_rng=*/true, "the epoch snapshot"));
       }
       return stats.status();
     }
-    COANE_RETURN_IF_ERROR(ApplySections(snapshot, /*with_rng=*/true));
+    COANE_RETURN_IF_ERROR(
+        AdoptState(snapshot, /*with_rng=*/true, "the epoch snapshot"));
     if (attempt >= config_.divergence_max_retries) {
       return Status::Internal(
           "training diverged at epoch " + std::to_string(epochs_done_ + 1) +
@@ -452,42 +442,64 @@ TrainingCheckpoint CoaneModel::CaptureState() const {
   state.learning_rate = optimizer_.config().learning_rate;
   state.config_fingerprint = ConfigFingerprint(config_);
   state.data_fingerprint = data_fingerprint_;
-  state.has_decoder = decoder_ != nullptr;
   state.rng_state = rng_.SerializeState();
-  AppendEncoderWeights(&state.encoder_blob, *encoder_);
-  if (decoder_) AppendMlpWeights(&state.decoder_blob, *decoder_);
-  AppendAdamState(&state.optimizer_blob, optimizer_);
+  state.encoder = encoder_->weight_matrices();
+  if (decoder_) state.decoder = CaptureMlpWeights(*decoder_);
+  state.adam = CaptureAdamState(optimizer_);
   return state;
-}
-
-Status CoaneModel::ApplySections(const TrainingCheckpoint& state,
-                                 bool with_rng) {
-  if (with_rng && !rng_.DeserializeState(state.rng_state)) {
-    return Status::DataLoss("corrupt RNG section");
-  }
-  COANE_RETURN_IF_ERROR(ReadSection(state.encoder_blob, "encoder",
-                                    &ReadEncoderWeightsInto, encoder_.get()));
-  if (decoder_) {
-    COANE_RETURN_IF_ERROR(ReadSection(state.decoder_blob, "decoder",
-                                      &ReadMlpWeightsInto, decoder_.get()));
-  }
-  COANE_RETURN_IF_ERROR(ReadSection(state.optimizer_blob, "optimizer",
-                                    &ReadAdamStateInto, &optimizer_));
-  optimizer_.set_learning_rate(state.learning_rate);
-  RenewEmbeddings();
-  return Status::OK();
 }
 
 Status CoaneModel::AdoptState(const TrainingCheckpoint& state, bool with_rng,
                               const std::string& source) {
-  if (state.has_decoder != (decoder_ != nullptr)) {
-    return Status::DataLoss("decoder presence mismatch in " + source);
+  // Everything that can fail is checked before anything is written, so
+  // the copy below cannot stop halfway and no backup is needed.
+  Rng rng;
+  if (with_rng && !rng.DeserializeState(state.rng_state)) {
+    return Status::DataLoss("corrupt RNG section in " + source);
   }
-  const TrainingCheckpoint backup = CaptureState();
-  const Status st = ApplySections(state, with_rng);
-  if (st.ok()) return st;
-  COANE_CHECK(ApplySections(backup, /*with_rng=*/true).ok());
-  return Status(st.code(), st.message() + " in " + source);
+  const size_t matrices = static_cast<size_t>(encoder_->num_weight_matrices());
+  const size_t layers = decoder_ ? decoder_->num_layers() : 0;
+  const size_t slots = static_cast<size_t>(optimizer_.num_slots());
+  if (state.encoder.size() != matrices || state.decoder.size() != layers ||
+      state.adam.size() != slots) {
+    return Status::DataLoss("matrix, layer or slot count differs from the "
+                            "model's in " + source);
+  }
+  std::vector<std::pair<const DenseMatrix*, DenseMatrix*>> copies;
+  for (size_t i = 0; i < matrices; ++i) {
+    copies.emplace_back(&state.encoder[i],
+                        encoder_->mutable_weight_matrix(static_cast<int>(i)));
+  }
+  for (size_t i = 0; i < layers; ++i) {
+    Linear& layer = decoder_->mutable_layer(i);
+    copies.emplace_back(&state.decoder[i].weight, layer.mutable_weight());
+    copies.emplace_back(&state.decoder[i].bias, layer.mutable_bias());
+  }
+  for (size_t i = 0; i < slots; ++i) {
+    const int slot = static_cast<int>(i);
+    copies.emplace_back(&state.adam[i].m,
+                        optimizer_.mutable_slot_moment1(slot));
+    copies.emplace_back(&state.adam[i].v,
+                        optimizer_.mutable_slot_moment2(slot));
+  }
+  for (const auto& [from, to] : copies) {
+    if (!from->SameShape(*to)) {
+      return Status::DataLoss(
+          "matrix shape mismatch: " + std::to_string(from->rows()) + "x" +
+          std::to_string(from->cols()) + " where the model has " +
+          std::to_string(to->rows()) + "x" + std::to_string(to->cols()) +
+          " in " + source);
+    }
+  }
+
+  if (with_rng) rng_ = rng;
+  for (const auto& [from, to] : copies) *to = *from;
+  for (size_t i = 0; i < slots; ++i) {
+    optimizer_.set_slot_step(static_cast<int>(i), state.adam[i].step);
+  }
+  optimizer_.set_learning_rate(state.learning_rate);
+  RenewEmbeddings();
+  return Status::OK();
 }
 
 Status CoaneModel::SaveCheckpoint(const std::string& path,

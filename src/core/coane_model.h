@@ -165,11 +165,11 @@ class CoaneModel {
   // The one way out of the training state: what SaveCheckpoint writes and
   // TrainEpoch keeps as its rollback snapshot.
   TrainingCheckpoint CaptureState() const;
-  // The one way in: the RNG (if `with_rng`), encoder, decoder and Adam
-  // sections, then the learning rate, then renews Z. Not atomic.
-  Status ApplySections(const TrainingCheckpoint& state, bool with_rng);
-  // ApplySections made all-or-nothing for outside states: checks decoder
-  // presence, rolls back to a CaptureState() on failure, names `source`.
+  // The one way in, all-or-nothing: checks the RNG (if `with_rng`) and
+  // every count and shape against the model, then copies the RNG,
+  // encoder, decoder and Adam state and the learning rate, and renews Z.
+  // A failed check returns kDataLoss naming `source`, with nothing
+  // written.
   Status AdoptState(const TrainingCheckpoint& state, bool with_rng,
                     const std::string& source);
   // Recomputes z_v for all nodes from the current encoder.

@@ -11,13 +11,13 @@ namespace coane {
 namespace dist {
 
 /// Element-wise parameter averaging across shard checkpoints — the round
-/// barrier of distributed training (DESIGN.md §8). Operates directly on
-/// the serialized blobs (src/nn/serialize.h layouts), verifying that
-/// every shard has the *identical* structure: same matrix count and
-/// shapes in encoder and decoder, same Adam slot count and step
-/// counters, same epochs_done and decoder presence. Any disagreement is
-/// a poisoned or stale input and fails with kDataLoss /
-/// kFailedPrecondition before a single averaged byte is produced.
+/// barrier of distributed training (DESIGN.md §8). Operates on the parsed
+/// matrices (ReadCheckpointFile has already checked every section's
+/// bytes), verifying that every shard has the *identical* structure: same
+/// matrix count and shapes in encoder and decoder, same Adam slot count
+/// and step counters, same epochs_done, decoder presence and data
+/// fingerprint. Any disagreement is a poisoned or stale input and fails
+/// with kDataLoss / kFailedPrecondition; no merged state is returned.
 ///
 /// Determinism: per element, shard values are sorted before the
 /// double-precision summation and the sum is divided by the shard count,

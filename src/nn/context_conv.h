@@ -102,6 +102,8 @@ class ContextEncoder {
   const DenseMatrix& weight_matrix(int i) const {
     return weights_[static_cast<size_t>(i)];
   }
+  /// All of them, weight_matrix(0) first.
+  const std::vector<DenseMatrix>& weight_matrices() const { return weights_; }
   /// Gradient of weight_matrix(i), as ApplyGrad hands it to Adam.
   const DenseMatrix& grad(int i) const {
     return grads_[static_cast<size_t>(i)];

@@ -211,8 +211,9 @@ TrainingCheckpoint TinyCheckpoint() {
   ckpt.learning_rate = 0.001f;
   ckpt.config_fingerprint = 0x1234;
   ckpt.rng_state = "rng-bytes";
-  ckpt.encoder_blob = "encoder-bytes";
-  ckpt.optimizer_blob = "adam-bytes";
+  ckpt.encoder.push_back(DenseMatrix(2, 3, 0.5f));
+  ckpt.adam.push_back(
+      {3, DenseMatrix(2, 3, 0.25f), DenseMatrix(2, 3, 0.125f)});
   return ckpt;
 }
 

@@ -4,7 +4,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
 
 #include "common/atomic_file.h"
 #include "common/checksum.h"
@@ -231,15 +233,18 @@ TrainingCheckpoint SavedState(const CoaneModel& model,
 
 TEST(CoaneModelAdoptTest, ShapeMismatchIsDataLossAndLeavesModelUnchanged) {
   AttributedNetwork net = SmallNetwork();
-  // A different encoder width fails on the first section read; a
-  // different decoder width fails after the encoder has been written, so
-  // the rollback has to undo it.
+  // A different encoder width, a fully-connected encoder (one weight
+  // matrix, not context_size) and a different decoder width (behind an
+  // encoder that fits) all fail before anything is written.
   CoaneConfig narrower = FastConfig();
   narrower.embedding_dim = 8;
+  CoaneConfig fully_connected = FastConfig();
+  fully_connected.encoder_kind = ContextEncoder::Kind::kFullyConnected;
   CoaneConfig other_decoder = FastConfig();
   other_decoder.decoder_hidden = {24};
   other_decoder.seed = 77;
-  for (const CoaneConfig& source_cfg : {narrower, other_decoder}) {
+  for (const CoaneConfig& source_cfg :
+       {narrower, fully_connected, other_decoder}) {
     CoaneModel source(net.graph, source_cfg);
     ASSERT_TRUE(source.Preprocess().ok());
     const TrainingCheckpoint state = SavedState(source, "mismatch_src");
@@ -259,6 +264,87 @@ TEST(CoaneModelAdoptTest, ShapeMismatchIsDataLossAndLeavesModelUnchanged) {
     EXPECT_TRUE(SameBytes(model.embeddings(), z_before));
     EXPECT_TRUE(StateBytes(model, "mismatch_merged") == bytes_before);
   }
+}
+
+// Adoption checks the whole state before it writes any of it. A state
+// whose encoder fits the model (with other values: it was trained an
+// epoch) but whose decoder or Adam shapes do not, or whose RNG text does
+// not parse, is DataLoss and leaves the model byte-identical — with no
+// backup copy to roll back to, a write before the last check would show.
+TEST(CoaneModelAdoptTest, AdoptionChecksEverythingBeforeWriting) {
+  AttributedNetwork net = SmallNetwork();
+  const CoaneConfig cfg = FastConfig();
+  CoaneModel source(net.graph, cfg);
+  ASSERT_TRUE(source.Preprocess().ok());
+  ASSERT_TRUE(source.TrainEpoch().ok());
+  TrainingCheckpoint good = SavedState(source, "checks_src");
+  good.epochs_done = 0;  // the adopting models are fresh
+  ASSERT_FALSE(good.decoder.empty());
+  ASSERT_FALSE(good.adam.empty());
+
+  TrainingCheckpoint bad_decoder = good;
+  bad_decoder.decoder[0].weight = DenseMatrix(
+      good.decoder[0].weight.rows() + 1, good.decoder[0].weight.cols());
+  TrainingCheckpoint bad_adam = good;
+  bad_adam.adam.back().v =
+      DenseMatrix(good.adam.back().v.rows(), good.adam.back().v.cols() + 1);
+  TrainingCheckpoint bad_rng = good;
+  bad_rng.rng_state = "not an engine state";
+
+  const std::string path = ::testing::TempDir() + "coane_adopt_checks.ckpt";
+  // Adopts with `adopt` into a fresh model; returns the model's embeddings.
+  auto adopt_fresh = [&](const std::function<Status(CoaneModel*)>& adopt,
+                         Status* st) {
+    CoaneModel model(net.graph, cfg);
+    EXPECT_TRUE(model.Preprocess().ok());
+    const DenseMatrix z_before = model.embeddings();
+    const std::string bytes_before = StateBytes(model, "checks_before");
+    *st = adopt(&model);
+    if (!st->ok()) {
+      EXPECT_TRUE(SameBytes(model.embeddings(), z_before));
+      EXPECT_TRUE(StateBytes(model, "checks_after") == bytes_before);
+    }
+    return model.embeddings();
+  };
+  const std::pair<const char*, const TrainingCheckpoint*> cases[] = {
+      {"decoder shape", &bad_decoder},
+      {"Adam shape", &bad_adam},
+      {"RNG text", &bad_rng}};
+  for (const auto& [name, state] : cases) {
+    ASSERT_TRUE(WriteCheckpointFile(path, *state).ok()) << name;
+    Status st;
+    adopt_fresh([&](CoaneModel* m) { return m->LoadCheckpoint(path); }, &st);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss)
+        << name << " via LoadCheckpoint: " << st.ToString();
+    // Only LoadCheckpoint adopts the RNG.
+    if (state == &bad_rng) continue;
+    adopt_fresh([&](CoaneModel* m) { return m->WarmStartFrom(*state); },
+                &st);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss)
+        << name << " via WarmStartFrom: " << st.ToString();
+    adopt_fresh(
+        [&](CoaneModel* m) { return m->ApplyAveragedState(*state); }, &st);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss)
+        << name << " via ApplyAveragedState: " << st.ToString();
+  }
+
+  // The unbroken state is adopted by all three, and moves the embeddings:
+  // each case above fails on its own defect, and a partial write of the
+  // encoder would have changed them.
+  ASSERT_TRUE(WriteCheckpointFile(path, good).ok());
+  CoaneModel fresh(net.graph, cfg);
+  ASSERT_TRUE(fresh.Preprocess().ok());
+  Status st;
+  const DenseMatrix loaded = adopt_fresh(
+      [&](CoaneModel* m) { return m->LoadCheckpoint(path); }, &st);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_FALSE(SameBytes(loaded, fresh.embeddings()));
+  adopt_fresh([&](CoaneModel* m) { return m->WarmStartFrom(good); }, &st);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  adopt_fresh([&](CoaneModel* m) { return m->ApplyAveragedState(good); },
+              &st);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  std::remove(path.c_str());
 }
 
 TEST(CoaneModelAdoptTest, WarmStartResetsEpochsAndKeepsOwnRng) {

@@ -22,12 +22,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "la/dense_matrix.h"
-#include "nn/serialize.h"
 
 namespace coane {
 namespace dist {
@@ -47,39 +48,45 @@ DenseMatrix RandomMatrix(int64_t rows, int64_t cols, Rng* rng) {
 }
 
 // A structurally valid random checkpoint: two encoder matrices, a
-// two-layer decoder, two Adam slots — every blob the averager walks.
+// two-layer decoder, two Adam slots — every section the averager walks.
 TrainingCheckpoint RandomCheckpoint(Rng* rng) {
   TrainingCheckpoint ckpt;
   ckpt.epochs_done = 6;
   ckpt.learning_rate = static_cast<float>(rng->Uniform(1e-4, 1e-2));
   ckpt.config_fingerprint = 0xFEEDULL;
-  ckpt.has_decoder = true;
   ckpt.rng_state = "shard-private";
 
-  AppendU32(&ckpt.encoder_blob, 2);
-  AppendMatrix(&ckpt.encoder_blob, RandomMatrix(3, 4, rng));
-  AppendMatrix(&ckpt.encoder_blob, RandomMatrix(2, 2, rng));
+  ckpt.encoder.push_back(RandomMatrix(3, 4, rng));
+  ckpt.encoder.push_back(RandomMatrix(2, 2, rng));
 
-  AppendU32(&ckpt.decoder_blob, 2);
-  AppendMatrix(&ckpt.decoder_blob, RandomMatrix(4, 3, rng));
-  AppendMatrix(&ckpt.decoder_blob, RandomMatrix(1, 3, rng));
-  AppendMatrix(&ckpt.decoder_blob, RandomMatrix(3, 2, rng));
-  AppendMatrix(&ckpt.decoder_blob, RandomMatrix(1, 2, rng));
+  ckpt.decoder.push_back({RandomMatrix(4, 3, rng), RandomMatrix(1, 3, rng)});
+  ckpt.decoder.push_back({RandomMatrix(3, 2, rng), RandomMatrix(1, 2, rng)});
 
-  AppendU32(&ckpt.optimizer_blob, 2);
   for (int slot = 0; slot < 2; ++slot) {
-    AppendI64(&ckpt.optimizer_blob, 11);
-    AppendMatrix(&ckpt.optimizer_blob, RandomMatrix(3, 4, rng));  // m
-    AppendMatrix(&ckpt.optimizer_blob, RandomMatrix(3, 4, rng));  // v
+    DenseMatrix m = RandomMatrix(3, 4, rng);
+    DenseMatrix v = RandomMatrix(3, 4, rng);
+    ckpt.adam.push_back({11, std::move(m), std::move(v)});
   }
   return ckpt;
 }
 
 void ExpectSameBytes(const TrainingCheckpoint& a,
                      const TrainingCheckpoint& b, const std::string& what) {
-  EXPECT_EQ(a.encoder_blob, b.encoder_blob) << what << ": encoder";
-  EXPECT_EQ(a.decoder_blob, b.decoder_blob) << what << ": decoder";
-  EXPECT_EQ(a.optimizer_blob, b.optimizer_blob) << what << ": optimizer";
+  std::vector<const DenseMatrix*> ma, mb;
+  ForEachMatrix(a, [&](const DenseMatrix& m) { ma.push_back(&m); });
+  ForEachMatrix(b, [&](const DenseMatrix& m) { mb.push_back(&m); });
+  ASSERT_EQ(ma.size(), mb.size()) << what;
+  for (size_t i = 0; i < ma.size(); ++i) {
+    EXPECT_TRUE(ma[i]->SameShape(*mb[i]) &&
+                std::memcmp(ma[i]->data(), mb[i]->data(),
+                            static_cast<size_t>(ma[i]->size()) *
+                                sizeof(float)) == 0)
+        << what << ": matrix " << i;
+  }
+  ASSERT_EQ(a.adam.size(), b.adam.size()) << what;
+  for (size_t i = 0; i < a.adam.size(); ++i) {
+    EXPECT_EQ(a.adam[i].step, b.adam[i].step) << what << ": step " << i;
+  }
   // learning_rate is averaged too; compare the bit pattern, not the value.
   EXPECT_EQ(a.learning_rate, b.learning_rate) << what << ": lr";
 }

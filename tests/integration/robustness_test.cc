@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "common/atomic_file.h"
+#include "common/checksum.h"
 #include "common/fault_injection.h"
 #include "core/coane_model.h"
 #include "datasets/attributed_sbm.h"
@@ -271,6 +272,78 @@ TEST(RobustnessTest, BitFlippedCheckpointIsDataLossAndNeverLoaded) {
   std::remove(path.c_str());
 }
 
+// Bytes and matrices meet only at the file boundary: a checkpoint read
+// and written back is the same file, with and without a decoder section.
+TEST(RobustnessTest, CheckpointReadThenWrittenIsTheSameBytes) {
+  AttributedNetwork net = TinyNet();
+  const std::string path = "/tmp/coane_reread.ckpt";
+  const std::string again = "/tmp/coane_reread_again.ckpt";
+  for (bool attribute_loss : {true, false}) {
+    CoaneConfig cfg = TinyConfig();
+    cfg.use_attribute_loss = attribute_loss;
+    CoaneModel model(net.graph, cfg);
+    ASSERT_TRUE(model.Preprocess().ok());
+    ASSERT_TRUE(model.TrainEpoch().ok());
+    ASSERT_TRUE(model.SaveCheckpoint(path).ok());
+    auto state = ReadCheckpointFile(path);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(state.value().decoder.empty(), !attribute_loss);
+    ASSERT_TRUE(WriteCheckpointFile(again, state.value()).ok());
+    EXPECT_TRUE(ReadFileToString(path).ValueOrDie() ==
+                ReadFileToString(again).ValueOrDie())
+        << "attribute_loss=" << attribute_loss;
+  }
+  std::remove(path.c_str());
+  std::remove(again.c_str());
+}
+
+// Section ids of the checkpoint layout (src/core/checkpoint.h).
+constexpr uint32_t kEncoderSection = 3;
+constexpr uint32_t kDecoderSection = 4;
+constexpr uint32_t kOptimizerSection = 5;
+
+// Applies `edit` to the payload of section `id` in the checkpoint bytes
+// `f`, then rewrites that section's length and CRC, so the file stays
+// CRC-valid and only the parser can reject it.
+void EditSection(std::string* f, uint32_t id,
+                 const std::function<void(std::string*)>& edit) {
+  size_t pos = 12;  // magic, version, section count
+  while (pos + 16 <= f->size()) {
+    uint32_t section = 0;
+    uint64_t len = 0;
+    std::memcpy(&section, f->data() + pos, sizeof(section));
+    std::memcpy(&len, f->data() + pos + 4, sizeof(len));
+    if (section == id) {
+      std::string payload = f->substr(pos + 16, len);
+      edit(&payload);
+      const uint64_t new_len = payload.size();
+      const uint32_t crc = Crc32(payload);
+      std::string framed(16, '\0');
+      std::memcpy(&framed[0], &section, sizeof(section));
+      std::memcpy(&framed[4], &new_len, sizeof(new_len));
+      std::memcpy(&framed[12], &crc, sizeof(crc));
+      f->replace(pos, 16 + len, framed + payload);
+      return;
+    }
+    pos += 16 + len;
+  }
+  ADD_FAILURE() << "no checkpoint section " << id;
+}
+
+// An encoder section of one matrix that declares `rows` x `cols` and
+// carries no floats.
+std::function<void(std::string*)> OnlyMatrixHeader(int64_t rows,
+                                                   int64_t cols) {
+  return [rows, cols](std::string* f) {
+    EditSection(f, kEncoderSection, [rows, cols](std::string* p) {
+      p->clear();
+      AppendU32(p, 1);
+      AppendI64(p, rows);
+      AppendI64(p, cols);
+    });
+  };
+}
+
 // Checkpoints that pass every CRC but carry a value or structure no writer
 // produces: each must be DataLoss, and the model must keep its state.
 TEST(RobustnessTest, CraftedCheckpointIsDataLossAndNeverLoaded) {
@@ -314,19 +387,46 @@ TEST(RobustnessTest, CraftedCheckpointIsDataLossAndNeverLoaded) {
        nullptr},
       {"negative learning rate", true,
        [](TrainingCheckpoint* c) { c->learning_rate = -0.01f; }, nullptr},
-      {"negative Adam step", false,
-       [](TrainingCheckpoint* c) {
-         // Slot 0's step counter follows the u32 slot count.
-         const int64_t step = -1;
-         std::memcpy(&c->optimizer_blob[4], &step, sizeof(step));
-       },
-       nullptr},
-      {"bytes after the encoder section's data", false,
-       [](TrainingCheckpoint* c) { c->encoder_blob += "junk"; }, nullptr},
-      {"bytes after the decoder section's data", false,
-       [](TrainingCheckpoint* c) { c->decoder_blob += "junk"; }, nullptr},
-      {"bytes after the optimizer section's data", false,
-       [](TrainingCheckpoint* c) { c->optimizer_blob += "junk"; }, nullptr},
+      {"negative Adam step", true, nullptr,
+       [](std::string* f) {
+         EditSection(f, kOptimizerSection, [](std::string* p) {
+           // Slot 0's step counter follows the u32 slot count.
+           const int64_t step = -1;
+           std::memcpy(&(*p)[4], &step, sizeof(step));
+         });
+       }},
+      {"bytes after the encoder section's data", true, nullptr,
+       [](std::string* f) {
+         EditSection(f, kEncoderSection, [](std::string* p) { *p += "junk"; });
+       }},
+      {"bytes after the decoder section's data", true, nullptr,
+       [](std::string* f) {
+         EditSection(f, kDecoderSection, [](std::string* p) { *p += "junk"; });
+       }},
+      {"bytes after the optimizer section's data", true, nullptr,
+       [](std::string* f) {
+         EditSection(f, kOptimizerSection,
+                     [](std::string* p) { *p += "junk"; });
+       }},
+      {"decoder flag with a decoder of no layers", true, nullptr,
+       [](std::string* f) {
+         EditSection(f, kDecoderSection, [](std::string* p) {
+           p->clear();
+           AppendU32(p, 0);
+         });
+       }},
+      {"encoder shape 2^32 x 2^32", true, nullptr,
+       OnlyMatrixHeader(int64_t{1} << 32, int64_t{1} << 32)},
+      {"encoder shape 3 x 2^62", true, nullptr,
+       OnlyMatrixHeader(3, int64_t{1} << 62)},
+      {"encoder shape past the section's bytes", true, nullptr,
+       [](std::string* f) {
+         EditSection(f, kEncoderSection, [](std::string* p) {
+           // The first matrix's rows follow the u32 matrix count.
+           const int64_t rows = int64_t{1} << 20;
+           std::memcpy(&(*p)[4], &rows, sizeof(rows));
+         });
+       }},
       {"bytes after the last section", true, nullptr,
        [](std::string* f) { *f += "junk"; }},
       {"meta section twice", true, nullptr,

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -24,94 +26,99 @@ bool BitIdentical(const DenseMatrix& a, const DenseMatrix& b) {
                      static_cast<size_t>(a.size()) * sizeof(float)) == 0;
 }
 
-TEST(SerializeTest, MatrixRoundTripIsBitIdentical) {
-  Rng rng(7);
-  DenseMatrix m = RandomMatrix(5, 9, &rng);
-  std::string blob;
-  AppendMatrix(&blob, m);
-
-  DenseMatrix restored(5, 9, 0.0f);
-  ByteReader reader(blob);
-  ASSERT_TRUE(ReadMatrixInto(&reader, &restored).ok());
-  EXPECT_TRUE(BitIdentical(m, restored));
-  EXPECT_EQ(reader.remaining(), 0u);
+bool SameMatrices(const std::vector<DenseMatrix>& a,
+                  const std::vector<DenseMatrix>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!BitIdentical(a[i], b[i])) return false;
+  }
+  return true;
 }
 
-TEST(SerializeTest, MatrixShapeMismatchIsDataLoss) {
-  Rng rng(7);
-  DenseMatrix m = RandomMatrix(4, 4, &rng);
-  std::string blob;
-  AppendMatrix(&blob, m);
-
-  DenseMatrix wrong(4, 5, 0.0f);
-  ByteReader reader(blob);
-  Status st = ReadMatrixInto(&reader, &wrong);
-  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-}
-
-TEST(SerializeTest, TruncatedMatrixIsDataLoss) {
-  Rng rng(7);
-  DenseMatrix m = RandomMatrix(6, 6, &rng);
-  std::string blob;
-  AppendMatrix(&blob, m);
-  blob.resize(blob.size() / 2);
-
-  DenseMatrix restored(6, 6, 0.0f);
-  ByteReader reader(blob);
-  Status st = ReadMatrixInto(&reader, &restored);
-  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-}
-
-TEST(SerializeTest, EncoderRoundTrip) {
+TEST(SerializeTest, EncoderSectionRoundTripIsBitIdentical) {
   Rng rng(11);
   ContextEncoder original(3, 7, 4, ContextEncoder::Kind::kConvolution,
                           &rng);
+  const std::vector<DenseMatrix>& weights = original.weight_matrices();
+  ASSERT_EQ(weights.size(), 3u);
   std::string blob;
-  AppendEncoderWeights(&blob, original);
+  AppendEncoderWeights(&blob, weights);
+  // The object form writes the same bytes.
+  std::string from_object;
+  AppendEncoderWeights(&from_object, original);
+  EXPECT_EQ(blob, from_object);
 
-  Rng other(99);  // different init, fully overwritten by the restore
-  ContextEncoder restored(3, 7, 4, ContextEncoder::Kind::kConvolution,
-                          &other);
   ByteReader reader(blob);
-  ASSERT_TRUE(ReadEncoderWeightsInto(&reader, &restored).ok());
+  std::vector<DenseMatrix> restored;
+  ASSERT_TRUE(ReadEncoderWeights(&reader, &restored).ok());
+  EXPECT_EQ(reader.remaining(), 0u);
+  EXPECT_TRUE(SameMatrices(weights, restored));
   for (int i = 0; i < original.num_weight_matrices(); ++i) {
-    EXPECT_TRUE(
-        BitIdentical(original.weight_matrix(i), restored.weight_matrix(i)));
+    EXPECT_TRUE(BitIdentical(original.weight_matrix(i), restored[i]));
   }
 }
 
-TEST(SerializeTest, EncoderArchitectureMismatchIsDataLoss) {
-  Rng rng(11);
-  ContextEncoder conv(3, 7, 4, ContextEncoder::Kind::kConvolution, &rng);
+TEST(SerializeTest, TruncatedSectionIsDataLoss) {
+  Rng rng(7);
+  ContextEncoder encoder(3, 6, 6, ContextEncoder::Kind::kFullyConnected,
+                         &rng);
   std::string blob;
-  AppendEncoderWeights(&blob, conv);
-
-  // A fully-connected encoder stores 1 matrix, not context_size.
-  ContextEncoder fc(3, 7, 4, ContextEncoder::Kind::kFullyConnected, &rng);
-  ByteReader reader(blob);
-  EXPECT_EQ(ReadEncoderWeightsInto(&reader, &fc).code(),
-            StatusCode::kDataLoss);
+  AppendEncoderWeights(&blob, encoder);
+  // Cut inside the count, the matrix header and the matrix payload.
+  for (size_t keep : {size_t{2}, size_t{10}, blob.size() / 2,
+                      blob.size() - 1}) {
+    ByteReader reader(blob.data(), keep);
+    std::vector<DenseMatrix> restored;
+    EXPECT_EQ(ReadEncoderWeights(&reader, &restored).code(),
+              StatusCode::kDataLoss)
+        << "keep=" << keep;
+  }
 }
 
-TEST(SerializeTest, MlpRoundTrip) {
+// A shape whose float count overflows int64 (2^32 x 2^32, 3 x 2^62), a
+// negative one, and one just past the bytes left: kDataLoss before any
+// allocation is sized from it.
+TEST(SerializeTest, ShapePastTheBytesIsDataLoss) {
+  const std::pair<int64_t, int64_t> shapes[] = {
+      {int64_t{1} << 32, int64_t{1} << 32},
+      {3, int64_t{1} << 62},
+      {-1, 4},
+      {2, 3}};
+  for (const auto& [rows, cols] : shapes) {
+    std::string blob;
+    AppendU32(&blob, 1);
+    AppendI64(&blob, rows);
+    AppendI64(&blob, cols);
+    for (int i = 0; i < 5; ++i) AppendF32(&blob, 1.0f);  // 2x3 needs 6
+    ByteReader reader(blob);
+    std::vector<DenseMatrix> restored;
+    EXPECT_EQ(ReadEncoderWeights(&reader, &restored).code(),
+              StatusCode::kDataLoss)
+        << rows << "x" << cols;
+  }
+}
+
+TEST(SerializeTest, MlpSectionRoundTrip) {
   Rng rng(13);
   Mlp original({6, 10, 3}, &rng);
   std::string blob;
   AppendMlpWeights(&blob, original);
 
-  Rng other(5);
-  Mlp restored({6, 10, 3}, &other);
   ByteReader reader(blob);
-  ASSERT_TRUE(ReadMlpWeightsInto(&reader, &restored).ok());
+  std::vector<LayerWeights> restored;
+  ASSERT_TRUE(ReadMlpWeights(&reader, &restored).ok());
+  EXPECT_EQ(reader.remaining(), 0u);
+  ASSERT_EQ(restored.size(), original.num_layers());
   for (size_t i = 0; i < original.num_layers(); ++i) {
-    EXPECT_TRUE(BitIdentical(original.layer(i).weight(),
-                             restored.layer(i).weight()));
-    EXPECT_TRUE(
-        BitIdentical(original.layer(i).bias(), restored.layer(i).bias()));
+    EXPECT_TRUE(BitIdentical(original.layer(i).weight(), restored[i].weight));
+    EXPECT_TRUE(BitIdentical(original.layer(i).bias(), restored[i].bias));
   }
+  std::string again;
+  AppendMlpWeights(&again, restored);
+  EXPECT_EQ(again, blob);
 }
 
-TEST(SerializeTest, AdamStateRoundTripPreservesMomentsAndStep) {
+TEST(SerializeTest, AdamSectionRoundTripPreservesMomentsAndStep) {
   Rng rng(17);
   DenseMatrix p1 = RandomMatrix(3, 3, &rng);
   DenseMatrix p2 = RandomMatrix(2, 5, &rng);
@@ -126,18 +133,30 @@ TEST(SerializeTest, AdamStateRoundTripPreservesMomentsAndStep) {
   std::string blob;
   AppendAdamState(&blob, original);
 
-  DenseMatrix q1(3, 3, 0.0f), q2(2, 5, 0.0f);
-  AdamOptimizer restored;
-  restored.Register(&q1);
-  restored.Register(&q2);
   ByteReader reader(blob);
-  ASSERT_TRUE(ReadAdamStateInto(&reader, &restored).ok());
-  EXPECT_EQ(restored.slot_step(0), 3);
-  EXPECT_EQ(restored.slot_step(1), 3);
-  EXPECT_TRUE(
-      BitIdentical(original.slot_moment1(0), restored.slot_moment1(0)));
-  EXPECT_TRUE(
-      BitIdentical(original.slot_moment2(1), restored.slot_moment2(1)));
+  std::vector<AdamSlotState> restored;
+  ASSERT_TRUE(ReadAdamState(&reader, &restored).ok());
+  EXPECT_EQ(reader.remaining(), 0u);
+  ASSERT_EQ(restored.size(), 2u);
+  EXPECT_EQ(restored[0].step, 3);
+  EXPECT_EQ(restored[1].step, 3);
+  EXPECT_TRUE(BitIdentical(original.slot_moment1(0), restored[0].m));
+  EXPECT_TRUE(BitIdentical(original.slot_moment2(1), restored[1].v));
+  std::string again;
+  AppendAdamState(&again, restored);
+  EXPECT_EQ(again, blob);
+}
+
+TEST(SerializeTest, NegativeAdamStepIsDataLoss) {
+  std::vector<AdamSlotState> slots(1);
+  slots[0].step = -1;
+  slots[0].m = DenseMatrix(1, 2, 0.5f);
+  slots[0].v = DenseMatrix(1, 2, 0.25f);
+  std::string blob;
+  AppendAdamState(&blob, slots);
+  ByteReader reader(blob);
+  std::vector<AdamSlotState> restored;
+  EXPECT_EQ(ReadAdamState(&reader, &restored).code(), StatusCode::kDataLoss);
 }
 
 TEST(SerializeTest, RngStateRoundTripContinuesSequence) {
