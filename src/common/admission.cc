@@ -82,12 +82,4 @@ int64_t AdmissionController::peak_in_service() const {
   return peak_in_service_;
 }
 
-std::string AdmissionController::DebugString() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return "active=" + std::to_string(in_service_) + "/" +
-         std::to_string(max_active_) + " pending=" +
-         std::to_string(pending_) + "/" + std::to_string(queue_capacity_) +
-         " shed=" + std::to_string(shed_);
-}
-
 }  // namespace coane

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <string>
 
 namespace coane {
 
@@ -95,9 +94,6 @@ class AdmissionController {
   int64_t shed() const;       ///< kShed decisions
   int64_t withdrawn() const;  ///< Withdraw() calls
   int64_t peak_in_service() const;
-
-  /// One-line rendering for logs: "active=2/4 pending=1/8 shed=13".
-  std::string DebugString() const;
 
  private:
   const int64_t max_active_;

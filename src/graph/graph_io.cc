@@ -6,7 +6,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string_view>
@@ -16,7 +15,6 @@
 #include "common/fault_injection.h"
 #include "common/flags.h"
 #include "common/record_file.h"
-#include "common/string_utils.h"
 #include "graph/graph_builder.h"
 
 namespace coane {
@@ -43,21 +41,6 @@ void ForEachField(std::string_view line, const Visit& visit) {
   }
 }
 
-// A whitespace-separated field with its 1-based column in the raw line.
-struct Token {
-  std::string text;
-  int column = 1;
-};
-
-std::vector<Token> TokenizeWithColumns(const std::string& line) {
-  std::vector<Token> tokens;
-  ForEachField(line, [&](std::string_view f) {
-    tokens.push_back(
-        {std::string(f), static_cast<int>(f.data() - line.data()) + 1});
-  });
-  return tokens;
-}
-
 // Strict integer parse (flags::ParseWhole). `overflow` distinguishes "not
 // a number" from "a number too large": an all-digit token that does not
 // parse is out of range.
@@ -72,14 +55,16 @@ bool ParseId(std::string_view s, int64_t* out, bool* overflow) {
   return false;
 }
 
-// Full-token double parse. Trailing garbage fails; "inf"/"nan"/overflowing
-// literals parse but report finite=false so callers can count them as
-// non-finite values rather than bad tokens.
-bool ParseDouble(const std::string& s, double* out, bool* finite) {
+// Full-token double parse. Trailing garbage fails, and so does a NUL
+// inside the token (strtod would stop there); "inf"/"nan"/overflowing or
+// underflowing literals parse but report finite=false so callers can
+// count them as non-finite values rather than bad tokens.
+bool ParseDouble(std::string_view token, double* out, bool* finite) {
+  const std::string s(token);
   char* end = nullptr;
   errno = 0;
   *out = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') return false;
+  if (end == s.c_str() || end != s.c_str() + s.size()) return false;
   *finite = std::isfinite(*out) && errno != ERANGE;
   return true;
 }
@@ -91,8 +76,7 @@ bool ParseValue(std::string_view token, double* out) {
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
   bool finite = false;
-  return (ec == std::errc() && ptr == end) ||
-         ParseDouble(std::string(token), out, &finite);
+  return (ec == std::errc() && ptr == end) || ParseDouble(token, out, &finite);
 }
 
 // Appends `sep`, then `value` as `operator<<` prints a float by default:
@@ -116,25 +100,34 @@ std::string Shown(std::string_view token) {
   return shown.size() < token.size() ? shown + "..." : shown;
 }
 
-std::string Diagnostic(const std::string& path, int64_t line, int column,
-                       const std::string& message) {
-  return path + ":" + std::to_string(line) + ":" + std::to_string(column) +
-         ": " + message;
+// A whitespace-separated field of a data line and its 1-based column.
+struct Field {
+  std::string_view text;
+  int column = 1;
+};
+using Row = std::vector<Field>;
+
+// `field` as the loader's diagnostics quote it: its bytes as they are.
+std::string Quoted(const Field& field) {
+  return "'" + std::string(field.text) + "'";
 }
 
-// Routes one malformed line to the active policy: strict mode returns the
-// diagnostic as an error (aborting the load), lenient mode records it in
-// the summary and returns OK so the caller can skip the line.
+// Routes a malformed data line to the active policy: strict mode returns
+// its "path:line:column: message" diagnostic as an error (aborting the
+// load), lenient mode records it in the summary and returns OK so the
+// line is skipped.
 class LineDiagnostics {
  public:
-  LineDiagnostics(const LoadOptions& options, LoadSummary* summary)
-      : options_(options), summary_(summary) {}
+  LineDiagnostics(const std::string& path, int64_t line,
+                  const LoadOptions& options, LoadSummary* summary)
+      : path_(path), line_(line), options_(options), summary_(summary) {}
 
-  Status Flag(const std::string& path, int64_t line, int column,
-              const std::string& message, int64_t LoadSummary::*counter,
+  Status Flag(const Field& at, const std::string& message,
+              int64_t LoadSummary::*counter,
               StatusCode code = StatusCode::kInvalidArgument) {
     summary_->*counter += 1;
-    const std::string diag = Diagnostic(path, line, column, message);
+    const std::string diag = path_ + ":" + std::to_string(line_) + ":" +
+                             std::to_string(at.column) + ": " + message;
     if (options_.bad_line_policy == BadLinePolicy::kStrict) {
       return Status(code, diag);
     }
@@ -146,81 +139,64 @@ class LineDiagnostics {
   }
 
  private:
+  const std::string& path_;
+  const int64_t line_;
   const LoadOptions& options_;
   LoadSummary* summary_;
 };
 
-// Opens `path`, enforcing the file-size cap up front, and iterates the
-// non-comment, non-empty lines with their 1-based line numbers.
-class LineScanner {
- public:
-  Status Open(const std::string& path, const LoadOptions& options) {
-    path_ = path;
-    if (fault::ShouldFail("graph_io.load")) {
-      return Status::IoError("injected fault at graph_io.load opening " +
-                             path);
-    }
-    in_.open(path, std::ios::binary);
-    if (!in_) return Status::IoError("cannot open " + path);
-    if (options.max_file_bytes > 0) {
-      in_.seekg(0, std::ios::end);
-      const auto bytes = static_cast<int64_t>(in_.tellg());
-      in_.seekg(0, std::ios::beg);
-      if (bytes > options.max_file_bytes) {
-        return Status::ResourceExhausted(
-            path + " is " + std::to_string(bytes) +
-            " bytes, over the max_file_bytes cap of " +
-            std::to_string(options.max_file_bytes));
-      }
-    }
-    return Status::OK();
+// Reads `path` whole and calls `visit(diag, row)` on each data line (not
+// blank, not a '#' comment) with its fields and the diagnostics of its
+// 1-based line number, counting it in summary->lines_parsed and checking
+// options.run_context every kLinesPerContextCheck lines. Stops at the
+// first non-OK status. Fault point: "graph_io.load" (fires once per file,
+// before the read).
+template <typename Visit>
+Status ForEachDataLine(const std::string& path, const LoadOptions& options,
+                       LoadSummary* summary, const Visit& visit) {
+  if (fault::ShouldFail("graph_io.load")) {
+    return Status::IoError("injected fault at graph_io.load opening " + path);
   }
-
-  // Fills `tokens` with the next data line; false at end of file.
-  bool Next(std::vector<Token>* tokens, int64_t* line_number) {
-    std::string line;
-    while (std::getline(in_, line)) {
-      ++line_no_;
-      const std::string trimmed = Trim(line);
-      if (trimmed.empty() || trimmed[0] == '#') continue;
-      *tokens = TokenizeWithColumns(line);
-      *line_number = line_no_;
-      return true;
+  auto raw = ReadFileToString(path);
+  if (!raw.ok()) return raw.status();
+  std::string_view rest = raw.value();
+  Row row;
+  for (int64_t line = 1; !rest.empty(); ++line) {
+    const std::string_view text = rest.substr(0, rest.find('\n'));
+    rest.remove_prefix(std::min(text.size() + 1, rest.size()));
+    row.clear();
+    ForEachField(text, [&](std::string_view f) {
+      row.push_back({f, static_cast<int>(f.data() - text.data()) + 1});
+    });
+    if (row.empty() || row[0].text[0] == '#') continue;
+    if (++summary->lines_parsed % kLinesPerContextCheck == 0) {
+      COANE_RETURN_IF_STOPPED(options.run_context, "graph_io.load");
     }
-    return false;
+    LineDiagnostics diag(path, line, options, summary);
+    COANE_RETURN_IF_ERROR(visit(diag, row));
   }
+  return Status::OK();
+}
 
-  const std::string& path() const { return path_; }
-
- private:
-  std::ifstream in_;
-  std::string path_;
-  int64_t line_no_ = 0;
-};
-
-// Shared by the three per-file loaders below: parse a token that must be a
-// node id within [0, limit). Returns false when the line must be skipped
-// (lenient) — `status` carries the error in strict mode.
-bool CheckNodeId(LineDiagnostics* diag, const LineScanner& scanner,
-                 int64_t line, const Token& token, int64_t limit,
-                 const char* what, int64_t* id, Status* status) {
+// Parses `field` as a node id in [0, limit). A bad id flags the line and
+// returns false, with the policy's verdict in `*verdict`.
+bool CheckNodeId(LineDiagnostics& diag, const Field& field, int64_t limit,
+                 int64_t* id, Status* verdict) {
   bool overflow = false;
-  if (!ParseId(token.text, id, &overflow)) {
-    *status = overflow
-                  ? diag->Flag(scanner.path(), line, token.column,
-                               std::string(what) + " '" + token.text +
-                                   "' overflows",
-                               &LoadSummary::out_of_range_ids,
-                               StatusCode::kOutOfRange)
-                  : diag->Flag(scanner.path(), line, token.column,
-                               std::string("bad ") + what + " '" +
-                                   token.text + "' (not an integer)",
-                               &LoadSummary::bad_tokens);
+  if (!ParseId(field.text, id, &overflow)) {
+    *verdict = overflow ? diag.Flag(field,
+                                    "node id " + Quoted(field) + " overflows",
+                                    &LoadSummary::out_of_range_ids,
+                                    StatusCode::kOutOfRange)
+                        : diag.Flag(field,
+                                    "bad node id " + Quoted(field) +
+                                        " (not an integer)",
+                                    &LoadSummary::bad_tokens);
     return false;
   }
   if (*id < 0 || *id >= limit) {
-    *status = diag->Flag(scanner.path(), line, token.column,
-                         std::string(what) + " " + token.text +
+    *verdict = diag.Flag(field,
+                         "node id " + std::string(field.text) +
                              " out of range [0, " + std::to_string(limit) +
                              ")",
                          &LoadSummary::out_of_range_ids,
@@ -287,7 +263,6 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
   LoadSummary local_summary;
   LoadSummary* summary = out_summary != nullptr ? out_summary : &local_summary;
   *summary = LoadSummary();
-  LineDiagnostics diag(options, summary);
 
   const int64_t id_limit = NodeIdLimit(options);
   if (options.num_nodes > id_limit) {
@@ -314,80 +289,56 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
   std::vector<Edge> edges;
   int64_t max_node = -1;
   std::unordered_set<uint64_t> seen_edges;
-  {
-    LineScanner scanner;
-    COANE_RETURN_IF_ERROR(scanner.Open(edges_path, options));
-    std::vector<Token> row;
-    int64_t line = 0;
-    while (scanner.Next(&row, &line)) {
-      ++summary->lines_parsed;
-      if (summary->lines_parsed % kLinesPerContextCheck == 0) {
-        COANE_RETURN_IF_STOPPED(options.run_context, "graph_io.load");
-      }
-      if (row.size() < 2 || row.size() > 3) {
-        COANE_RETURN_IF_ERROR(diag.Flag(
-            scanner.path(), line, row.empty() ? 1 : row[0].column,
-            "edge line needs 2 or 3 fields, got " +
-                std::to_string(row.size()),
-            &LoadSummary::bad_tokens));
-        continue;
-      }
-      Status st;
-      int64_t src = 0, dst = 0;
-      if (!CheckNodeId(&diag, scanner, line, row[0], id_limit, "node id",
-                       &src, &st)) {
-        COANE_RETURN_IF_ERROR(st);
-        continue;
-      }
-      if (!CheckNodeId(&diag, scanner, line, row[1], id_limit, "node id",
-                       &dst, &st)) {
-        COANE_RETURN_IF_ERROR(st);
-        continue;
-      }
-      if (src == dst) {
-        COANE_RETURN_IF_ERROR(diag.Flag(scanner.path(), line, row[0].column,
-                                        "self-loop on node " +
-                                            std::to_string(src),
-                                        &LoadSummary::self_loops));
-        continue;
-      }
-      float w = 1.0f;
-      if (row.size() == 3) {
-        double wv = 0.0;
-        bool finite = false;
-        if (!ParseDouble(row[2].text, &wv, &finite)) {
-          COANE_RETURN_IF_ERROR(diag.Flag(scanner.path(), line,
-                                          row[2].column,
-                                          "bad weight '" + row[2].text + "'",
-                                          &LoadSummary::bad_tokens));
-          continue;
+  COANE_RETURN_IF_ERROR(ForEachDataLine(
+      edges_path, options, summary,
+      [&](LineDiagnostics& diag, const Row& row) -> Status {
+        if (row.size() < 2 || row.size() > 3) {
+          return diag.Flag(row[0],
+                           "edge line needs 2 or 3 fields, got " +
+                               std::to_string(row.size()),
+                           &LoadSummary::bad_tokens);
         }
-        if (!finite) {
-          COANE_RETURN_IF_ERROR(
-              diag.Flag(scanner.path(), line, row[2].column,
-                        "non-finite weight '" + row[2].text + "'",
-                        &LoadSummary::non_finite_values));
-          continue;
+        Status verdict;
+        int64_t src = 0, dst = 0;
+        if (!CheckNodeId(diag, row[0], id_limit, &src, &verdict) ||
+            !CheckNodeId(diag, row[1], id_limit, &dst, &verdict)) {
+          return verdict;
         }
-        if (wv <= 0.0) {
-          COANE_RETURN_IF_ERROR(
-              diag.Flag(scanner.path(), line, row[2].column,
-                        "non-positive weight '" + row[2].text + "'",
-                        &LoadSummary::nonpositive_weights));
-          continue;
+        if (src == dst) {
+          return diag.Flag(row[0],
+                           "self-loop on node " + std::to_string(src),
+                           &LoadSummary::self_loops);
         }
-        w = static_cast<float>(wv);
-      }
-      const uint64_t key =
-          (static_cast<uint64_t>(std::min(src, dst)) << 32) |
-          static_cast<uint64_t>(std::max(src, dst));
-      if (!seen_edges.insert(key).second) ++summary->duplicate_edges;
-      edges.push_back(
-          {static_cast<NodeId>(src), static_cast<NodeId>(dst), w});
-      ++summary->edges_loaded;
-      max_node = std::max(max_node, std::max(src, dst));
-    }
-  }
+        float w = 1.0f;
+        if (row.size() == 3) {
+          double wv = 0.0;
+          bool finite = false;
+          if (!ParseDouble(row[2].text, &wv, &finite)) {
+            return diag.Flag(row[2], "bad weight " + Quoted(row[2]),
+                             &LoadSummary::bad_tokens);
+          }
+          if (!finite) {
+            return diag.Flag(row[2],
+                             "non-finite weight " + Quoted(row[2]),
+                             &LoadSummary::non_finite_values);
+          }
+          if (wv <= 0.0) {
+            return diag.Flag(row[2],
+                             "non-positive weight " + Quoted(row[2]),
+                             &LoadSummary::nonpositive_weights);
+          }
+          w = static_cast<float>(wv);
+        }
+        const uint64_t key =
+            (static_cast<uint64_t>(std::min(src, dst)) << 32) |
+            static_cast<uint64_t>(std::max(src, dst));
+        if (!seen_edges.insert(key).second) ++summary->duplicate_edges;
+        edges.push_back(
+            {static_cast<NodeId>(src), static_cast<NodeId>(dst), w});
+        ++summary->edges_loaded;
+        max_node = std::max(max_node, std::max(src, dst));
+        return Status::OK();
+      }));
   // A declared node count is a contract: attribute and label ids past it
   // (and past every edge endpoint) are out of range. Without one, isolated
   // nodes may appear only in the attribute or label file, so the count
@@ -409,102 +360,88 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
   std::vector<uint8_t> node_in_file;
   int64_t max_attr = -1;
   if (!attributes_path.empty()) {
-    LineScanner scanner;
-    COANE_RETURN_IF_ERROR(scanner.Open(attributes_path, options));
-    std::vector<Token> row;
-    int64_t line = 0;
-    while (scanner.Next(&row, &line)) {
-      ++summary->lines_parsed;
-      if (summary->lines_parsed % kLinesPerContextCheck == 0) {
-        COANE_RETURN_IF_STOPPED(options.run_context, "graph_io.load");
-      }
-      if (row.size() != 3 && row.size() != 2) {
-        COANE_RETURN_IF_ERROR(diag.Flag(
-            scanner.path(), line, row.empty() ? 1 : row[0].column,
-            "attribute line needs 'node index value' (or 'node index' for "
-            "a missing cell), got " +
-                std::to_string(row.size()) + " field(s)",
-            &LoadSummary::bad_tokens));
-        continue;
-      }
-      Status st;
-      int64_t node = 0, attr = 0;
-      if (!CheckNodeId(&diag, scanner, line, row[0], node_limit,
-                       "node id", &node, &st)) {
-        COANE_RETURN_IF_ERROR(st);
-        continue;
-      }
-      bool overflow = false;
-      if (!ParseId(row[1].text, &attr, &overflow) || attr < 0) {
-        COANE_RETURN_IF_ERROR(diag.Flag(
-            scanner.path(), line, row[1].column,
-            "bad attribute index '" + row[1].text + "'",
-            overflow ? &LoadSummary::out_of_range_ids
-                     : &LoadSummary::bad_tokens,
-            overflow ? StatusCode::kOutOfRange
-                     : StatusCode::kInvalidArgument));
-        continue;
-      }
-      if (attr >= declared_attr_dim) {
-        COANE_RETURN_IF_ERROR(diag.Flag(
-            scanner.path(), line, row[1].column,
-            "attribute index " + std::to_string(attr) +
-                " outside the declared/capped dimension " +
-                std::to_string(declared_attr_dim),
-            &LoadSummary::attr_dim_mismatches, StatusCode::kOutOfRange));
-        continue;
-      }
-      bool is_missing = row.size() == 2;  // empty trailing cell
-      double value = 0.0;
-      if (!is_missing) {
-        bool finite = false;
-        if (!ParseDouble(row[2].text, &value, &finite)) {
-          COANE_RETURN_IF_ERROR(diag.Flag(scanner.path(), line,
-                                          row[2].column,
-                                          "bad attribute value '" +
-                                              row[2].text + "'",
-                                          &LoadSummary::bad_tokens));
-          continue;
-        }
-        if (!finite) {
-          if (std::isnan(value)) {
-            // An explicit "this observation is missing" marker.
-            is_missing = true;
-          } else {
-            // inf / overflow: corruption, not missingness.
-            COANE_RETURN_IF_ERROR(
-                diag.Flag(scanner.path(), line, row[2].column,
-                          "non-finite attribute value '" + row[2].text + "'",
-                          &LoadSummary::non_finite_values));
-            continue;
+    COANE_RETURN_IF_ERROR(ForEachDataLine(
+        attributes_path, options, summary,
+        [&](LineDiagnostics& diag, const Row& row) -> Status {
+          if (row.size() != 3 && row.size() != 2) {
+            return diag.Flag(
+                row[0],
+                "attribute line needs 'node index value' (or 'node index' "
+                "for a missing cell), got " +
+                    std::to_string(row.size()) + " field(s)",
+                &LoadSummary::bad_tokens);
           }
-        }
-      }
-      const uint64_t key = (static_cast<uint64_t>(node) << 32) |
-                           (static_cast<uint64_t>(attr) & 0xFFFFFFFFULL);
-      if (node >= static_cast<int64_t>(node_in_file.size())) {
-        node_in_file.resize(static_cast<size_t>(node) + 1, 0);
-      }
-      node_in_file[static_cast<size_t>(node)] = 1;
-      max_node = std::max(max_node, node);
-      max_attr = std::max(max_attr, attr);
-      if (is_missing) {
-        // A value for the same cell wins over a missing marker, in either
-        // order; the contradiction is counted as a duplicate.
-        if (value_cells.count(key) != 0 || !marker_cells.insert(key).second) {
-          ++summary->duplicate_attributes;
-          continue;
-        }
-        ++summary->missing_attr_cells;
-        continue;
-      }
-      if (value_cells.count(key) != 0 || marker_cells.count(key) != 0) {
-        ++summary->duplicate_attributes;
-      }
-      value_cells.insert(key);
-      triplets.push_back({node, attr, static_cast<float>(value)});
-      ++summary->attributes_loaded;
-    }
+          Status verdict;
+          int64_t node = 0, attr = 0;
+          if (!CheckNodeId(diag, row[0], node_limit, &node,
+                           &verdict)) {
+            return verdict;
+          }
+          bool overflow = false;
+          if (!ParseId(row[1].text, &attr, &overflow) || attr < 0) {
+            return diag.Flag(row[1],
+                             "bad attribute index " + Quoted(row[1]),
+                             overflow ? &LoadSummary::out_of_range_ids
+                                      : &LoadSummary::bad_tokens,
+                             overflow ? StatusCode::kOutOfRange
+                                      : StatusCode::kInvalidArgument);
+          }
+          if (attr >= declared_attr_dim) {
+            return diag.Flag(
+                row[1],
+                "attribute index " + std::to_string(attr) +
+                    " outside the declared/capped dimension " +
+                    std::to_string(declared_attr_dim),
+                &LoadSummary::attr_dim_mismatches, StatusCode::kOutOfRange);
+          }
+          bool is_missing = row.size() == 2;  // empty trailing cell
+          double value = 0.0;
+          if (!is_missing) {
+            bool finite = false;
+            if (!ParseDouble(row[2].text, &value, &finite)) {
+              return diag.Flag(row[2],
+                               "bad attribute value " + Quoted(row[2]),
+                               &LoadSummary::bad_tokens);
+            }
+            if (!finite) {
+              // nan is an explicit "this observation is missing" marker;
+              // inf / overflow is corruption, not missingness.
+              if (!std::isnan(value)) {
+                return diag.Flag(row[2],
+                                 "non-finite attribute value " +
+                                     Quoted(row[2]),
+                                 &LoadSummary::non_finite_values);
+              }
+              is_missing = true;
+            }
+          }
+          const uint64_t key = (static_cast<uint64_t>(node) << 32) |
+                               (static_cast<uint64_t>(attr) & 0xFFFFFFFFULL);
+          if (node >= static_cast<int64_t>(node_in_file.size())) {
+            node_in_file.resize(static_cast<size_t>(node) + 1, 0);
+          }
+          node_in_file[static_cast<size_t>(node)] = 1;
+          max_node = std::max(max_node, node);
+          max_attr = std::max(max_attr, attr);
+          if (is_missing) {
+            // A value for the same cell wins over a missing marker, in
+            // either order; the contradiction is counted as a duplicate.
+            if (value_cells.count(key) != 0 ||
+                !marker_cells.insert(key).second) {
+              ++summary->duplicate_attributes;
+            } else {
+              ++summary->missing_attr_cells;
+            }
+            return Status::OK();
+          }
+          if (value_cells.count(key) != 0 || marker_cells.count(key) != 0) {
+            ++summary->duplicate_attributes;
+          }
+          value_cells.insert(key);
+          triplets.push_back({node, attr, static_cast<float>(value)});
+          ++summary->attributes_loaded;
+          return Status::OK();
+        }));
   }
 
   // --- Labels.
@@ -586,53 +523,40 @@ Result<std::vector<int32_t>> LoadLabels(const std::string& path,
                                         LoadSummary* summary) {
   LoadSummary local_summary;
   if (summary == nullptr) summary = &local_summary;
-  LineDiagnostics diag(options, summary);
   const int64_t node_limit =
       num_nodes > 0 ? std::min(num_nodes, NodeIdLimit(options))
                     : NodeIdLimit(options);
   std::vector<int32_t> labels(
       static_cast<size_t>(num_nodes > 0 ? num_nodes : 0), 0);
-  LineScanner scanner;
-  COANE_RETURN_IF_ERROR(scanner.Open(path, options));
-  std::vector<Token> row;
-  int64_t line = 0;
-  while (scanner.Next(&row, &line)) {
-    ++summary->lines_parsed;
-    if (summary->lines_parsed % kLinesPerContextCheck == 0) {
-      COANE_RETURN_IF_STOPPED(options.run_context, "graph_io.load");
-    }
-    if (row.size() != 2) {
-      COANE_RETURN_IF_ERROR(diag.Flag(
-          scanner.path(), line, row.empty() ? 1 : row[0].column,
-          "label line needs 'node label', got " +
-              std::to_string(row.size()) + " field(s)",
-          &LoadSummary::bad_tokens));
-      continue;
-    }
-    Status st;
-    int64_t node = 0;
-    if (!CheckNodeId(&diag, scanner, line, row[0], node_limit, "node id",
-                     &node, &st)) {
-      COANE_RETURN_IF_ERROR(st);
-      continue;
-    }
-    int64_t label = 0;
-    bool overflow = false;
-    if (!ParseId(row[1].text, &label, &overflow) || label < 0 ||
-        label > std::numeric_limits<int32_t>::max()) {
-      COANE_RETURN_IF_ERROR(diag.Flag(
-          scanner.path(), line, row[1].column,
-          "bad label '" + row[1].text +
-              "' (labels are non-negative integers)",
-          &LoadSummary::bad_tokens));
-      continue;
-    }
-    if (node >= static_cast<int64_t>(labels.size())) {
-      labels.resize(static_cast<size_t>(node) + 1, 0);
-    }
-    labels[static_cast<size_t>(node)] = static_cast<int32_t>(label);
-    ++summary->labels_loaded;
-  }
+  COANE_RETURN_IF_ERROR(ForEachDataLine(
+      path, options, summary, [&](LineDiagnostics& diag, const Row& row) -> Status {
+        if (row.size() != 2) {
+          return diag.Flag(row[0],
+                           "label line needs 'node label', got " +
+                               std::to_string(row.size()) + " field(s)",
+                           &LoadSummary::bad_tokens);
+        }
+        Status verdict;
+        int64_t node = 0;
+        if (!CheckNodeId(diag, row[0], node_limit, &node, &verdict)) {
+          return verdict;
+        }
+        int64_t label = 0;
+        bool overflow = false;
+        if (!ParseId(row[1].text, &label, &overflow) || label < 0 ||
+            label > std::numeric_limits<int32_t>::max()) {
+          return diag.Flag(row[1],
+                           "bad label " + Quoted(row[1]) +
+                               " (labels are non-negative integers)",
+                           &LoadSummary::bad_tokens);
+        }
+        if (node >= static_cast<int64_t>(labels.size())) {
+          labels.resize(static_cast<size_t>(node) + 1, 0);
+        }
+        labels[static_cast<size_t>(node)] = static_cast<int32_t>(label);
+        ++summary->labels_loaded;
+        return Status::OK();
+      }));
   return labels;
 }
 

@@ -39,14 +39,12 @@ struct LoadOptions {
   /// unless a larger value is given here.
   int64_t num_nodes = 0;
   int64_t num_attributes = 0;
-  /// Caps, 0 = unlimited. A file that would exceed max_nodes or
-  /// max_attr_dim in aggregate, or whose size exceeds max_file_bytes,
-  /// fails fast with kResourceExhausted before memory is committed.
+  /// Caps, 0 = unlimited. A declared num_nodes or num_attributes over its
+  /// cap fails fast with kResourceExhausted before memory is committed.
   /// Individual ids beyond a cap are a per-line error (strict) or a
   /// quarantined line (lenient).
   int64_t max_nodes = 0;
   int64_t max_attr_dim = 0;
-  int64_t max_file_bytes = 0;
   /// Optional deadline/cancel token checked periodically while parsing.
   const RunContext* run_context = nullptr;
 };
@@ -100,12 +98,13 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
                                   int64_t num_nodes = 0,
                                   int64_t num_attributes = 0);
 
-/// Hardened variant: validates every line against `options`, returning
-/// file:line:column diagnostics (strict) or quarantining bad lines into
-/// `summary` (lenient). `summary` may be null. Fault points:
-/// "graph_io.load" (fires per file opened) and "graph.attr_drop" (rate
-/// fault keyed by node id; drops whole attribute rows into the mask —
-/// see fault::ArmRate).
+/// Hardened variant: reads each file whole (ReadFileToString; a path that
+/// cannot be read, a directory included, is kIoError) and validates every
+/// line against `options`, returning file:line:column diagnostics (strict)
+/// or quarantining bad lines into `summary` (lenient). `summary` may be
+/// null. Fault points: "graph_io.load" (fires per file read) and
+/// "graph.attr_drop" (rate fault keyed by node id; drops whole attribute
+/// rows into the mask — see fault::ArmRate).
 ///
 /// Missing attributes are data, not errors, in *both* policies: a
 /// 3-field line whose value is `nan` and a 2-field "node index" line

@@ -22,9 +22,6 @@ constexpr uint32_t kWalkStoreVersion = 1;
 Result<WalkCorpus> BuildWalkCorpus(const Graph& graph, int num_walks_per_node,
                                    int walk_length, uint64_t seed,
                                    const RunContext* ctx) {
-  if (num_walks_per_node <= 0 || walk_length <= 0) {
-    return Status::InvalidArgument("walk parameters must be positive");
-  }
   WalkCorpus corpus;
   corpus.num_walks_per_node = num_walks_per_node;
   corpus.walk_length = walk_length;
@@ -33,23 +30,13 @@ Result<WalkCorpus> BuildWalkCorpus(const Graph& graph, int num_walks_per_node,
   // output of Rng(seed). Pinned by the byte-identity tests in
   // tests/stream — if Preprocess ever grows an earlier draw, they fail.
   corpus.master = Rng(seed).engine()();
-
-  const int64_t r = num_walks_per_node;
-  const int64_t total = graph.num_nodes() * r;
-  corpus.walks.resize(static_cast<size_t>(total));
-  ThreadPool* pool = GlobalThreadPool();
-  COANE_RETURN_IF_ERROR(ParallelFor(
-      pool, ctx, "stream.walk_build", total, ElasticShards(pool, total),
-      [&](int64_t, int64_t begin, int64_t end) -> Status {
-        for (int64_t w = begin; w < end; ++w) {
-          COANE_RETURN_IF_STOPPED(ctx, "stream.walk_build");
-          corpus.walks[static_cast<size_t>(w)] = GenerateSingleWalk(
-              graph, static_cast<NodeId>(w / r), walk_length, corpus.master,
-              static_cast<uint64_t>(w));
-          if (ctx != nullptr) ctx->ChargeWork(1);
-        }
-        return Status::OK();
-      }));
+  Rng rng(seed);
+  auto walks = GenerateRandomWalks(
+      graph,
+      {.num_walks_per_node = num_walks_per_node, .walk_length = walk_length},
+      &rng, ctx);
+  if (!walks.ok()) return walks.status();
+  corpus.walks = std::move(walks).ValueOrDie();
   return corpus;
 }
 

@@ -34,10 +34,10 @@ struct WalkUpdateStats {
   int64_t appended = 0;  // new nodes' walks
 };
 
-/// Builds the full corpus for `graph` under `seed` — identical, walk for
-/// walk, to what CoaneModel::Preprocess(seed) generates: the master is
-/// the first engine draw of Rng(seed), each walk is
-/// GenerateSingleWalk(master, w). Deterministic at every thread count.
+/// Builds the full corpus for `graph` under `seed`: GenerateRandomWalks
+/// on Rng(seed), so identical, walk for walk, to what
+/// CoaneModel::Preprocess(seed) generates, plus its master (the first
+/// engine draw of Rng(seed)). Deterministic at every thread count.
 Result<WalkCorpus> BuildWalkCorpus(const Graph& graph, int num_walks_per_node,
                                    int walk_length, uint64_t seed,
                                    const RunContext* ctx = nullptr);

@@ -1,6 +1,5 @@
 #include "walk/random_walk.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -42,10 +41,10 @@ Walk GenerateSingleWalk(const Graph& graph, NodeId start, int walk_length,
   return walk;
 }
 
-Status GenerateRandomWalksInto(const Graph& graph,
-                               const RandomWalkConfig& config, Rng* rng,
-                               const RunContext* ctx,
-                               std::vector<Walk>* out) {
+Result<std::vector<Walk>> GenerateRandomWalks(const Graph& graph,
+                                              const RandomWalkConfig& config,
+                                              Rng* rng,
+                                              const RunContext* ctx) {
   if (config.num_walks_per_node <= 0) {
     return Status::InvalidArgument("num_walks_per_node must be positive");
   }
@@ -59,60 +58,25 @@ Status GenerateRandomWalksInto(const Graph& graph,
   // never of which thread ran it or of how many draws other walks made, so
   // the corpus is bit-identical at every --threads value.
   const uint64_t master = rng->engine()();
-  if (total == 0) return Status::OK();
-
-  // Per-shard buffers keep writes thread-private; `complete` marks shards
-  // whose walks may all be handed to the caller.
-  struct ShardWalks {
-    std::vector<Walk> walks;
-    bool complete = false;
-  };
+  std::vector<Walk> walks(static_cast<size_t>(total));
   ThreadPool* pool = GlobalThreadPool();
-  const int64_t num_shards = ElasticShards(pool, total);
-  std::vector<ShardWalks> shards(static_cast<size_t>(num_shards));
-
-  Status st = ParallelFor(
-      pool, ctx, "walk.generate", total, num_shards,
-      [&](int64_t shard, int64_t begin, int64_t end) -> Status {
-        ShardWalks& sw = shards[static_cast<size_t>(shard)];
-        sw.walks.reserve(static_cast<size_t>(end - begin));
+  COANE_RETURN_IF_ERROR(ParallelFor(
+      pool, ctx, "walk.generate", total, ElasticShards(pool, total),
+      [&](int64_t, int64_t begin, int64_t end) -> Status {
         for (int64_t w = begin; w < end; ++w) {
           // Unit of work = one walk: a cancel or deadline stops before the
-          // next walk starts, keeping the walks generated so far.
+          // next walk starts.
           COANE_RETURN_IF_STOPPED(ctx, "walk.generate");
           if (fault::ShouldFail("walk.generate")) {
             return Status::Cancelled("injected cancel at walk.generate");
           }
-          const NodeId start = static_cast<NodeId>(w / r);
-          sw.walks.push_back(GenerateSingleWalk(graph, start,
-                                                config.walk_length, master,
-                                                static_cast<uint64_t>(w)));
+          walks[static_cast<size_t>(w)] = GenerateSingleWalk(
+              graph, static_cast<NodeId>(w / r), config.walk_length, master,
+              static_cast<uint64_t>(w));
           if (ctx != nullptr) ctx->ChargeWork(1);
         }
-        sw.complete = true;
         return Status::OK();
-      });
-
-  // Preserve the longest prefix of complete shards plus the partial walks
-  // of the first incomplete one. Sequentially (no pool) shards run in
-  // order, so a stopped run hands back exactly the walks generated before
-  // the stop; in parallel mode later shards that happened to finish are
-  // dropped to keep the preserved prefix contiguous.
-  out->reserve(out->size() + static_cast<size_t>(total));
-  for (ShardWalks& sw : shards) {
-    for (Walk& walk : sw.walks) out->push_back(std::move(walk));
-    if (!sw.complete) break;
-  }
-  return st;
-}
-
-Result<std::vector<Walk>> GenerateRandomWalks(const Graph& graph,
-                                              const RandomWalkConfig& config,
-                                              Rng* rng,
-                                              const RunContext* ctx) {
-  std::vector<Walk> walks;
-  COANE_RETURN_IF_ERROR(
-      GenerateRandomWalksInto(graph, config, rng, ctx, &walks));
+      }));
   return walks;
 }
 

@@ -27,22 +27,14 @@ using Walk = std::vector<NodeId>;
 /// is configured (SetGlobalParallelism). Each walk draws from its own
 /// counter-split RNG stream derived from one draw of `rng`, so the corpus
 /// is a pure function of the rng state — bit-identical at every thread
-/// count. `ctx` (optional) is checked once per walk; a cancelled/expired
-/// run returns the stop status and discards the partial result.
+/// count. `ctx` (optional) is checked once per walk and charged one work
+/// unit per walk; a cancelled/expired run returns the stop status and no
+/// walks. Fault point: "walk.generate" (fires as an injected kCancelled,
+/// for driving cancellation paths from tests).
 Result<std::vector<Walk>> GenerateRandomWalks(const Graph& graph,
                                               const RandomWalkConfig& config,
                                               Rng* rng,
                                               const RunContext* ctx = nullptr);
-
-/// Like GenerateRandomWalks but appends into `out` so the walks generated
-/// before a cancel/deadline stop are preserved for the caller (the partial
-/// corpus can seed a later resume or a best-effort embedding). Each walk
-/// charges one work unit to `ctx`. Fault point: "walk.generate" (fires as
-/// an injected kCancelled, for driving cancellation paths from tests).
-Status GenerateRandomWalksInto(const Graph& graph,
-                               const RandomWalkConfig& config, Rng* rng,
-                               const RunContext* ctx,
-                               std::vector<Walk>* out);
 
 /// Regenerates exactly walk `walk_id` of the corpus GenerateRandomWalks
 /// produces from `master` (the one engine draw it makes from `rng`):
@@ -50,7 +42,7 @@ Status GenerateRandomWalksInto(const Graph& graph,
 /// This is the primitive of the dynamic-graph walk store (src/stream):
 /// a stored walk whose visited nodes all kept their neighborhoods is
 /// byte-identical to this call on the mutated graph, so only walks that
-/// touched a changed vertex need re-walking. GenerateRandomWalksInto is
+/// touched a changed vertex need re-walking. GenerateRandomWalks is
 /// implemented on top of this function — the two can never drift apart.
 Walk GenerateSingleWalk(const Graph& graph, NodeId start, int walk_length,
                         uint64_t master, uint64_t walk_id);

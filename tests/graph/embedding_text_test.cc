@@ -323,9 +323,14 @@ TEST_F(EmbeddingTextTest, ReaderMatchesStrtodOnDefectiveRows) {
     Write(path, contents);
     ExpectSameLoad(path, contents);
   }
-  // An embedded NUL: strtod stops at it, so both take the value before.
+  // An embedded NUL: the oracle's strtod stops at it and takes 1.5; the
+  // reader holds the whole token to be the number and rejects it.
   Write(path, std::string("0 1.5\0junk 2\n", 13));
-  ExpectSameLoad(path, "embedded NUL");
+  auto nul = LoadEmbeddings(path);
+  ASSERT_FALSE(nul.ok());
+  EXPECT_EQ(nul.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(nul.status().message(),
+            path + ":1: value '1.5?junk' is not a number");
 }
 
 }  // namespace

@@ -76,10 +76,11 @@ TEST(DeadlineCancelTest, WalkBudgetStopsAfterExactlyThatManyWalks) {
   Rng rng(7);
   RunContext ctx;
   ctx.SetWorkBudget(5);
-  std::vector<Walk> walks;
-  Status st = GenerateRandomWalksInto(net.graph, wc, &rng, &ctx, &walks);
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
-  EXPECT_EQ(walks.size(), 5u) << "partial walks must be preserved";
+  auto walks = GenerateRandomWalks(net.graph, wc, &rng, &ctx);
+  ASSERT_FALSE(walks.ok());
+  EXPECT_EQ(walks.status().code(), StatusCode::kResourceExhausted)
+      << walks.status().ToString();
+  EXPECT_EQ(ctx.work_charged(), 5) << "one work unit per walk generated";
 }
 
 TEST(DeadlineCancelTest, WalkDeadlineStopsBeforeAnyWork) {
@@ -87,30 +88,25 @@ TEST(DeadlineCancelTest, WalkDeadlineStopsBeforeAnyWork) {
   RandomWalkConfig wc;
   Rng rng(7);
   const RunContext expired = RunContext::WithDeadline(-1.0);
-  std::vector<Walk> walks;
-  Status st =
-      GenerateRandomWalksInto(net.graph, wc, &rng, &expired, &walks);
-  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded) << st.ToString();
-  EXPECT_TRUE(walks.empty());
-
-  auto all = GenerateRandomWalks(net.graph, wc, &rng, &expired);
-  ASSERT_FALSE(all.ok());
-  EXPECT_EQ(all.status().code(), StatusCode::kDeadlineExceeded);
+  auto walks = GenerateRandomWalks(net.graph, wc, &rng, &expired);
+  ASSERT_FALSE(walks.ok());
+  EXPECT_EQ(walks.status().code(), StatusCode::kDeadlineExceeded)
+      << walks.status().ToString();
+  EXPECT_EQ(expired.work_charged(), 0);
 }
 
-TEST(DeadlineCancelTest, FaultInjectedWalkCancelPreservesPrefix) {
+TEST(DeadlineCancelTest, FaultInjectedWalkCancelReturnsCancelled) {
   fault::Reset();
   AttributedNetwork net = TinyNet();
   RandomWalkConfig wc;
   wc.walk_length = 5;
   Rng rng(7);
   fault::Arm("walk.generate", /*trigger_hit=*/3);
-  std::vector<Walk> walks;
-  Status st =
-      GenerateRandomWalksInto(net.graph, wc, &rng, nullptr, &walks);
+  auto walks = GenerateRandomWalks(net.graph, wc, &rng);
   fault::Reset();
-  EXPECT_EQ(st.code(), StatusCode::kCancelled) << st.ToString();
-  EXPECT_EQ(walks.size(), 2u) << "walks before the injected cancel survive";
+  ASSERT_FALSE(walks.ok());
+  EXPECT_EQ(walks.status().code(), StatusCode::kCancelled)
+      << walks.status().ToString();
 }
 
 TEST(DeadlineCancelTest, ContextGenerationHonoursTheBudget) {
