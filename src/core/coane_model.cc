@@ -81,17 +81,10 @@ Status CoaneModel::Preprocess(const RunContext* ctx) {
     // Materialize the training features through the imputation stage: a
     // complete graph passes through unchanged, a masked one has its
     // missing rows/cells filled per config_.missing_attrs (or rejected).
-    // The mask fingerprint rides along into every checkpoint. A caller
-    // that already holds the imputation result (the incremental pipeline)
-    // hands it in via SetPrecomputedFeatures.
-    if (has_pre_features_) {
-      features_ = std::move(pre_features_);
-      has_pre_features_ = false;
-    } else {
-      auto imputed = ImputeMissingAttributes(graph_, config_.missing_attrs);
-      if (!imputed.ok()) return imputed.status();
-      features_ = std::move(imputed).ValueOrDie();
-    }
+    // The mask fingerprint rides along into every checkpoint.
+    auto imputed = ImputeMissingAttributes(graph_, config_.missing_attrs);
+    if (!imputed.ok()) return imputed.status();
+    features_ = std::move(imputed).ValueOrDie();
     data_fingerprint_ = AttrMaskFingerprint(graph_);
   } else {
     features_ = IdentityFeatures(graph_.num_nodes());
@@ -99,28 +92,16 @@ Status CoaneModel::Preprocess(const RunContext* ctx) {
   }
 
   // --- Structural contexts (Sec. 3.1).
-  std::vector<Walk> walk_corpus;
-  if (has_pre_walks_) {
-    // Consume the exact engine draw GenerateRandomWalks would have made
-    // (its per-walk master), so every draw after this point is
-    // bit-identical whether the walks were supplied or generated here.
-    (void)rng_.engine()();
-    walk_corpus = std::move(pre_walks_);
-    pre_walks_.clear();
-    has_pre_walks_ = false;
-  } else {
-    RandomWalkConfig walk_cfg;
-    walk_cfg.num_walks_per_node = config_.num_walks;
-    walk_cfg.walk_length = config_.walk_length;
-    auto walks = GenerateRandomWalks(graph_, walk_cfg, &rng_, ctx);
-    if (!walks.ok()) return walks.status();
-    walk_corpus = std::move(walks).ValueOrDie();
-  }
+  RandomWalkConfig walk_cfg;
+  walk_cfg.num_walks_per_node = config_.num_walks;
+  walk_cfg.walk_length = config_.walk_length;
+  auto walks = GenerateRandomWalks(graph_, walk_cfg, &rng_, ctx);
+  if (!walks.ok()) return walks.status();
 
   ContextOptions ctx_opt;
   ctx_opt.context_size = config_.context_size;
   ctx_opt.subsample_t = config_.subsample_t;
-  auto contexts = GenerateContexts(walk_corpus, graph_.num_nodes(),
+  auto contexts = GenerateContexts(walks.value(), graph_.num_nodes(),
                                    ctx_opt, &rng_, ctx);
   if (!contexts.ok()) return contexts.status();
   contexts_ = std::make_unique<ContextSet>(std::move(contexts).ValueOrDie());
@@ -537,16 +518,6 @@ Status CoaneModel::LoadCheckpoint(const std::string& path) {
   // ReadCheckpointFile bounds epochs_done to [0, INT32_MAX].
   epochs_done_ = static_cast<int>(ckpt.epochs_done);
   return Status::OK();
-}
-
-void CoaneModel::SetPrecomputedWalks(std::vector<Walk> walks) {
-  pre_walks_ = std::move(walks);
-  has_pre_walks_ = true;
-}
-
-void CoaneModel::SetPrecomputedFeatures(SparseMatrix features) {
-  pre_features_ = std::move(features);
-  has_pre_features_ = true;
 }
 
 Status CoaneModel::WarmStartFrom(const TrainingCheckpoint& ckpt) {

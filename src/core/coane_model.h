@@ -16,7 +16,6 @@
 #include "nn/mlp.h"
 #include "walk/cooccurrence.h"
 #include "walk/negative_sampler.h"
-#include "walk/random_walk.h"
 
 namespace coane {
 
@@ -52,23 +51,6 @@ class CoaneModel {
   /// the walk/context generation; a stopped run returns kCancelled /
   /// kDeadlineExceeded before any training state is created.
   Status Preprocess(const RunContext* ctx = nullptr);
-
-  /// Hands Preprocess a prebuilt walk corpus (the dynamic-graph
-  /// pipeline's incrementally maintained walks; see stream::WalkCorpus).
-  /// Must be called before Preprocess(). Preprocess still consumes the
-  /// one engine draw walk generation would have made, so every later
-  /// draw from the model RNG — context subsampling, negative pools,
-  /// Xavier init — is bit-identical to a from-scratch run. The caller
-  /// guarantees the walks equal what GenerateRandomWalks(graph, config,
-  /// seed) produces (stream::UpdateWalkCorpus maintains exactly that).
-  void SetPrecomputedWalks(std::vector<Walk> walks);
-
-  /// Hands Preprocess a prebuilt feature matrix in place of running
-  /// ImputeMissingAttributes (the pipeline's incremental re-imputation,
-  /// stream::IncrementalReimpute). Must be called before Preprocess();
-  /// ignored when config.use_attributes is false. The mask fingerprint
-  /// is still computed from the graph itself.
-  void SetPrecomputedFeatures(SparseMatrix features);
 
   /// Adopts the *parameters* of a checkpoint trained on an earlier
   /// version of this graph: encoder filters, decoder weights, Adam
@@ -181,10 +163,6 @@ class CoaneModel {
   CoaneConfig config_;
   Rng rng_;
   bool preprocessed_ = false;
-  bool has_pre_walks_ = false;
-  bool has_pre_features_ = false;
-  std::vector<Walk> pre_walks_;
-  SparseMatrix pre_features_;
   int epochs_done_ = 0;
   uint64_t data_fingerprint_ = 0;
 

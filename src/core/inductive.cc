@@ -3,23 +3,14 @@
 #include <string>
 
 #include "la/vector_ops.h"
+#include "walk/random_walk.h"
 
 namespace coane {
 namespace {
 
-// One weighted random-walk step from v; returns kPaddingNode for isolated v.
+// One weighted random-walk step from v; an isolated v ends the arm.
 NodeId Step(const Graph& graph, NodeId v, Rng* rng) {
-  auto nbrs = graph.Neighbors(v);
-  if (nbrs.empty()) return kPaddingNode;
-  double total = 0.0;
-  for (const NeighborEntry& e : nbrs) total += e.weight;
-  double u = rng->Uniform() * total;
-  double acc = 0.0;
-  for (const NeighborEntry& e : nbrs) {
-    acc += e.weight;
-    if (u < acc) return e.node;
-  }
-  return nbrs.back().node;
+  return graph.Degree(v) == 0 ? kPaddingNode : RandomWalkStep(graph, v, rng);
 }
 
 }  // namespace

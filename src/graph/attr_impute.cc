@@ -33,6 +33,40 @@ class MissingCellCursor {
   size_t i_ = 0;
 };
 
+// The middle of ImputeMissingAttributes: the column means and per-node
+// missing-column lists that determine every imputed value, plus a per-row
+// emitter. Each row's triplets are a pure function of (graph, policy),
+// accumulated in a fixed order with doubles. The plan borrows `graph`,
+// which must outlive it, and serves only the imputing policies (kMean /
+// kNeighbor): kZero and kReject have no per-row work.
+class ImputePlan {
+ public:
+  // Reused across AppendRow calls to avoid per-row allocation.
+  struct Scratch {
+    std::vector<double> sum;
+    std::vector<int64_t> cnt;
+  };
+
+  ImputePlan(const Graph& graph, MissingAttrPolicy policy);
+
+  // Appends node v's post-imputation row to `out` as (v, col, value)
+  // triplets in ascending column order: the stored entries of an
+  // observed row, then its imputed missing cells; every cell of an
+  // unobserved row. Increments `*filled_entries` once per imputed
+  // nonzero, matching ImputeStats.
+  void AppendRow(NodeId v, Scratch* scratch,
+                 std::vector<SparseMatrix::Triplet>* out,
+                 int64_t* filled_entries) const;
+
+ private:
+  void NeighborFill(NodeId v, Scratch* scratch) const;
+
+  const Graph& graph_;
+  const MissingAttrPolicy policy_;
+  std::vector<double> col_mean_;
+  std::vector<std::vector<int64_t>> missing_cols_;
+};
+
 }  // namespace
 
 const char* MissingAttrPolicyName(MissingAttrPolicy policy) {
@@ -59,18 +93,8 @@ Result<MissingAttrPolicy> ParseMissingAttrPolicy(const std::string& name) {
       "' (want reject, zero, mean, or neighbor)");
 }
 
-Result<ImputePlan> ImputePlan::Build(const Graph& graph,
-                                     MissingAttrPolicy policy) {
-  if (policy != MissingAttrPolicy::kMean &&
-      policy != MissingAttrPolicy::kNeighbor) {
-    return Status::InvalidArgument(
-        "an impute plan needs an imputing policy (mean or neighbor), got '" +
-        std::string(MissingAttrPolicyName(policy)) + "'");
-  }
-  ImputePlan plan;
-  plan.graph_ = &graph;
-  plan.policy_ = policy;
-
+ImputePlan::ImputePlan(const Graph& graph, MissingAttrPolicy policy)
+    : graph_(graph), policy_(policy) {
   const SparseMatrix& x = graph.attributes();
   const int64_t n = x.rows();
   const int64_t d = x.cols();
@@ -79,7 +103,7 @@ Result<ImputePlan> ImputePlan::Build(const Graph& graph,
   // column (missing cells store nothing), divided by the number of
   // observed cells — observed nodes minus that column's missing markers.
   // Sequential double accumulation in node order: deterministic.
-  plan.col_mean_.assign(static_cast<size_t>(d), 0.0);
+  col_mean_.assign(static_cast<size_t>(d), 0.0);
   {
     std::vector<int64_t> col_observed(static_cast<size_t>(d), 0);
     int64_t observed_nodes = 0;
@@ -87,7 +111,7 @@ Result<ImputePlan> ImputePlan::Build(const Graph& graph,
       if (!graph.AttrObserved(static_cast<NodeId>(v))) continue;
       ++observed_nodes;
       for (const SparseEntry& e : x.Row(v)) {
-        plan.col_mean_[static_cast<size_t>(e.col)] +=
+        col_mean_[static_cast<size_t>(e.col)] +=
             static_cast<double>(e.value);
       }
     }
@@ -99,20 +123,19 @@ Result<ImputePlan> ImputePlan::Build(const Graph& graph,
     }
     for (int64_t j = 0; j < d; ++j) {
       const int64_t cnt = col_observed[static_cast<size_t>(j)];
-      plan.col_mean_[static_cast<size_t>(j)] =
-          cnt > 0 ? plan.col_mean_[static_cast<size_t>(j)] / cnt : 0.0;
+      col_mean_[static_cast<size_t>(j)] =
+          cnt > 0 ? col_mean_[static_cast<size_t>(j)] / cnt : 0.0;
     }
   }
 
   // Per-node missing columns: the fill targets of observed rows, and the
   // kNeighbor denominators of neighbors.
   MissingCellCursor cursor(graph.missing_attr_cells());
-  plan.missing_cols_.resize(static_cast<size_t>(n));
+  missing_cols_.resize(static_cast<size_t>(n));
   for (int64_t v = 0; v < n; ++v) {
-    plan.missing_cols_[static_cast<size_t>(v)] =
+    missing_cols_[static_cast<size_t>(v)] =
         cursor.Take(static_cast<NodeId>(v));
   }
-  return plan;
 }
 
 // Neighbor-mean of column j around v: mean of x(u, j) over observed
@@ -121,7 +144,7 @@ Result<ImputePlan> ImputePlan::Build(const Graph& graph,
 // sorted), values accumulate in doubles — a pure, order-fixed function
 // of the graph.
 void ImputePlan::NeighborFill(NodeId v, Scratch* scratch) const {
-  const Graph& graph = *graph_;
+  const Graph& graph = graph_;
   const SparseMatrix& x = graph.attributes();
   const int64_t d = x.cols();
   scratch->sum.assign(static_cast<size_t>(d), 0.0);
@@ -146,7 +169,7 @@ void ImputePlan::NeighborFill(NodeId v, Scratch* scratch) const {
 void ImputePlan::AppendRow(NodeId node, Scratch* scratch,
                            std::vector<SparseMatrix::Triplet>* out,
                            int64_t* filled_entries) const {
-  const Graph& graph = *graph_;
+  const Graph& graph = graph_;
   const SparseMatrix& x = graph.attributes();
   const int64_t d = x.cols();
   const auto v = static_cast<int64_t>(node);
@@ -228,13 +251,12 @@ Result<SparseMatrix> ImputeMissingAttributes(const Graph& graph,
     return x;
   }
 
-  auto plan = ImputePlan::Build(graph, policy);
-  if (!plan.ok()) return plan.status();
+  const ImputePlan plan(graph, policy);
   ImputePlan::Scratch scratch;
   std::vector<SparseMatrix::Triplet> triplets;
   for (int64_t v = 0; v < n; ++v) {
-    plan.value().AppendRow(static_cast<NodeId>(v), &scratch, &triplets,
-                           &s->filled_entries);
+    plan.AppendRow(static_cast<NodeId>(v), &scratch, &triplets,
+                   &s->filled_entries);
   }
   return SparseMatrix::FromTriplets(n, d, std::move(triplets));
 }

@@ -47,63 +47,6 @@ struct ImputeStats {
   int64_t filled_entries = 0;    ///< nonzeros written into the result
 };
 
-/// The reusable middle of ImputeMissingAttributes: the column means and
-/// per-node missing-column lists that determine every imputed value, plus
-/// a per-row emitter. ImputeMissingAttributes is implemented as a loop of
-/// AppendRow calls, and the incremental re-imputation of src/stream calls
-/// AppendRow for only the rows a mutation batch affected — because both
-/// run the identical code, "incremental equals from-scratch" holds byte
-/// for byte (each row's triplets are a pure function of (graph, policy)
-/// alone, accumulated in a fixed order with doubles).
-///
-/// The plan borrows `graph`; it must outlive the plan. Build accepts only
-/// the imputing policies (kMean / kNeighbor) — kZero and kReject have no
-/// per-row work and are short-circuited by the callers.
-class ImputePlan {
- public:
-  /// Reused across AppendRow calls to avoid per-row allocation. A fresh
-  /// (or differently sized) Scratch never changes the output.
-  struct Scratch {
-    std::vector<double> sum;
-    std::vector<int64_t> cnt;
-  };
-
-  static Result<ImputePlan> Build(const Graph& graph,
-                                  MissingAttrPolicy policy);
-
-  /// Appends node v's post-imputation row to `out` as (v, col, value)
-  /// triplets in ascending column order: the stored entries of an
-  /// observed row, then its imputed missing cells; every cell of an
-  /// unobserved row. Rows may be emitted in any order and any subset —
-  /// each call is independent. Increments `*filled_entries` (may be
-  /// null) once per imputed nonzero, matching ImputeStats.
-  void AppendRow(NodeId v, Scratch* scratch,
-                 std::vector<SparseMatrix::Triplet>* out,
-                 int64_t* filled_entries = nullptr) const;
-
-  /// Column means over observed cells (the kMean fill value and the
-  /// kNeighbor fallback). Incremental re-imputation diffs these between
-  /// the old and new plan to find rows whose fill values moved.
-  const std::vector<double>& col_means() const { return col_mean_; }
-
-  /// Columns individually missing for `v` (empty for unobserved rows —
-  /// those are missing everywhere).
-  const std::vector<int64_t>& missing_cols(NodeId v) const {
-    return missing_cols_[static_cast<size_t>(v)];
-  }
-
-  MissingAttrPolicy policy() const { return policy_; }
-
- private:
-  ImputePlan() = default;
-  void NeighborFill(NodeId v, Scratch* scratch) const;
-
-  const Graph* graph_ = nullptr;
-  MissingAttrPolicy policy_ = MissingAttrPolicy::kZero;
-  std::vector<double> col_mean_;
-  std::vector<std::vector<int64_t>> missing_cols_;
-};
-
 /// Materializes the training attribute matrix from a masked graph.
 ///
 /// Determinism contract: the result is a pure function of

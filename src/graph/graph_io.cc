@@ -90,14 +90,15 @@ void AppendFloat(std::string* out, char sep, float value) {
   out->append(buf, r.ptr);
 }
 
-// `token` as a diagnostic quotes it: bytes outside printable ASCII (a
-// binary file read as text) show as '?', and a long token is cut short.
+// `token` as a diagnostic quotes it, in single quotes: bytes outside
+// printable ASCII (a binary file read as text, an embedded NUL) show as
+// '?', and a long token is cut short.
 std::string Shown(std::string_view token) {
   std::string shown(token.substr(0, 24));
   for (char& c : shown) {
     if (!std::isprint(static_cast<unsigned char>(c))) c = '?';
   }
-  return shown.size() < token.size() ? shown + "..." : shown;
+  return "'" + shown + (shown.size() < token.size() ? "...'" : "'");
 }
 
 // A whitespace-separated field of a data line and its 1-based column.
@@ -106,11 +107,6 @@ struct Field {
   int column = 1;
 };
 using Row = std::vector<Field>;
-
-// `field` as the loader's diagnostics quote it: its bytes as they are.
-std::string Quoted(const Field& field) {
-  return "'" + std::string(field.text) + "'";
-}
 
 // Routes a malformed data line to the active policy: strict mode returns
 // its "path:line:column: message" diagnostic as an error (aborting the
@@ -185,11 +181,12 @@ bool CheckNodeId(LineDiagnostics& diag, const Field& field, int64_t limit,
   bool overflow = false;
   if (!ParseId(field.text, id, &overflow)) {
     *verdict = overflow ? diag.Flag(field,
-                                    "node id " + Quoted(field) + " overflows",
+                                    "node id " + Shown(field.text) +
+                                        " overflows",
                                     &LoadSummary::out_of_range_ids,
                                     StatusCode::kOutOfRange)
                         : diag.Flag(field,
-                                    "bad node id " + Quoted(field) +
+                                    "bad node id " + Shown(field.text) +
                                         " (not an integer)",
                                     &LoadSummary::bad_tokens);
     return false;
@@ -314,17 +311,17 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
           double wv = 0.0;
           bool finite = false;
           if (!ParseDouble(row[2].text, &wv, &finite)) {
-            return diag.Flag(row[2], "bad weight " + Quoted(row[2]),
+            return diag.Flag(row[2], "bad weight " + Shown(row[2].text),
                              &LoadSummary::bad_tokens);
           }
           if (!finite) {
             return diag.Flag(row[2],
-                             "non-finite weight " + Quoted(row[2]),
+                             "non-finite weight " + Shown(row[2].text),
                              &LoadSummary::non_finite_values);
           }
           if (wv <= 0.0) {
             return diag.Flag(row[2],
-                             "non-positive weight " + Quoted(row[2]),
+                             "non-positive weight " + Shown(row[2].text),
                              &LoadSummary::nonpositive_weights);
           }
           w = static_cast<float>(wv);
@@ -380,7 +377,7 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
           bool overflow = false;
           if (!ParseId(row[1].text, &attr, &overflow) || attr < 0) {
             return diag.Flag(row[1],
-                             "bad attribute index " + Quoted(row[1]),
+                             "bad attribute index " + Shown(row[1].text),
                              overflow ? &LoadSummary::out_of_range_ids
                                       : &LoadSummary::bad_tokens,
                              overflow ? StatusCode::kOutOfRange
@@ -400,7 +397,7 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
             bool finite = false;
             if (!ParseDouble(row[2].text, &value, &finite)) {
               return diag.Flag(row[2],
-                               "bad attribute value " + Quoted(row[2]),
+                               "bad attribute value " + Shown(row[2].text),
                                &LoadSummary::bad_tokens);
             }
             if (!finite) {
@@ -409,7 +406,7 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
               if (!std::isnan(value)) {
                 return diag.Flag(row[2],
                                  "non-finite attribute value " +
-                                     Quoted(row[2]),
+                                     Shown(row[2].text),
                                  &LoadSummary::non_finite_values);
               }
               is_missing = true;
@@ -546,7 +543,7 @@ Result<std::vector<int32_t>> LoadLabels(const std::string& path,
         if (!ParseId(row[1].text, &label, &overflow) || label < 0 ||
             label > std::numeric_limits<int32_t>::max()) {
           return diag.Flag(row[1],
-                           "bad label " + Quoted(row[1]) +
+                           "bad label " + Shown(row[1].text) +
                                " (labels are non-negative integers)",
                            &LoadSummary::bad_tokens);
         }
@@ -660,8 +657,8 @@ Result<DenseMatrix> LoadEmbeddings(const std::string& path) {
     int64_t r = 0;
     if (!ParseId(row[0], &r, &overflow) || r < 0 || r >= m.rows()) {
       return RecordLineError(path, lines[i],
-                             "node id '" + Shown(row[0]) +
-                                 "' is not in [0, " +
+                             "node id " + Shown(row[0]) +
+                                 " is not in [0, " +
                                  std::to_string(m.rows()) + ")");
     }
     if (seen[static_cast<size_t>(r)] != 0) {
@@ -675,16 +672,16 @@ Result<DenseMatrix> LoadEmbeddings(const std::string& path) {
       double v = 0.0;
       if (!ParseValue(token, &v)) {
         return RecordLineError(path, lines[i],
-                               "value '" + Shown(token) +
-                                   "' is not a number");
+                               "value " + Shown(token) +
+                                   " is not a number");
       }
       // nan, inf and values past the float range would reach the matrix
       // as non-finite floats.
       const float f = static_cast<float>(v);
       if (!std::isfinite(f)) {
         return RecordLineError(path, lines[i],
-                               "value '" + std::string(token) +
-                                   "' is not a finite float");
+                               "value " + Shown(token) +
+                                   " is not a finite float");
       }
       m.At(r, j) = f;
     }

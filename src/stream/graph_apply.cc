@@ -112,9 +112,6 @@ Result<Graph> ApplyMutations(const Graph& base,
   }
   std::vector<int32_t> labels = base.labels();
 
-  std::set<NodeId> structure_changed;
-  std::set<NodeId> attrs_changed;
-
   uint64_t prev_seq = 0;
   for (const Mutation& m : mutations) {
     if (prev_seq == 0) {
@@ -147,11 +144,7 @@ Result<Graph> ApplyMutations(const Graph& base,
         } else if (it->second != m.value) {
           it->second = m.value;
           ++d->edges_reweighted;
-        } else {
-          break;  // identical re-add: replay-idempotent no-op
-        }
-        structure_changed.insert(m.u);
-        structure_changed.insert(m.v);
+        }  // else an identical re-add: replay-idempotent no-op
         break;
       }
       case MutationOp::kRemoveEdge: {
@@ -166,8 +159,6 @@ Result<Graph> ApplyMutations(const Graph& base,
               "the graph it claims to mutate");
         }
         ++d->edges_removed;
-        structure_changed.insert(m.u);
-        structure_changed.insert(m.v);
         break;
       }
       case MutationOp::kAddNode: {
@@ -192,8 +183,6 @@ Result<Graph> ApplyMutations(const Graph& base,
         observed.push_back(dim > 0 ? 0 : 1);
         if (labeled) labels.push_back(m.label);
         ++d->nodes_added;
-        structure_changed.insert(m.u);
-        attrs_changed.insert(m.u);
         break;
       }
       case MutationOp::kSetAttr: {
@@ -216,7 +205,6 @@ Result<Graph> ApplyMutations(const Graph& base,
           row.erase(m.col);
           missing.insert({m.u, m.col});
           ++d->attr_cells_masked;
-          attrs_changed.insert(m.u);
           break;
         }
         if (observed[static_cast<size_t>(m.u)] == 0) {
@@ -234,7 +222,6 @@ Result<Graph> ApplyMutations(const Graph& base,
           row.erase(m.col);  // an observed zero is an absent sparse entry
         }
         ++d->attr_cells_set;
-        attrs_changed.insert(m.u);
         break;
       }
     }
@@ -270,9 +257,6 @@ Result<Graph> ApplyMutations(const Graph& base,
   if (!built.ok()) return built.status();
 
   d->new_num_nodes = n;
-  d->structure_changed.assign(structure_changed.begin(),
-                              structure_changed.end());
-  d->attrs_changed.assign(attrs_changed.begin(), attrs_changed.end());
   return built;
 }
 

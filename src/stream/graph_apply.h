@@ -11,9 +11,8 @@
 namespace coane {
 namespace stream {
 
-/// What one ApplyMutations call changed — the delta every downstream
-/// incremental stage (walk invalidation, re-imputation, warm-start
-/// fingerprints) keys off.
+/// What one ApplyMutations call changed: the new log position and chain
+/// fingerprint the pipeline commits, plus per-op counts.
 struct ApplyDelta {
   int64_t old_num_nodes = 0;
   int64_t new_num_nodes = 0;
@@ -23,15 +22,6 @@ struct ApplyDelta {
   /// FoldMutationFingerprint) — ties the produced graph to the exact log
   /// prefix it came from.
   uint64_t chain_fingerprint = 0;
-  /// Nodes (new-graph ids, sorted, deduped) whose adjacency changed:
-  /// endpoints of added/removed/reweighted edges plus appended nodes. Walk
-  /// invalidation is the exact visited-set rule (DESIGN.md §10): a stored
-  /// walk that visits none of these replays byte-identically on the new
-  /// graph, so only walks that visit one are re-walked.
-  std::vector<NodeId> structure_changed;
-  /// Nodes whose raw attribute row or observation mask changed (including
-  /// appended nodes). Drives churn-driven re-imputation.
-  std::vector<NodeId> attrs_changed;
   int64_t edges_added = 0;
   int64_t edges_removed = 0;
   int64_t edges_reweighted = 0;

@@ -1,17 +1,16 @@
 #include "stream/pipeline.h"
 
 #include <utility>
+#include <vector>
 
 #include "common/atomic_file.h"
 #include "common/flags.h"
-#include "common/logging.h"
 #include "common/record_file.h"
 #include "common/string_utils.h"
 #include "core/artifact_manifest.h"
 #include "core/checkpoint.h"
 #include "core/coane_model.h"
 #include "dist/shard_plan.h"
-#include "graph/attr_impute.h"
 #include "graph/graph_io.h"
 #include "stream/graph_apply.h"
 #include "stream/mutation_log.h"
@@ -70,9 +69,12 @@ Result<std::unique_ptr<StreamPipeline>> StreamPipeline::Open(
   p->graph_ = std::make_unique<Graph>(std::move(base).ValueOrDie());
   p->chain_ = GraphFingerprint(*p->graph_);
 
-  // --- Committed state, if any.
-  auto state_read = ReadFileToString(p->state_path());
-  if (state_read.ok()) {
+  // --- Committed state, if any. Only a missing state file means a fresh
+  // pipeline; one that exists but cannot be read is an error, not a
+  // licence to rebuild generation 0 over the committed artifacts.
+  if (PathExists(p->state_path())) {
+    auto state_read = ReadFileToString(p->state_path());
+    if (!state_read.ok()) return state_read.status();
     auto body = ReadRecordBody(p->state_path(), state_read.value(),
                                kStateHeader);
     if (!body.ok()) return body.status();
@@ -96,7 +98,8 @@ Result<std::unique_ptr<StreamPipeline>> StreamPipeline::Open(
       } else if (kv[0] == "embeddings") {
         p->emb_path_ = kv[1];
       } else if (kv[0] == "walks") {
-        p->walks_path_ = kv[1];
+        // Work dirs committed by earlier builds name a walk corpus here;
+        // walks come from Preprocess, so the key is accepted and ignored.
       } else {
         return RecordLineError(p->state_path(), line,
                                "unknown stream state key '" + kv[0] + "'");
@@ -138,39 +141,6 @@ Result<std::unique_ptr<StreamPipeline>> StreamPipeline::Open(
       return Status::DataLoss(
           "initial graph no longer matches the committed pipeline state");
     }
-
-    // --- Walk corpus: prefer the committed store, rebuild on any defect
-    // (the rebuild is byte-identical by construction).
-    bool walks_ok = false;
-    if (!p->walks_path_.empty()) {
-      auto corpus = LoadWalkCorpus(p->walks_path_);
-      if (!corpus.ok()) {
-        COANE_LOG(Warning) << "rebuilding the walk corpus: "
-                           << corpus.status().ToString();
-      } else if (corpus.value().num_walks_per_node ==
-                     options.config.num_walks &&
-                 corpus.value().walk_length == options.config.walk_length) {
-        p->corpus_ = std::move(corpus).ValueOrDie();
-        walks_ok = true;
-      }
-    }
-    if (!walks_ok) {
-      auto rebuilt =
-          BuildWalkCorpus(*p->graph_, options.config.num_walks,
-                          options.config.walk_length, options.config.seed);
-      if (!rebuilt.ok()) return rebuilt.status();
-      p->corpus_ = std::move(rebuilt).ValueOrDie();
-    }
-
-    // --- Features: recompute from the replayed graph (equal to the
-    // incremental result by the reimpute equality contract).
-    if (options.config.use_attributes && p->graph_->num_attributes() > 0) {
-      auto features =
-          ImputeMissingAttributes(*p->graph_, options.config.missing_attrs);
-      if (!features.ok()) return features.status();
-      p->features_ = std::move(features).ValueOrDie();
-      p->has_features_ = true;
-    }
   }
   return p;
 }
@@ -194,28 +164,15 @@ Result<StepResult> StreamPipeline::InitialBuild(const RunContext* ctx) {
   result.log_seq = 0;
   result.chain_fingerprint = chain_;
 
-  auto corpus =
-      BuildWalkCorpus(*graph_, options_.config.num_walks,
-                      options_.config.walk_length, options_.config.seed, ctx);
-  if (!corpus.ok()) return corpus.status();
-
   {
     CoaneModel model(*graph_, options_.config);
-    model.SetPrecomputedWalks(corpus.value().walks);  // copy; corpus kept
     COANE_RETURN_IF_ERROR(model.Preprocess(ctx));
     auto history = model.Train(ctx);
     if (!history.ok()) return history.status();
-    if (options_.config.use_attributes) {
-      features_ = model.features();
-      has_features_ = true;
-    }
-    walks_path_ = options_.work_dir + "/gen_0.walks";
-    COANE_RETURN_IF_ERROR(SaveWalkCorpus(corpus.value(), walks_path_));
     COANE_RETURN_IF_ERROR(
         PublishArtifacts(model, 0, chain_, *graph_, &result));
   }
 
-  corpus_ = std::move(corpus).ValueOrDie();
   log_seq_ = 0;
   initialized_ = true;
   ++publish_count_;
@@ -248,47 +205,18 @@ Result<StepResult> StreamPipeline::IncrementalStep(const RunContext* ctx) {
   auto new_graph =
       std::make_unique<Graph>(std::move(applied).ValueOrDie());
 
-  // --- Walk invalidation: re-walk only walks that visited a node whose
-  // adjacency changed; new nodes' walks are appended.
-  std::vector<uint8_t> changed(
-      static_cast<size_t>(new_graph->num_nodes()), 0);
-  for (const NodeId v : delta.structure_changed) {
-    changed[static_cast<size_t>(v)] = 1;
-  }
-  WalkCorpus corpus = corpus_;  // work on a copy; commit on success only
-  COANE_RETURN_IF_ERROR(UpdateWalkCorpus(*new_graph, changed, &corpus,
-                                         &result.walk_stats, ctx));
-
-  // --- Churn-driven re-imputation.
-  SparseMatrix new_features;
-  if (has_features_) {
-    auto reimputed = IncrementalReimpute(
-        *graph_, features_, *new_graph, options_.config.missing_attrs,
-        delta.structure_changed, delta.attrs_changed,
-        &result.reimpute_stats);
-    if (!reimputed.ok()) return reimputed.status();
-    new_features = std::move(reimputed).ValueOrDie();
-  }
-
-  // --- Warm-start refinement.
+  // --- Warm-start refinement: Preprocess derives the new graph's walks
+  // and features from scratch, as for any other training run.
   {
     CoaneConfig refine = options_.config;
     refine.max_epochs = options_.refine_epochs;
     CoaneModel model(*new_graph, refine);
-    model.SetPrecomputedWalks(corpus.walks);  // copy; corpus kept
-    if (has_features_) {
-      model.SetPrecomputedFeatures(new_features);  // copy
-    }
     COANE_RETURN_IF_ERROR(model.Preprocess(ctx));
     auto prev = ReadCheckpointFile(ckpt_path_);
     if (!prev.ok()) return prev.status();
     COANE_RETURN_IF_ERROR(model.WarmStartFrom(prev.value()));
     auto history = model.Train(ctx);
     if (!history.ok()) return history.status();
-
-    walks_path_ = options_.work_dir + "/gen_" +
-                  std::to_string(delta.last_seq) + ".walks";
-    COANE_RETURN_IF_ERROR(SaveWalkCorpus(corpus, walks_path_));
     COANE_RETURN_IF_ERROR(PublishArtifacts(
         model, delta.last_seq, delta.chain_fingerprint, *new_graph,
         &result));
@@ -296,8 +224,6 @@ Result<StepResult> StreamPipeline::IncrementalStep(const RunContext* ctx) {
 
   // --- Commit point.
   graph_ = std::move(new_graph);
-  corpus_ = std::move(corpus);
-  if (has_features_) features_ = std::move(new_features);
   log_seq_ = delta.last_seq;
   chain_ = delta.chain_fingerprint;
   ++publish_count_;
@@ -367,7 +293,6 @@ Status StreamPipeline::CommitState() {
   body += "publish_count\t" + std::to_string(publish_count_) + "\n";
   body += "checkpoint\t" + ckpt_path_ + "\n";
   body += "embeddings\t" + emb_path_ + "\n";
-  body += "walks\t" + walks_path_ + "\n";
   AppendCrcFooter(&body);
   return WriteFileAtomic(state_path(), body, "stream.state_save");
 }

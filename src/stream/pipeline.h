@@ -4,15 +4,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/run_context.h"
 #include "common/status.h"
 #include "core/coane_config.h"
 #include "graph/graph.h"
-#include "la/sparse_matrix.h"
-#include "stream/reimpute.h"
-#include "stream/walk_store.h"
 
 namespace coane {
 
@@ -24,9 +20,9 @@ namespace stream {
 struct PipelineOptions {
   /// The mutation log this pipeline tails (mutation_log.h format).
   std::string log_path;
-  /// Directory for every pipeline artifact: per-generation walk stores,
-  /// checkpoints, embeddings + provenance sidecars, the artifact
-  /// manifest, and the commit-point state file. Created if absent.
+  /// Directory for every pipeline artifact: per-generation checkpoints,
+  /// embeddings + provenance sidecars, the artifact manifest, and the
+  /// commit-point state file. Created if absent.
   std::string work_dir;
   /// Initial graph files (LoadAttributedGraph), consulted on every Open:
   /// the committed state is reproduced by replaying the log over this
@@ -35,8 +31,9 @@ struct PipelineOptions {
   std::string init_attrs;
   std::string init_labels;
   /// Training configuration. config.max_epochs is the *initial* full
-  /// build's budget; incremental batches train `refine_epochs` from the
-  /// warm start instead.
+  /// build's budget; each mutation batch trains `refine_epochs` from the
+  /// warm start instead. Every step derives its walks and features from
+  /// the current graph and config.seed in CoaneModel::Preprocess.
   CoaneConfig config;
   /// Bounded refinement budget per mutation batch.
   int refine_epochs = 5;
@@ -57,15 +54,12 @@ struct StepResult {
   /// Published artifact paths ("" when nothing was published).
   std::string embeddings_path;
   std::string provenance_path;
-  WalkUpdateStats walk_stats;
-  ReimputeStats reimpute_stats;
 };
 
-/// The incremental train→publish pipeline: tails a mutation log, folds
-/// batches into its graph, maintains the walk corpus and imputed
-/// features incrementally, warm-starts training from the previous
-/// checkpoint, and publishes manifest-attested embedding artifacts with
-/// provenance sidecars.
+/// The train→publish pipeline: tails a mutation log, folds batches into
+/// its graph, preprocesses the new graph exactly as `coane_cli train`
+/// does, warm-starts training from the previous checkpoint, and publishes
+/// manifest-attested embedding artifacts with provenance sidecars.
 ///
 /// Crash discipline: every artifact of a step is written first; the
 /// state file (`stream_state.tsv`) is written last and is the commit
@@ -79,9 +73,10 @@ class StreamPipeline {
  public:
   /// Loads the committed state from options.work_dir, or prepares a
   /// fresh pipeline when no state file exists (the first Step then runs
-  /// the initial full build at log position 0). Verifies on resume that
-  /// the replayed log reproduces the committed chain fingerprint —
-  /// kDataLoss otherwise.
+  /// the initial full build at log position 0). A state file that exists
+  /// but cannot be read is an error. Verifies on resume that the replayed
+  /// log reproduces the committed chain fingerprint — kDataLoss
+  /// otherwise.
   static Result<std::unique_ptr<StreamPipeline>> Open(
       const PipelineOptions& options);
 
@@ -123,13 +118,7 @@ class StreamPipeline {
   uint64_t publish_count_ = 0;
   std::string ckpt_path_;
   std::string emb_path_;
-  std::string walks_path_;
   std::unique_ptr<Graph> graph_;
-  WalkCorpus corpus_;
-  /// Imputed feature matrix of graph_ (only maintained when
-  /// config.use_attributes and the graph carries attributes).
-  SparseMatrix features_;
-  bool has_features_ = false;
 };
 
 }  // namespace stream

@@ -10,8 +10,27 @@
 namespace coane {
 namespace {
 
-// Draws the next node from v proportionally to edge weights.
-NodeId StepFrom(const Graph& graph, NodeId v, Rng* rng) {
+// Walk `walk_id` of the corpus GenerateRandomWalks draws from `master`:
+// starts at `start` and steps from MakeStreamRng(master, walk_id), so it
+// depends on no other walk.
+Walk GenerateSingleWalk(const Graph& graph, NodeId start, int walk_length,
+                        uint64_t master, uint64_t walk_id) {
+  Rng walk_rng = MakeStreamRng(master, walk_id);
+  Walk walk;
+  walk.reserve(static_cast<size_t>(walk_length));
+  walk.push_back(start);
+  NodeId cur = start;
+  while (static_cast<int>(walk.size()) < walk_length) {
+    if (graph.Degree(cur) == 0) break;
+    cur = RandomWalkStep(graph, cur, &walk_rng);
+    walk.push_back(cur);
+  }
+  return walk;
+}
+
+}  // namespace
+
+NodeId RandomWalkStep(const Graph& graph, NodeId v, Rng* rng) {
   auto nbrs = graph.Neighbors(v);
   double total = 0.0;
   for (const NeighborEntry& e : nbrs) total += e.weight;
@@ -22,23 +41,6 @@ NodeId StepFrom(const Graph& graph, NodeId v, Rng* rng) {
     if (u < acc) return e.node;
   }
   return nbrs.back().node;
-}
-
-}  // namespace
-
-Walk GenerateSingleWalk(const Graph& graph, NodeId start, int walk_length,
-                        uint64_t master, uint64_t walk_id) {
-  Rng walk_rng = MakeStreamRng(master, walk_id);
-  Walk walk;
-  walk.reserve(static_cast<size_t>(walk_length));
-  walk.push_back(start);
-  NodeId cur = start;
-  while (static_cast<int>(walk.size()) < walk_length) {
-    if (graph.Degree(cur) == 0) break;
-    cur = StepFrom(graph, cur, &walk_rng);
-    walk.push_back(cur);
-  }
-  return walk;
 }
 
 Result<std::vector<Walk>> GenerateRandomWalks(const Graph& graph,

@@ -36,16 +36,11 @@ Result<std::vector<Walk>> GenerateRandomWalks(const Graph& graph,
                                               Rng* rng,
                                               const RunContext* ctx = nullptr);
 
-/// Regenerates exactly walk `walk_id` of the corpus GenerateRandomWalks
-/// produces from `master` (the one engine draw it makes from `rng`):
-/// starts at node walk_id / r, steps from MakeStreamRng(master, walk_id).
-/// This is the primitive of the dynamic-graph walk store (src/stream):
-/// a stored walk whose visited nodes all kept their neighborhoods is
-/// byte-identical to this call on the mutated graph, so only walks that
-/// touched a changed vertex need re-walking. GenerateRandomWalks is
-/// implemented on top of this function — the two can never drift apart.
-Walk GenerateSingleWalk(const Graph& graph, NodeId start, int walk_length,
-                        uint64_t master, uint64_t walk_id);
+/// One step of the plain weighted walk: draws v's successor with
+/// probability proportional to edge weight, from one rng->Uniform()
+/// draw. `v` must have at least one neighbor. GenerateRandomWalks and
+/// inductive encoding (EncodeUnseenNode) both step through it.
+NodeId RandomWalkStep(const Graph& graph, NodeId v, Rng* rng);
 
 /// Generates node2vec-style second-order biased walks with return parameter
 /// p and in-out parameter q (Grover & Leskovec 2016). With p = q = 1 the

@@ -50,7 +50,9 @@ class DistE2eTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    if (!dir_.empty()) ASSERT_TRUE(RemoveTree(dir_).ok());
+    if (!dir_.empty()) {
+      ASSERT_TRUE(RemoveTree(dir_).ok());
+    }
   }
 
   // Shared hyperparameters: small enough for fast worker processes,

@@ -139,7 +139,8 @@ Result<DenseMatrix> StrtodLoadEmbeddings(const std::string& path) {
       const float f = static_cast<float>(v);
       if (!std::isfinite(f)) {
         return RecordLineError(path, lines[i],
-                               "value '" + token + "' is not a finite float");
+                               "value '" + OracleShown(token) +
+                                   "' is not a finite float");
       }
       m.At(r, j) = f;
     }

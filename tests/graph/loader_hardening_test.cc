@@ -454,19 +454,20 @@ TEST_F(LoaderHardeningTest, DirectoryPathIsIoError) {
 
 // A token with an embedded NUL is not a number, even where its bytes
 // before the NUL are: strict names the field, skip quarantines the line.
+// The diagnostic shows the NUL as '?'.
 TEST_F(LoaderHardeningTest, EmbeddedNulTokensAreRejected) {
   using namespace std::string_literals;
   const struct {
     std::string edges, attrs, labels, strict;
   } cases[] = {
       {"0 1 1.5\0junk\n1 2\n"s, "", "",
-       "EDGES:1:5: bad weight '1.5\0junk'"s},
+       "EDGES:1:5: bad weight '1.5?junk'"},
       {"0 1\n1 2\n", "0 0 2\0x\n1 0 1\n"s, "",
-       "ATTRS:1:5: bad attribute value '2\0x'"s},
+       "ATTRS:1:5: bad attribute value '2?x'"},
       {"0 1\0 2\n1 2\n"s, "", "",
-       "EDGES:1:3: bad node id '1\0' (not an integer)"s},
+       "EDGES:1:3: bad node id '1?' (not an integer)"},
       {"0 1\n1 2\n", "", "0 1\n1 2\0\n"s,
-       "LABELS:2:3: bad label '2\0' (labels are non-negative integers)"s},
+       "LABELS:2:3: bad label '2?' (labels are non-negative integers)"},
   };
   for (const auto& c : cases) {
     WriteFile(edges_, c.edges);
@@ -493,6 +494,19 @@ TEST_F(LoaderHardeningTest, EmbeddedNulTokensAreRejected) {
     EXPECT_EQ(summary.bad_tokens, 1) << want;
     EXPECT_EQ(summary.sample_diagnostics, std::vector<std::string>{want});
   }
+}
+
+// A NUL inside a token must not cut the printed diagnostic short: the
+// message holds no NUL and still ends with the token's closing quote.
+TEST_F(LoaderHardeningTest, NulTokenDiagnosticPrintsWhole) {
+  using namespace std::string_literals;
+  WriteFile(edges_, "0 1 1.5\0junk\n1 2\n"s);
+  auto g = LoadAttributedGraph(edges_, "", "", LoadOptions());
+  ASSERT_FALSE(g.ok());
+  const std::string& message = g.status().message();
+  EXPECT_EQ(message.find('\0'), std::string::npos);
+  ASSERT_FALSE(message.empty());
+  EXPECT_EQ(message.back(), '\'');
 }
 
 TEST_F(LoaderHardeningTest, RunContextStopsALongLoad) {

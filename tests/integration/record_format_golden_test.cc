@@ -101,12 +101,13 @@ Graph GoldenGraph() {
   return std::move(b).Build().ValueOrDie();
 }
 
-// The stream state file exactly as the format's first writer rendered
-// it. StreamPipeline's writer is private, so the test renders the layout
-// itself and compares.
+// The stream state file exactly as StreamPipeline writes it, or with
+// `walks_line` as the format's first writer rendered it (that writer also
+// recorded a per-generation walk corpus). StreamPipeline's writer is
+// private, so the test renders the layout itself and compares.
 std::string RenderStreamState(uint64_t log_seq, uint64_t chain,
                               uint64_t publish_count,
-                              const std::string& prefix) {
+                              const std::string& prefix, bool walks_line) {
   char chain_hex[32];
   std::snprintf(chain_hex, sizeof(chain_hex), "%016llx",
                 static_cast<unsigned long long>(chain));
@@ -116,7 +117,7 @@ std::string RenderStreamState(uint64_t log_seq, uint64_t chain,
   body += "publish_count\t" + std::to_string(publish_count) + "\n";
   body += "checkpoint\t" + prefix + ".ckpt\n";
   body += "embeddings\t" + prefix + ".emb\n";
-  body += "walks\t" + prefix + ".walks\n";
+  if (walks_line) body += "walks\t" + prefix + ".walks\n";
   char footer[32];
   std::snprintf(footer, sizeof(footer), "# crc32 %08x\n", Crc32(body));
   return body + footer;
@@ -297,13 +298,16 @@ TEST_F(RecordFormatGoldenTest, StreamStateBytes) {
     state_path = pipeline.value()->state_path();
     chain0 = step.value().chain_fingerprint;
   }
-  const std::string gen0 =
-      RenderStreamState(0, chain0, 1, options.work_dir + "/gen_0");
-  EXPECT_EQ(Slurp(state_path), gen0);
+  EXPECT_EQ(Slurp(state_path),
+            RenderStreamState(0, chain0, 1, options.work_dir + "/gen_0",
+                              /*walks_line=*/false));
 
-  // A state file in the committed layout, written by someone else, is
-  // accepted as the commit point, and the next step rewrites it in the
-  // same layout.
+  // A state file in the first writer's layout is accepted as the commit
+  // point (its walks line is ignored), and the next step rewrites it in
+  // the current layout.
+  const std::string gen0 =
+      RenderStreamState(0, chain0, 1, options.work_dir + "/gen_0",
+                        /*walks_line=*/true);
   ASSERT_TRUE(WriteFileAtomic(state_path, gen0).ok());
   {
     auto writer = stream::MutationLogWriter::Open(options.log_path);
@@ -323,7 +327,8 @@ TEST_F(RecordFormatGoldenTest, StreamStateBytes) {
   ASSERT_EQ(step.value().log_seq, 2u);
   EXPECT_EQ(Slurp(state_path),
             RenderStreamState(2, step.value().chain_fingerprint, 2,
-                              options.work_dir + "/gen_2"));
+                              options.work_dir + "/gen_2",
+                              /*walks_line=*/false));
 }
 
 // Known answers recorded from the implementation that first wrote these

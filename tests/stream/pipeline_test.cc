@@ -182,10 +182,6 @@ TEST_F(PipelineTest, IncrementalStepFoldsPendingAndSurvivesReopen) {
     EXPECT_EQ(step.value().applied, 4);
     EXPECT_TRUE(step.value().published);
     EXPECT_EQ(step.value().log_seq, 4u);
-    // Walk invalidation did real reuse: the batch is local, the graph is
-    // not rebuilt from scratch.
-    EXPECT_GT(step.value().walk_stats.reused, 0);
-    EXPECT_EQ(step.value().walk_stats.appended, 1);
     auto info = LoadPublishInfo(step.value().provenance_path);
     ASSERT_TRUE(info.ok());
     EXPECT_EQ(info.value().log_seq, 4u);
@@ -299,7 +295,7 @@ TEST_F(PipelineTest, EarlierFaultPointsAlsoLeaveStateUncommitted) {
     ASSERT_TRUE(pipeline.value()->Step().ok());
   }
   AppendAll(options.log_path, kBatch);
-  for (const char* point : {"stream.walk_save", "stream.pub_save"}) {
+  for (const char* point : {"checkpoint.write", "stream.pub_save"}) {
     auto pipeline = StreamPipeline::Open(options);
     ASSERT_TRUE(pipeline.ok()) << point;
     fault::Arm(point, 1);
@@ -317,6 +313,22 @@ TEST_F(PipelineTest, EarlierFaultPointsAlsoLeaveStateUncommitted) {
   auto step = pipeline.value()->Step();
   ASSERT_TRUE(step.ok()) << step.status().ToString();
   EXPECT_EQ(step.value().log_seq, 4u);
+}
+
+// Only a missing state file means a fresh pipeline: one that cannot be
+// read fails Open before any step can train and overwrite the committed
+// generation's artifacts.
+TEST_F(PipelineTest, UnreadableStateFileFailsOpen) {
+  const PipelineOptions options = MakeOptions("a");
+  ASSERT_EQ(::mkdir(options.work_dir.c_str(), 0755), 0);
+  const std::string state_path = options.work_dir + "/stream_state.tsv";
+  ASSERT_EQ(::mkdir(state_path.c_str(), 0755), 0);
+  auto opened = StreamPipeline::Open(options);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kIoError)
+      << opened.status().ToString();
+  EXPECT_FALSE(PathExists(options.work_dir + "/gen_0.emb"));
+  EXPECT_FALSE(PathExists(options.work_dir + "/manifest.tsv"));
 }
 
 TEST_F(PipelineTest, ThreadCountNeverChangesArtifactBytes) {

@@ -8,8 +8,8 @@
 // the round deadline, recorded as degraded), and corrupt shard outputs
 // (quarantined, never merged). See DESIGN.md §8.
 //
-//   coane_distd train --edges=cora.edges --attrs=cora.attrs \
-//       --out=cora.emb --work-dir=/tmp/dist --shards=4 --quorum=3 \
+//   coane_distd train --edges=cora.edges --attrs=cora.attrs
+//       --out=cora.emb --work-dir=/tmp/dist --shards=4 --quorum=3
 //       --round-epochs=2 --epochs=10 --round-deadline-sec=120
 //
 // The `worker` subcommand is the coordinator's child process entry point

@@ -1,15 +1,15 @@
 // coane_streamd — the dynamic-graph publisher: tails a mutation log,
-// folds batches into the attributed graph, incrementally maintains the
-// walk corpus and imputed features, warm-starts training from the last
-// checkpoint, and publishes manifest-attested embedding artifacts whose
-// provenance sidecars let coane_serve hot-swap them through its
-// freshness gate. See DESIGN.md §10.
+// folds batches into the attributed graph, re-derives its walks and
+// imputed features, warm-starts training from the last checkpoint, and
+// publishes manifest-attested embedding artifacts whose provenance
+// sidecars let coane_serve hot-swap them through its freshness gate. See
+// DESIGN.md §10.
 //
 //   coane_streamd init   --log=g.mlog
 //   coane_streamd append --log=g.mlog --op="edge+ 12 40 1.0"
 //   coane_streamd append --log=g.mlog --file=batch.txt
-//   coane_streamd apply  --log=g.mlog --work-dir=/tmp/stream \
-//       --edges=cora.edges --attrs=cora.attrs \
+//   coane_streamd apply  --log=g.mlog --work-dir=/tmp/stream
+//       --edges=cora.edges --attrs=cora.attrs
 //       --batch-max=64 --refine-epochs=5 --follow --serve-port=7070
 //   coane_streamd status --log=g.mlog --work-dir=/tmp/stream --edges=...
 //   coane_streamd recover --log=g.mlog
@@ -345,15 +345,9 @@ int RunApply(const Flags& flags) {
     const StepResult& result = step.value();
     if (!result.published) continue;
 
-    std::printf("published gen %llu: applied=%lld rewalked=%lld/%lld "
-                "reimputed=%lld/%lld -> %s\n",
+    std::printf("published gen %llu: applied=%lld -> %s\n",
                 static_cast<unsigned long long>(result.log_seq),
                 static_cast<long long>(result.applied),
-                static_cast<long long>(result.walk_stats.rewalked),
-                static_cast<long long>(result.walk_stats.total_walks),
-                static_cast<long long>(
-                    result.reimpute_stats.recomputed_rows),
-                static_cast<long long>(result.reimpute_stats.total_rows),
                 result.embeddings_path.c_str());
 
     if (serve_port > 0) {
