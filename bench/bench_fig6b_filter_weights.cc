@@ -42,9 +42,12 @@ void Run(const benchutil::BenchOptions& opt) {
     COANE_LOG(Error) << st.ToString();
     std::exit(1);
   }
-  benchutil::Unwrap(model.Train(), "Train");
   const ContextEncoder& enc = model.encoder();
   const int c = cfg.context_size;
+  // The Xavier-initialized W_p, copied before any training step.
+  std::vector<DenseMatrix> initial;
+  for (int p = 0; p < c; ++p) initial.push_back(enc.PositionWeights(p));
+  benchutil::Unwrap(model.Train(), "Train");
   const int center = (c - 1) / 2;
   const int64_t d = net.graph.num_attributes();
 
@@ -54,7 +57,7 @@ void Run(const benchutil::BenchOptions& opt) {
   // filters never learn about keep their Xavier-initialized values.
   auto position_magnitude = [&](int p) {
     const DenseMatrix& w = enc.PositionWeights(p);
-    const DenseMatrix& w0 = enc.InitialPositionWeights(p);
+    const DenseMatrix& w0 = initial[static_cast<size_t>(p)];
     std::vector<double> mag(static_cast<size_t>(d), 0.0);
     for (int64_t a = 0; a < d; ++a) {
       for (int64_t j = 0; j < w.cols(); ++j) {

@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "common/fault_injection.h"
+#include "common/os_error.h"
 
 namespace coane {
 namespace {
@@ -79,7 +80,7 @@ Status WriteFileAtomic(const std::string& path, const std::string& contents,
 
 Result<std::string> ReadFileToString(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return Status::IoError("cannot open " + path);
+  if (fd < 0) return ErrnoToStatus(errno, "cannot open " + path);
   // The size is a hint, one byte over so EOF shows without growing; a
   // file that grows, or reports 0 (procfs), still reads to EOF.
   struct stat st;
@@ -90,8 +91,9 @@ Result<std::string> ReadFileToString(const std::string& path) {
   while ((n = ::read(fd, &contents[done], contents.size() - done)) != 0) {
     if (n < 0 && errno == EINTR) continue;
     if (n < 0) {
+      const int err = errno;
       ::close(fd);
-      return Status::IoError("read failure on " + path);
+      return ErrnoToStatus(err, "read failure on " + path);
     }
     done += static_cast<size_t>(n);
     if (done == contents.size()) contents.resize(2 * done);

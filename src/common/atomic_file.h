@@ -23,8 +23,11 @@ namespace coane {
 Status WriteFileAtomic(const std::string& path, const std::string& contents,
                        const std::string& fault_point = "");
 
-/// Reads the whole file into `contents`. Returns IoError when the file
-/// cannot be opened or read. Binary-safe.
+/// Reads the whole file into `contents`. Binary-safe. A failed open or
+/// read maps its errno through ErrnoToStatus ("cannot open <path>: ..." /
+/// "read failure on <path>: ..."), so a missing path is kNotFound and a
+/// directory kInvalidArgument — both permanent, never retried — while
+/// other I/O faults stay kIoError.
 Result<std::string> ReadFileToString(const std::string& path);
 
 /// True when `path` names an existing file system entry (stat succeeds).

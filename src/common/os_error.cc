@@ -25,6 +25,8 @@ Status ErrnoToStatus(int err, const std::string& context) {
       return Status::DeadlineExceeded(msg);
     case ENOENT:
       return Status::NotFound(msg);
+    case EISDIR:
+      return Status::InvalidArgument(msg);
     case ENOSPC:
     case EMFILE:
     case ENFILE:

@@ -21,6 +21,8 @@ namespace coane {
 ///   ETIMEDOUT / EAGAIN / EWOULDBLOCK        -> kDeadlineExceeded
 ///       (a configured socket/IO timeout expired, e.g. SO_SNDTIMEO)
 ///   ENOENT                                  -> kNotFound
+///   EISDIR                                  -> kInvalidArgument
+///       (a directory where a file was expected; both are permanent)
 ///   ENOSPC / EMFILE / ENFILE / ENOMEM /
 ///   ENOBUFS                                 -> kResourceExhausted
 ///   everything else                         -> kIoError

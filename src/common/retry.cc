@@ -10,6 +10,11 @@
 namespace coane {
 namespace {
 
+// The schedule every policy shares: delays double per failed attempt, and
+// each is scaled by a deterministic factor in [1 - kJitter, 1 + kJitter).
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kJitter = 0.1;
+
 // Sleeps ~`seconds` in short slices so a cancel or deadline on `ctx` is
 // honoured within ~10 ms instead of after the whole backoff.
 Status SleepObservingContext(double seconds, const RunContext* ctx) {
@@ -57,38 +62,20 @@ bool IsRetryable(const Status& status) { return IsRetryable(status.code()); }
 double BackoffDelaySeconds(const RetryPolicy& policy, int attempt) {
   if (attempt < 1) attempt = 1;
   double delay = policy.initial_backoff_sec *
-                 std::pow(policy.backoff_multiplier, attempt - 1);
-  if (policy.jitter_fraction > 0.0) {
-    // SplitMix64 of (seed, attempt): the same uniform in [0,1) every run.
-    const uint64_t bits = SplitSeed(policy.jitter_seed,
-                                    static_cast<uint64_t>(attempt));
-    const double uniform =
-        static_cast<double>(bits >> 11) * 0x1.0p-53;  // [0, 1)
-    delay *= 1.0 + policy.jitter_fraction * (2.0 * uniform - 1.0);
-  }
+                 std::pow(kBackoffMultiplier, attempt - 1);
+  // SplitMix64 of (seed, attempt): the same uniform in [0,1) every run.
+  const uint64_t bits =
+      SplitSeed(policy.jitter_seed, static_cast<uint64_t>(attempt));
+  const double uniform = static_cast<double>(bits >> 11) * 0x1.0p-53;
+  delay *= 1.0 + kJitter * (2.0 * uniform - 1.0);
   return std::clamp(delay, 0.0, policy.max_backoff_sec);
 }
 
 Status RetryOp(const RetryPolicy& policy, const RunContext* ctx,
-               const std::string& op,
-               const std::function<Status(const RunContext*)>& fn) {
+               const std::string& op, const std::function<Status()>& fn) {
   const int max_attempts = std::max(1, policy.max_attempts);
   for (int attempt = 1;; ++attempt) {
-    // Build the per-attempt context: the outer limits, tightened by the
-    // per-attempt timeout when one is configured.
-    RunContext attempt_storage;
-    const RunContext* attempt_ctx = ctx;
-    if (policy.per_attempt_timeout_sec > 0.0) {
-      attempt_storage = ctx != nullptr ? *ctx : RunContext();
-      double limit = policy.per_attempt_timeout_sec;
-      if (ctx != nullptr && ctx->has_deadline()) {
-        limit = std::min(limit, std::max(0.0, ctx->RemainingSeconds()));
-      }
-      attempt_storage.SetDeadlineAfter(limit);
-      attempt_ctx = &attempt_storage;
-    }
-
-    const Status st = fn(attempt_ctx);
+    const Status st = fn();
     if (st.ok()) return st;
     if (!IsRetryable(st)) {
       return attempt == 1 ? st : Annotate(st, op, attempt, nullptr);

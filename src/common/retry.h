@@ -15,8 +15,8 @@ namespace coane {
 /// Bounded exponential-backoff retry for transiently failing operations
 /// (checkpoint writes, graph loads, artifact/manifest writes).
 ///
-///   RetryPolicy policy;                       // 3 attempts, 10 ms -> 40 ms
-///   Status st = RetryOp(policy, ctx, "checkpoint.write", [&](const RunContext*) {
+///   RetryPolicy policy;                       // 3 attempts, ~10 ms, ~20 ms apart
+///   Status st = RetryOp(policy, ctx, "checkpoint.write", [&] {
 ///     return WriteCheckpointFile(path, ckpt);
 ///   });
 ///
@@ -30,23 +30,14 @@ namespace coane {
 struct RetryPolicy {
   /// Total tries including the first one; values < 1 behave as 1.
   int max_attempts = 3;
-  /// Delay after the first failed attempt; doubles (backoff_multiplier)
-  /// per further failure, capped at max_backoff_sec.
+  /// Delay after the first failed attempt; doubles per further failure,
+  /// capped at max_backoff_sec.
   double initial_backoff_sec = 0.01;
-  double backoff_multiplier = 2.0;
   double max_backoff_sec = 1.0;
-  /// Each delay is scaled by a factor drawn deterministically from
-  /// [1 - jitter_fraction, 1 + jitter_fraction); the cap still holds
-  /// after jitter. 0 disables jitter entirely.
-  double jitter_fraction = 0.1;
   /// Seed of the deterministic jitter stream (SplitMix64 over the attempt
-  /// index).
+  /// index). Each delay is scaled by a factor drawn from [0.9, 1.1); the
+  /// cap still holds after jitter.
   uint64_t jitter_seed = 0;
-  /// Wall-clock budget for a single attempt; the attempt's RunContext
-  /// carries `min(per_attempt_timeout_sec, outer remaining)` as its
-  /// deadline so a wedged attempt turns into kDeadlineExceeded. 0 means
-  /// no per-attempt bound.
-  double per_attempt_timeout_sec = 0.0;
 };
 
 /// The retry taxonomy. Transient environment failures are worth another
@@ -61,20 +52,17 @@ bool IsRetryable(StatusCode code);
 bool IsRetryable(const Status& status);
 
 /// The delay slept after the `attempt`-th failed attempt (1-based):
-/// min(max_backoff_sec, initial * multiplier^(attempt-1) * jitter(attempt)).
+/// min(max_backoff_sec, initial * 2^(attempt-1) * jitter(attempt)).
 /// Pure function of (policy, attempt) — exposed so tests and the
 /// supervisor can reuse the exact schedule.
 double BackoffDelaySeconds(const RetryPolicy& policy, int attempt);
 
-/// Runs `fn` under `policy`. `fn` receives the per-attempt RunContext
-/// (nullptr when neither `ctx` nor per_attempt_timeout_sec impose a
-/// limit) and may ignore it. `ctx` (optional) is consulted between
+/// Runs `fn` under `policy`. `ctx` (optional) is consulted between
 /// attempts and during backoff sleeps: a cancel or expired deadline
 /// abandons the remaining retries and surfaces the last failure,
 /// annotated with the reason. `op` names the operation in annotations.
 Status RetryOp(const RetryPolicy& policy, const RunContext* ctx,
-               const std::string& op,
-               const std::function<Status(const RunContext*)>& fn);
+               const std::string& op, const std::function<Status()>& fn);
 
 /// Result<T> flavour of RetryOp: retries on a retryable error status and
 /// returns the first OK result (or the annotated final error).
@@ -82,8 +70,8 @@ template <typename T, typename Fn>
 Result<T> RetryResultOp(const RetryPolicy& policy, const RunContext* ctx,
                         const std::string& op, Fn&& fn) {
   std::optional<Result<T>> last;
-  Status st = RetryOp(policy, ctx, op, [&](const RunContext* attempt_ctx) {
-    last.emplace(fn(attempt_ctx));
+  Status st = RetryOp(policy, ctx, op, [&] {
+    last.emplace(fn());
     return last->status();
   });
   if (!st.ok()) return st;

@@ -1,8 +1,9 @@
 #include "common/run_context.h"
 
 #include <csignal>
-#include <limits>
 #include <string>
+
+#include "common/watchdog.h"
 
 namespace coane {
 namespace {
@@ -21,30 +22,18 @@ RunContext RunContext::WithGlobalCancel() {
   return ctx;
 }
 
-double RunContext::RemainingSeconds() const {
-  if (!has_deadline_) return std::numeric_limits<double>::infinity();
-  return std::chrono::duration<double>(deadline_ - Clock::now()).count();
-}
-
 Status RunContext::Check(const char* stage) const {
-  if (heartbeat_ != nullptr) {
-    heartbeat_->fetch_add(1, std::memory_order_relaxed);
-  }
+  if (watchdog_ != nullptr) watchdog_->Beat();
   if (Cancelled()) {
     return Status::Cancelled(std::string("stopped at ") + stage);
   }
-  if (Stalled()) {
+  if (watchdog_ != nullptr && watchdog_->stalled()) {
     return Status::DeadlineExceeded(
         std::string("watchdog declared a stall at ") + stage);
   }
-  if (Expired()) {
+  if (has_deadline_ && Clock::now() >= deadline_) {
     return Status::DeadlineExceeded(std::string("deadline expired at ") +
                                     stage);
-  }
-  if (work_budget_ >= 0 && work_charged() >= work_budget_) {
-    return Status::ResourceExhausted(
-        std::string("work budget of ") + std::to_string(work_budget_) +
-        " units exhausted at " + stage);
   }
   return Status::OK();
 }

@@ -3,13 +3,14 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
 
 #include "common/status.h"
 
 namespace coane {
 
-/// Cooperative cancellation, deadline, and work-budget propagation.
+class Watchdog;
+
+/// Cooperative cancellation, deadline and hang-watchdog propagation.
 ///
 /// Long-running stages (random walks, context scanning, training epochs,
 /// t-SNE / k-means / logistic-regression loops) accept a `const RunContext*`
@@ -20,144 +21,65 @@ namespace coane {
 /// nullptr (the default everywhere) disables every limit, so existing call
 /// sites keep their unbounded behaviour.
 ///
-///   RunContext ctx = RunContext::WithDeadline(30.0);   // 30 s from now
-///   ctx.SetCancelFlag(GlobalCancelToken());            // SIGINT/SIGTERM
+///   RunContext ctx = RunContext::WithGlobalCancel();   // SIGINT/SIGTERM
+///   ctx.SetDeadlineAfter(30.0);                        // 30 s from now
 ///   auto walks = GenerateRandomWalks(graph, cfg, &rng, &ctx);
 ///   if (!walks.ok()) ...  // kCancelled or kDeadlineExceeded
 ///
-/// A RunContext is a cheap value type; copies share the cancel flag but
-/// carry their own deadline and budget, so a sub-stage can be given a
-/// tighter deadline than its parent.
+/// A RunContext is a trivially copyable value of three settings; copies
+/// share the cancel flag and the watchdog.
 ///
-/// Thread-safety: Check() and ChargeWork() may be called concurrently from
-/// the shards of a ParallelFor loop (the charge counter is atomic, the
-/// cancel flag is an atomic the caller owns). The setters are not
-/// synchronized — configure a context before handing it to a parallel
-/// stage.
+/// Thread-safety: Check() may be called concurrently from the shards of a
+/// ParallelFor loop (the cancel flag is an atomic the caller owns, the
+/// watchdog's beat counter is atomic). The setters are not synchronized —
+/// configure a context before handing it to a parallel stage.
 class RunContext {
  public:
-  using Clock = std::chrono::steady_clock;
-
-  RunContext() = default;
-  // An atomic member would delete the implicit copy operations, but a
-  // RunContext must stay a cheap value type: copies carry over the charge
-  // so a sub-stage context keeps the parent's accounting.
-  RunContext(const RunContext& other)
-      : has_deadline_(other.has_deadline_),
-        deadline_(other.deadline_),
-        cancel_flag_(other.cancel_flag_),
-        stall_flag_(other.stall_flag_),
-        heartbeat_(other.heartbeat_),
-        work_budget_(other.work_budget_),
-        work_charged_(other.work_charged()) {}
-  RunContext& operator=(const RunContext& other) {
-    has_deadline_ = other.has_deadline_;
-    deadline_ = other.deadline_;
-    cancel_flag_ = other.cancel_flag_;
-    stall_flag_ = other.stall_flag_;
-    heartbeat_ = other.heartbeat_;
-    work_budget_ = other.work_budget_;
-    work_charged_.store(other.work_charged(), std::memory_order_relaxed);
-    return *this;
-  }
-
-  /// Context with no deadline, no cancel flag, and no budget: Check()
-  /// always returns OK. Equivalent to passing nullptr.
-  static RunContext Background() { return RunContext(); }
-
-  /// Context whose deadline is `seconds` from now.
-  static RunContext WithDeadline(double seconds) {
-    RunContext ctx;
-    ctx.SetDeadlineAfter(seconds);
-    return ctx;
-  }
-
   /// Context observing the process-wide SIGINT/SIGTERM token (see
   /// InstallSignalCancellation below).
   static RunContext WithGlobalCancel();
 
-  RunContext& SetDeadline(Clock::time_point deadline) {
-    has_deadline_ = true;
-    deadline_ = deadline;
-    return *this;
-  }
+  /// Sets the deadline `seconds` from now (a negative value is already
+  /// past).
   RunContext& SetDeadlineAfter(double seconds) {
-    return SetDeadline(Clock::now() +
-                       std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(seconds)));
+    has_deadline_ = true;
+    deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                   std::chrono::duration<double>(seconds));
+    return *this;
   }
   /// `flag` must outlive the context; nullptr clears it.
   RunContext& SetCancelFlag(const std::atomic<bool>* flag) {
     cancel_flag_ = flag;
     return *this;
   }
-  /// Hang-watchdog stall flag (see common/watchdog.h): when `flag` reads
-  /// true, Check() reports kDeadlineExceeded — a stalled stage unwinds
-  /// through the deadline path. `flag` must outlive the context; nullptr
-  /// clears it.
-  RunContext& SetStallFlag(const std::atomic<bool>* flag) {
-    stall_flag_ = flag;
-    return *this;
-  }
-  /// Liveness counter (Heartbeat::counter()) bumped once per Check() —
-  /// i.e. once per unit of work in every instrumented stage — so a
-  /// Watchdog can tell a slow stage from a hung one. `counter` must
+  /// Hang watchdog (see common/watchdog.h): every Check() beats it, and
+  /// once it has latched a stall Check() reports kDeadlineExceeded — a
+  /// stalled stage unwinds through the deadline path. `watchdog` must
   /// outlive the context; nullptr clears it.
-  RunContext& SetHeartbeat(std::atomic<uint64_t>* counter) {
-    heartbeat_ = counter;
-    return *this;
-  }
-  /// Caps the abstract work units this context may charge (walks, batches,
-  /// iterations); negative disables the budget. Exceeding it makes Check()
-  /// return kResourceExhausted.
-  RunContext& SetWorkBudget(int64_t units) {
-    work_budget_ = units;
+  RunContext& SetWatchdog(const Watchdog* watchdog) {
+    watchdog_ = watchdog;
     return *this;
   }
 
-  bool has_deadline() const { return has_deadline_; }
   bool Cancelled() const {
     return cancel_flag_ != nullptr &&
            cancel_flag_->load(std::memory_order_relaxed);
   }
-  bool Stalled() const {
-    return stall_flag_ != nullptr &&
-           stall_flag_->load(std::memory_order_relaxed);
-  }
-  bool Expired() const {
-    return has_deadline_ && Clock::now() >= deadline_;
-  }
-  /// Seconds until the deadline (negative once expired); +infinity when no
-  /// deadline is set.
-  double RemainingSeconds() const;
 
-  /// Registers `units` of completed work against the budget. Safe to call
-  /// concurrently from the shards of a ParallelFor loop.
-  void ChargeWork(int64_t units) const {
-    work_charged_.fetch_add(units, std::memory_order_relaxed);
-  }
-  int64_t work_charged() const {
-    return work_charged_.load(std::memory_order_relaxed);
-  }
-
-  /// The single cooperative gate. Tickles the attached heartbeat (when
-  /// any) and returns, in precedence order, kCancelled,
-  /// kDeadlineExceeded (watchdog stall, then wall-clock deadline),
-  /// kResourceExhausted, or OK; the message names `stage`
-  /// ("walk.generate", "train.epoch", ...) so callers can tell which
-  /// loop stopped and why.
+  /// The single cooperative gate. Beats the attached watchdog (when any)
+  /// and returns, in precedence order, kCancelled, kDeadlineExceeded
+  /// (watchdog stall, then wall-clock deadline), or OK; the message names
+  /// `stage` ("walk.generate", "train.epoch", ...) so callers can tell
+  /// which loop stopped and why.
   Status Check(const char* stage) const;
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   bool has_deadline_ = false;
   Clock::time_point deadline_{};
   const std::atomic<bool>* cancel_flag_ = nullptr;
-  const std::atomic<bool>* stall_flag_ = nullptr;
-  std::atomic<uint64_t>* heartbeat_ = nullptr;
-  int64_t work_budget_ = -1;
-  // Charged concurrently by parallel shards; the copy operations above
-  // keep the type copyable despite the atomic.
-  mutable std::atomic<int64_t> work_charged_{0};
+  const Watchdog* watchdog_ = nullptr;
 };
 
 /// Checks `ctx` (which may be null) at a unit-of-work boundary and

@@ -35,8 +35,8 @@ enum class StatusCode {
   /// boundary and preserves partial results where meaningful.
   kDeadlineExceeded,
   /// A configured resource budget (node-count / attribute-dimension /
-  /// file-size cap, work-unit budget) would be exceeded. The operation
-  /// fails fast instead of exhausting memory or CPU.
+  /// file-size cap) would be exceeded. The operation fails fast instead
+  /// of exhausting memory or CPU.
   kResourceExhausted,
   /// The service is temporarily unable to take the request — admission
   /// control shed it under overload, or the server is draining for

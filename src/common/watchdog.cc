@@ -4,21 +4,9 @@
 #include <chrono>
 
 namespace coane {
-namespace {
 
-double DefaultPollSeconds(double stall_seconds) {
-  return std::clamp(stall_seconds / 8.0, 0.001, 0.1);
-}
-
-}  // namespace
-
-Watchdog::Watchdog(const Heartbeat* heartbeat, double stall_seconds,
-                   double poll_seconds)
-    : heartbeat_(heartbeat),
-      stall_seconds_(stall_seconds),
-      poll_seconds_(poll_seconds > 0.0 ? poll_seconds
-                                       : DefaultPollSeconds(stall_seconds)),
-      thread_([this] { Run(); }) {}
+Watchdog::Watchdog(double stall_seconds)
+    : stall_seconds_(stall_seconds), thread_([this] { Run(); }) {}
 
 Watchdog::~Watchdog() { Stop(); }
 
@@ -33,14 +21,15 @@ void Watchdog::Stop() {
 
 void Watchdog::Run() {
   using Clock = std::chrono::steady_clock;
-  uint64_t last_beats = heartbeat_->beats();
+  const double poll_seconds = std::clamp(stall_seconds_ / 8.0, 0.001, 0.1);
+  uint64_t last_beats = beats_.load(std::memory_order_relaxed);
   Clock::time_point last_advance = Clock::now();
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_requested_) {
-    cv_.wait_for(lock, std::chrono::duration<double>(poll_seconds_),
+    cv_.wait_for(lock, std::chrono::duration<double>(poll_seconds),
                  [this] { return stop_requested_; });
     if (stop_requested_) return;
-    const uint64_t beats = heartbeat_->beats();
+    const uint64_t beats = beats_.load(std::memory_order_relaxed);
     const Clock::time_point now = Clock::now();
     if (beats != last_beats) {
       last_beats = beats;

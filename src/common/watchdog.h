@@ -9,52 +9,36 @@
 
 namespace coane {
 
-/// Liveness counter for the hang watchdog. Every long stage already calls
-/// RunContext::Check once per unit of work (one walk, one batch, one
-/// t-SNE iteration); attaching a Heartbeat to the context
-/// (RunContext::SetHeartbeat) makes each of those checks a tickle, so
+/// Monitor thread that converts a stalled stage into a cooperative stop.
+/// Every long stage already calls RunContext::Check once per unit of work
+/// (one walk, one batch, one t-SNE iteration); a context carrying the
+/// watchdog (RunContext::SetWatchdog) beats it on each of those checks, so
 /// "the stage is advancing" and "the stage honours its limits" are the
-/// same instrumentation point. Tickle is one relaxed atomic increment.
-class Heartbeat {
- public:
-  void Tickle() { beats_.fetch_add(1, std::memory_order_relaxed); }
-  uint64_t beats() const { return beats_.load(std::memory_order_relaxed); }
-  /// The raw counter, for RunContext::SetHeartbeat.
-  std::atomic<uint64_t>* counter() { return &beats_; }
-
- private:
-  std::atomic<uint64_t> beats_{0};
-};
-
-/// Monitor thread that converts a stalled Heartbeat into a cooperative
-/// stop. When the heartbeat advances no beat for `stall_seconds`, the
-/// watchdog latches its stall flag; a RunContext carrying that flag
-/// (SetStallFlag) reports kDeadlineExceeded at the next Check, so a hung
-/// stage unwinds through the exact same rollback/checkpoint path as an
-/// expired deadline — a hang becomes a recoverable failure instead of a
-/// process a human must kill.
+/// same instrumentation point. When no beat arrives for `stall_seconds`,
+/// the watchdog latches a stall, and the next Check reports
+/// kDeadlineExceeded: a hung stage unwinds through the exact same
+/// rollback/checkpoint path as an expired deadline — a hang becomes a
+/// recoverable failure instead of a process a human must kill.
 ///
-///   Heartbeat hb;
-///   Watchdog dog(&hb, /*stall_seconds=*/30.0);
-///   ctx.SetHeartbeat(hb.counter());
-///   ctx.SetStallFlag(dog.stall_flag());
+///   Watchdog dog(/*stall_seconds=*/30.0);
+///   ctx.SetWatchdog(&dog);
 ///
-/// The flag latches: once declared, the stall persists until the Watchdog
-/// is destroyed, so every in-flight loop sees the stop. The heartbeat
-/// must outlive the watchdog. Destruction stops and joins the thread.
+/// The stall latches: once declared, it persists until the Watchdog is
+/// destroyed, so every in-flight loop sees the stop. Destruction stops and
+/// joins the thread.
 class Watchdog {
  public:
-  /// Starts monitoring immediately. `poll_seconds` <= 0 picks a default
-  /// of stall_seconds / 8, clamped to [1 ms, 100 ms].
-  Watchdog(const Heartbeat* heartbeat, double stall_seconds,
-           double poll_seconds = 0.0);
+  /// Starts monitoring immediately, polling every stall_seconds / 8
+  /// (clamped to [1 ms, 100 ms]).
+  explicit Watchdog(double stall_seconds);
   ~Watchdog();
 
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  /// Latched stall indicator, to hand to RunContext::SetStallFlag.
-  const std::atomic<bool>* stall_flag() const { return &stalled_; }
+  /// One unit of progress; one relaxed atomic increment.
+  void Beat() const { beats_.fetch_add(1, std::memory_order_relaxed); }
+  /// The latched stall indicator.
   bool stalled() const { return stalled_.load(std::memory_order_relaxed); }
 
   /// Stops the monitor thread (idempotent; also called by the
@@ -64,9 +48,8 @@ class Watchdog {
  private:
   void Run();
 
-  const Heartbeat* heartbeat_;
   const double stall_seconds_;
-  const double poll_seconds_;
+  mutable std::atomic<uint64_t> beats_{0};
   std::atomic<bool> stalled_{false};
   std::mutex mu_;
   std::condition_variable cv_;

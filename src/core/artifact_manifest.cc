@@ -138,9 +138,10 @@ Status VerifyArtifactAgainstManifest(const std::string& manifest_path,
                                      const std::string& artifact_path,
                                      const uint64_t* expected_fingerprint) {
   // An unreadable or corrupt manifest keeps its own code (kIoError /
-  // kDataLoss): only "the manifest makes no claim about this artifact"
-  // is kNotFound. Callers that treat kNotFound as "no claim" must not
-  // be handed a broken manifest under that label.
+  // kInvalidArgument / kDataLoss): only a manifest that does not exist,
+  // or makes no claim about this artifact, is kNotFound. Callers that
+  // treat kNotFound as "no claim" must not be handed a broken manifest
+  // under that label.
   auto manifest = ArtifactManifest::Load(manifest_path);
   if (!manifest.ok()) return manifest.status();
   const ArtifactEntry* entry = manifest.value().Find(kind, artifact_path);
@@ -164,7 +165,7 @@ Result<std::vector<ArtifactEntry>> AttestArtifacts(
   std::vector<ArtifactEntry> entries;
   for (const auto& [kind, path] : artifacts) {
     auto entry = RetryResultOp<ArtifactEntry>(
-        policy, nullptr, "manifest.describe", [&](const RunContext*) {
+        policy, nullptr, "manifest.describe", [&] {
           return DescribeArtifact(kind, path, config_fingerprint);
         });
     if (!entry.ok()) return entry.status();
@@ -174,7 +175,7 @@ Result<std::vector<ArtifactEntry>> AttestArtifacts(
     COANE_RETURN_IF_ERROR(manifest->Record(entry));
   }
   COANE_RETURN_IF_ERROR(
-      RetryOp(policy, nullptr, "manifest.write", [&](const RunContext*) {
+      RetryOp(policy, nullptr, "manifest.write", [&] {
         return manifest->Save(manifest_path);
       }));
   return entries;

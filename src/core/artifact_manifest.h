@@ -60,8 +60,9 @@ class ArtifactManifest {
   /// Serializes atomically to `path`. Fault point: "manifest.write".
   Status Save(const std::string& path) const;
 
-  /// Parses and verifies `path`. kIoError when unreadable; kDataLoss for
-  /// a bad header, malformed line, or footer CRC mismatch.
+  /// Parses and verifies `path`. ReadFileToString's error when unreadable
+  /// (kNotFound when missing, kInvalidArgument for a directory); kDataLoss
+  /// for a bad header, malformed line, or footer CRC mismatch.
   static Result<ArtifactManifest> Load(const std::string& path);
 
  private:
@@ -69,7 +70,7 @@ class ArtifactManifest {
 };
 
 /// Stats the file at `path` and computes its CRC-32, returning the entry
-/// to record. kIoError when the file cannot be read.
+/// to record. ReadFileToString's error when the file cannot be read.
 Result<ArtifactEntry> DescribeArtifact(const std::string& kind,
                                        const std::string& path,
                                        uint64_t config_fingerprint);
@@ -94,10 +95,12 @@ Status VerifyArtifact(const ArtifactEntry& entry,
 /// unrecorded artifact is an error here (kNotFound): a reader that asked
 /// for verification must not silently fall back to trusting unattested
 /// bytes. An unreadable or corrupt manifest keeps Load's own code
-/// (kIoError / kDataLoss) — it is a broken attestation, not a missing
-/// claim. Used by the serving layer before every snapshot build, and by
-/// `--resume` in the CLI (which treats only kNotFound as "no claim" at
-/// the call site).
+/// (kIoError / kInvalidArgument / kDataLoss) — it is a broken
+/// attestation, not a missing claim; a manifest that does not exist is
+/// kNotFound like an unrecorded entry. Used by the serving layer before
+/// every snapshot build, and by `--resume` in the CLI (which treats only
+/// kNotFound as "no claim" at the call site, and only once it has seen
+/// the manifest exist).
 Status VerifyArtifactAgainstManifest(const std::string& manifest_path,
                                      const std::string& kind,
                                      const std::string& artifact_path,

@@ -73,8 +73,8 @@ void ForEachMatrix(Checkpoint& c, Fn&& fn) {
 Status WriteCheckpointFile(const std::string& path,
                            const TrainingCheckpoint& ckpt);
 
-/// Parses and CRC-verifies `path`. Returns kIoError when the file cannot
-/// be read and kDataLoss for any structural or checksum failure: also for
+/// Parses and CRC-verifies `path`. Returns ReadFileToString's error when
+/// the file cannot be read (kNotFound when it is missing) and kDataLoss for any structural or checksum failure: also for
 /// a repeated section id, bytes after the last section, epochs_done
 /// outside [0, INT32_MAX], a non-finite or negative learning rate, a
 /// matrix shape that does not fit its section's bytes, a negative Adam

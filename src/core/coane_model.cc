@@ -196,8 +196,7 @@ Result<EpochStats> CoaneModel::TrainEpoch(const RunContext* ctx) {
       // epochs, so a checkpoint taken now resumes bit-identically.
       const StatusCode code = stats.status().code();
       if (code == StatusCode::kCancelled ||
-          code == StatusCode::kDeadlineExceeded ||
-          code == StatusCode::kResourceExhausted) {
+          code == StatusCode::kDeadlineExceeded) {
         COANE_RETURN_IF_ERROR(
             AdoptState(snapshot, /*with_rng=*/true, "the epoch snapshot"));
       }
@@ -234,7 +233,9 @@ Result<EpochStats> CoaneModel::TrainEpochOnce(const RunContext* ctx) {
        start += static_cast<size_t>(config_.batch_size)) {
     // Unit of work = one batch; TrainEpoch rolls the partial epoch back.
     COANE_RETURN_IF_STOPPED(ctx, "train.batch");
-    if (ctx != nullptr) ctx->ChargeWork(1);
+    if (fault::ShouldFail("train.batch")) {
+      return Status::Cancelled("injected cancel at train.batch");
+    }
     const size_t end = std::min(
         order.size(), start + static_cast<size_t>(config_.batch_size));
     std::vector<NodeId> batch(order.begin() + static_cast<int64_t>(start),
@@ -490,7 +491,7 @@ Status CoaneModel::SaveCheckpoint(const std::string& path,
   if (retry == nullptr) return WriteCheckpointFile(path, ckpt);
   // The serialized state is assembled once; only the write retries.
   return RetryOp(*retry, nullptr, "checkpoint.write",
-                 [&](const RunContext*) {
+                 [&] {
                    return WriteCheckpointFile(path, ckpt);
                  });
 }

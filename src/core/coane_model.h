@@ -79,7 +79,8 @@ class CoaneModel {
   /// pre-epoch state. A `ctx` cancel or deadline is honoured between
   /// batches: the partial epoch is rolled back so the model sits exactly
   /// at the last completed epoch — checkpointing then resuming is
-  /// bit-identical to an uninterrupted run.
+  /// bit-identical to an uninterrupted run. Fault point: "train.batch"
+  /// (an injected kCancelled before a batch, rolled back the same way).
   Result<EpochStats> TrainEpoch(const RunContext* ctx = nullptr);
 
   /// Number of completed training epochs (restored by LoadCheckpoint).

@@ -88,18 +88,16 @@ Result<Graph> LoadFromFlags(const flags::FlagSet& flags,
   }
   options.max_nodes = flags.GetInt("max-nodes", 0);
   options.max_attr_dim = flags.GetInt("max-attr-dim", 0);
+  options.run_context = ctx;
   // A transient open/read failure (including the injected "graph_io.load"
-  // fault) is retried; parse errors are permanent and surface at once.
+  // fault) is retried; a missing path, a directory and parse errors are
+  // permanent and surface at once.
   return RetryResultOp<Graph>(
-      MakeRetryPolicy(flags), ctx, "graph_io.load",
-      [&](const RunContext* attempt_ctx) -> Result<Graph> {
-        LoadOptions attempt_options = options;
-        attempt_options.run_context = attempt_ctx;
+      MakeRetryPolicy(flags), ctx, "graph_io.load", [&]() -> Result<Graph> {
         LoadSummary summary;
-        auto graph =
-            LoadAttributedGraph(edges, flags.Get("attrs"),
-                                flags.Get("labels"), attempt_options,
-                                &summary);
+        auto graph = LoadAttributedGraph(edges, flags.Get("attrs"),
+                                         flags.Get("labels"), options,
+                                         &summary);
         if (graph.ok() && summary.quarantined_lines > 0) {
           std::fprintf(stderr, "warning: %s\n", summary.ToString().c_str());
           for (const std::string& diag : summary.sample_diagnostics) {

@@ -11,8 +11,8 @@ BatchLosses ParallelBatchObjective(
     const DenseMatrix& z,
     const std::vector<std::vector<PositivePair>>* pairs, bool split_lr,
     const std::vector<std::vector<NodeId>>* negatives, float negative_weight,
-    const std::vector<NodeId>& batch, const std::vector<uint8_t>& in_batch,
-    DenseMatrix* dz) {
+    const std::vector<NodeId>& batch,
+    const std::vector<uint8_t>& /*in_batch*/, DenseMatrix* dz) {
   const int64_t d = z.cols();
   const int64_t half = d / 2;
   COANE_CHECK(pairs == nullptr || !split_lr || d % 2 == 0);

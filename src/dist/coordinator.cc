@@ -77,7 +77,7 @@ Status Coordinator::Prepare() {
   if (plan_st.code() == StatusCode::kNotFound) {
     COANE_RETURN_IF_ERROR(RetryOp(
         options_.io_retry, nullptr, "dist.plan_write",
-        [&](const RunContext*) {
+        [&] {
           return SavePlanFile(options_.work_dir, plan_);
         }));
   } else {
@@ -137,7 +137,7 @@ Status Coordinator::Prepare() {
     if (!round_log_->rounds().empty()) {
       COANE_RETURN_IF_ERROR(RetryOp(
           options_.io_retry, nullptr, "dist.manifest_write",
-          [&](const RunContext*) { return manifest_.Save(manifest_path); }));
+          [&] { return manifest_.Save(manifest_path); }));
     }
   }
   prepared_ = true;
@@ -409,12 +409,12 @@ Result<RoundRecord> Coordinator::CommitRound(
       MergedEmbeddingsPath(options_.work_dir, round);
   COANE_RETURN_IF_ERROR(RetryOp(
       options_.io_retry, nullptr, "dist.merged_write",
-      [&](const RunContext*) {
+      [&] {
         return WriteCheckpointFile(model_path, merged_ckpt.value());
       }));
   COANE_RETURN_IF_ERROR(RetryOp(
       options_.io_retry, nullptr, "dist.merged_write",
-      [&](const RunContext*) {
+      [&] {
         return SaveEmbeddings(merged_emb.value(), emb_path);
       }));
 
@@ -472,7 +472,7 @@ Status Coordinator::Run(const std::string& out_path,
   auto final_emb = LoadEmbeddings(emb_path);
   if (!final_emb.ok()) return final_emb.status();
   return RetryOp(options_.io_retry, nullptr, "dist.out_write",
-                 [&](const RunContext*) {
+                 [&] {
                    return SaveEmbeddings(final_emb.value(), out_path);
                  });
 }

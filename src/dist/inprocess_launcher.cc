@@ -28,7 +28,6 @@ Result<int64_t> InProcessLauncher::Start(int shard, int round) {
   options.work_dir = work_dir_;
   options.shard = shard;
   options.round = round;
-  options.io_retry = io_retry_;
   options.merge_wait_sec = merge_wait_sec_;
   j->thread = std::thread([this, options, j]() {
     RunContext ctx;

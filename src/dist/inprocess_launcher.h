@@ -7,7 +7,6 @@
 #include <memory>
 #include <thread>
 
-#include "common/retry.h"
 #include "dist/coordinator.h"
 #include "dist/shard_plan.h"
 #include "dist/worker.h"
@@ -45,8 +44,6 @@ class InProcessLauncher : public WorkerLauncher {
   WorkerReport Poll(int64_t handle) override;
   void Kill(int64_t handle) override;
 
-  /// Worker I/O retry schedule (passed through to WorkerOptions).
-  void set_io_retry(const RetryPolicy& policy) { io_retry_ = policy; }
   void set_merge_wait_sec(double sec) { merge_wait_sec_ = sec; }
 
   /// Total Start() calls — lets tests assert "no worker ran" on resume.
@@ -64,7 +61,6 @@ class InProcessLauncher : public WorkerLauncher {
   const Graph& graph_;
   const ShardPlan& plan_;
   const std::string work_dir_;
-  RetryPolicy io_retry_;
   double merge_wait_sec_ = 60.0;
   int64_t next_handle_ = 1;
   int64_t starts_ = 0;

@@ -49,7 +49,8 @@ class RoundLog {
   explicit RoundLog(uint64_t plan_fingerprint)
       : plan_fingerprint_(plan_fingerprint) {}
 
-  /// Parses and verifies `path`. kIoError when unreadable, kDataLoss for
+  /// Parses and verifies `path`. ReadFileToString's error when unreadable
+  /// (kNotFound when missing), kDataLoss for
   /// corruption or a non-contiguous round sequence, kFailedPrecondition
   /// when the log belongs to a different plan fingerprint.
   static Result<RoundLog> Load(const std::string& path,

@@ -63,8 +63,8 @@ Status ShardWorker::ResumeOwnCheckpoint() {
       ShardCheckpointKind(), path, &plan_fingerprint_);
   // kDataLoss / kFailedPrecondition: the bytes are provably wrong or
   // belong to another plan. Otherwise (OK, or no/broken attestation —
-  // kNotFound / kIoError) the checkpoint file's own sectioned CRCs are
-  // the next gate.
+  // kNotFound / kIoError / kInvalidArgument) the checkpoint file's own
+  // sectioned CRCs are the next gate.
   if (why.code() != StatusCode::kDataLoss &&
       why.code() != StatusCode::kFailedPrecondition) {
     why = model_->LoadCheckpoint(path);
@@ -143,7 +143,7 @@ Status ShardWorker::Publish() {
       model_->SaveCheckpoint(model_path, &options_.io_retry));
   COANE_RETURN_IF_ERROR(RetryOp(
       options_.io_retry, nullptr, "dist.publish_embeddings",
-      [&](const RunContext*) {
+      [&] {
         return SaveEmbeddings(model_->embeddings(), emb_path);
       }));
 

@@ -64,7 +64,6 @@ Result<KMeansResult> RunOnce(const DenseMatrix& points, int k,
   std::vector<int64_t> counts(static_cast<size_t>(k));
   for (int iter = 0; iter < config.max_iterations; ++iter) {
     COANE_RETURN_IF_STOPPED(ctx, "eval.kmeans_iter");
-    if (ctx != nullptr) ctx->ChargeWork(1);
     // Assignment: disjoint assignment[i] writes; the inertia reduction and
     // centroid sums below use a fixed shard count with ordered folds so
     // the floating-point totals match at every thread count.

@@ -39,7 +39,6 @@ Status LogisticRegression::Fit(const DenseMatrix& x,
   const float inv_m = 1.0f / static_cast<float>(m);
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     COANE_RETURN_IF_STOPPED(ctx, "eval.logreg_epoch");
-    if (ctx != nullptr) ctx->ChargeWork(1);
     gw.Fill(0.0f);
     gb.Fill(0.0f);
     for (int64_t i = 0; i < m; ++i) {

@@ -124,7 +124,6 @@ Result<DenseMatrix> RunTsne(const DenseMatrix& x, const TsneConfig& config,
 
   for (int iter = 0; iter < config.iterations; ++iter) {
     COANE_RETURN_IF_STOPPED(ctx, "eval.tsne_iter");
-    if (ctx != nullptr) ctx->ChargeWork(1);
     if (fault::ShouldFail("eval.tsne_iter")) {
       return Status::Cancelled("injected cancel at eval.tsne_iter");
     }

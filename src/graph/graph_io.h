@@ -98,8 +98,8 @@ Result<Graph> LoadAttributedGraph(const std::string& edges_path,
                                   int64_t num_nodes = 0,
                                   int64_t num_attributes = 0);
 
-/// Hardened variant: reads each file whole (ReadFileToString; a path that
-/// cannot be read, a directory included, is kIoError) and validates every
+/// Hardened variant: reads each file whole (ReadFileToString; a missing
+/// path is kNotFound, a directory kInvalidArgument) and validates every
 /// line against `options`, returning file:line:column diagnostics (strict)
 /// or quarantining bad lines into `summary` (lenient). `summary` may be
 /// null. Fault points: "graph_io.load" (fires per file read) and

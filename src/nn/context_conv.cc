@@ -27,7 +27,6 @@ ContextEncoder::ContextEncoder(int context_size, int64_t input_dim,
     // A filter sees c*d inputs and emits d' outputs.
     w.XavierInit(rng, static_cast<int64_t>(context_size) * input_dim,
                  output_dim);
-    initial_weights_.push_back(w);
     weights_.push_back(std::move(w));
     grads_.emplace_back(input_dim, output_dim, 0.0f);
   }
@@ -210,12 +209,6 @@ const DenseMatrix& ContextEncoder::PositionWeights(int p) const {
   COANE_CHECK_GE(p, 0);
   COANE_CHECK_LT(p, context_size_);
   return weights_[static_cast<size_t>(position_index(p))];
-}
-
-const DenseMatrix& ContextEncoder::InitialPositionWeights(int p) const {
-  COANE_CHECK_GE(p, 0);
-  COANE_CHECK_LT(p, context_size_);
-  return initial_weights_[static_cast<size_t>(position_index(p))];
 }
 
 }  // namespace coane

@@ -112,11 +112,6 @@ class ContextEncoder {
     return &weights_[static_cast<size_t>(i)];
   }
 
-  /// The Xavier-initialized weights W_p before any training step, kept so
-  /// filter analyses can measure how far training moved each attribute's
-  /// weights (Fig. 6b).
-  const DenseMatrix& InitialPositionWeights(int p) const;
-
  private:
   int num_position_matrices() const {
     return kind_ == Kind::kConvolution ? context_size_ : 1;
@@ -146,7 +141,6 @@ class ContextEncoder {
   int64_t output_dim_;
   Kind kind_;
   std::vector<DenseMatrix> weights_;  // per position (or 1 shared), d x d'
-  std::vector<DenseMatrix> initial_weights_;
   std::vector<DenseMatrix> grads_;
   std::vector<int> slots_;
   std::vector<GradShard> grad_shards_;

@@ -270,7 +270,7 @@ Status TcpFrontend::Start() {
   // deterministic backoff schedule instead of dying.
   const Status bound = RetryOp(
       options_.bind_retry, nullptr, "serve.bind",
-      [&](const RunContext*) -> Status {
+      [&]() -> Status {
         if (fault::ShouldFail("serve.bind")) {
           return Status::IoError("injected fault at serve.bind");
         }

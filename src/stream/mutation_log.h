@@ -71,7 +71,8 @@ struct MutationLogContents {
 };
 
 /// Reads and CRC-verifies `path`. A missing file is an empty log (OK). An
-/// unreadable file is kIoError. Corruption is *not* an error at this
+/// unreadable file is an error (kIoError; kInvalidArgument for a
+/// directory). Corruption is *not* an error at this
 /// layer: the valid prefix is returned with `tail_bytes > 0` and the
 /// caller decides (appenders must recover first; the applier consumes the
 /// prefix as-is).

@@ -75,7 +75,6 @@ Result<ContextSet> GenerateContexts(const std::vector<Walk>& walks,
         std::vector<NodeId> window(static_cast<size_t>(c));
         for (int64_t w = begin; w < end; ++w) {
           COANE_RETURN_IF_STOPPED(ctx, "walk.contexts");
-          if (ctx != nullptr) ctx->ChargeWork(1);
           const Walk& walk = walks[static_cast<size_t>(w)];
           Rng walk_rng = MakeStreamRng(master, static_cast<uint64_t>(w));
           const int len = static_cast<int>(walk.size());

@@ -75,7 +75,6 @@ Result<std::vector<Walk>> GenerateRandomWalks(const Graph& graph,
           walks[static_cast<size_t>(w)] = GenerateSingleWalk(
               graph, static_cast<NodeId>(w / r), config.walk_length, master,
               static_cast<uint64_t>(w));
-          if (ctx != nullptr) ctx->ChargeWork(1);
         }
         return Status::OK();
       }));
@@ -136,7 +135,6 @@ Result<std::vector<Walk>> GenerateBiasedWalks(const Graph& graph,
         walk.push_back(nbrs[static_cast<size_t>(pick)].node);
       }
       walks.push_back(std::move(walk));
-      if (ctx != nullptr) ctx->ChargeWork(1);
     }
   }
   return walks;

@@ -3,6 +3,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstring>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -92,20 +94,22 @@ TEST_F(ReadFileToStringTest, EmbeddedNulBytesReadWhole) {
   EXPECT_EQ(contents.value(), bytes);
 }
 
-TEST_F(ReadFileToStringTest, MissingPathIsIoErrorNamingIt) {
+TEST_F(ReadFileToStringTest, MissingPathIsNotFoundNamingIt) {
   const std::string file = dir_ + "/missing";
   auto contents = ReadFileToString(file);
   ASSERT_FALSE(contents.ok());
-  EXPECT_EQ(contents.status().code(), StatusCode::kIoError);
-  EXPECT_EQ(contents.status().message(), "cannot open " + file);
+  EXPECT_EQ(contents.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(contents.status().message(),
+            "cannot open " + file + ": " + std::strerror(ENOENT));
 }
 
 // A directory opens but does not read: an error, not an empty file.
 TEST_F(ReadFileToStringTest, DirectoryIsReadFailure) {
   auto contents = ReadFileToString(dir_);
   ASSERT_FALSE(contents.ok());
-  EXPECT_EQ(contents.status().code(), StatusCode::kIoError);
-  EXPECT_EQ(contents.status().message(), "read failure on " + dir_);
+  EXPECT_EQ(contents.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(contents.status().message(),
+            "read failure on " + dir_ + ": " + std::strerror(EISDIR));
 }
 
 // procfs reports size 0 for files that are not empty: the size is a

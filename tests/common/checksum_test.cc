@@ -85,10 +85,10 @@ TEST(AtomicFileTest, InjectedFaultLeavesTargetIntact) {
   fault::Reset();
 }
 
-TEST(AtomicFileTest, ReadMissingFileIsIoError) {
+TEST(AtomicFileTest, ReadMissingFileIsNotFound) {
   auto r = ReadFileToString("/tmp/coane_atomic_does_not_exist");
   EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
 TEST(FaultInjectionTest, FiresOnExactHit) {

@@ -36,6 +36,8 @@ TEST(OsErrorTest, ResourceErrnosAreResourceExhausted) {
 
 TEST(OsErrorTest, MissingFileIsNotFoundAndDefaultIsIoError) {
   EXPECT_EQ(ErrnoToStatus(ENOENT, "open").code(), StatusCode::kNotFound);
+  EXPECT_EQ(ErrnoToStatus(EISDIR, "read").code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(ErrnoToStatus(EIO, "read").code(), StatusCode::kIoError);
   EXPECT_EQ(ErrnoToStatus(EACCES, "open").code(), StatusCode::kIoError);
 }

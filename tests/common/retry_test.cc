@@ -15,10 +15,18 @@
 #include "common/retry.h"
 #include "common/run_context.h"
 #include "common/status.h"
+#include "common/flags.h"
 #include "core/checkpoint.h"
+#include "core/config_flags.h"
 
 namespace coane {
 namespace {
+
+flags::FlagSet NoFlags() {
+  std::string tool = "tool";
+  char* argv[] = {tool.data()};
+  return flags::FlagSet(1, argv);
+}
 
 // Zero-delay policy for tests that only care about attempt accounting.
 RetryPolicy InstantPolicy(int max_attempts) {
@@ -26,7 +34,6 @@ RetryPolicy InstantPolicy(int max_attempts) {
   p.max_attempts = max_attempts;
   p.initial_backoff_sec = 0.0;
   p.max_backoff_sec = 0.0;
-  p.jitter_fraction = 0.0;
   return p;
 }
 
@@ -51,7 +58,7 @@ TEST(RetryTest, RetryableTaxonomy) {
 TEST(RetryTest, FirstAttemptSuccessRunsOnce) {
   int calls = 0;
   Status st = RetryOp(InstantPolicy(5), nullptr, "op",
-                      [&](const RunContext*) {
+                      [&] {
                         ++calls;
                         return Status::OK();
                       });
@@ -62,7 +69,7 @@ TEST(RetryTest, FirstAttemptSuccessRunsOnce) {
 TEST(RetryTest, TransientFailureRetriedUntilSuccess) {
   int calls = 0;
   Status st = RetryOp(InstantPolicy(5), nullptr, "op",
-                      [&](const RunContext*) {
+                      [&] {
                         ++calls;
                         if (calls < 3) return Status::IoError("flaky");
                         return Status::OK();
@@ -74,7 +81,7 @@ TEST(RetryTest, TransientFailureRetriedUntilSuccess) {
 TEST(RetryTest, ExhaustionSurfacesOriginalStatusWithAttemptCount) {
   int calls = 0;
   Status st = RetryOp(InstantPolicy(3), nullptr, "checkpoint.write",
-                      [&](const RunContext*) {
+                      [&] {
                         ++calls;
                         return Status::IoError("disk on fire");
                       });
@@ -93,7 +100,7 @@ TEST(RetryTest, ExhaustionSurfacesOriginalStatusWithAttemptCount) {
 TEST(RetryTest, PermanentErrorNotRetriedAndNotAnnotated) {
   int calls = 0;
   Status st = RetryOp(InstantPolicy(5), nullptr, "op",
-                      [&](const RunContext*) {
+                      [&] {
                         ++calls;
                         return Status::DataLoss("corrupt checkpoint");
                       });
@@ -108,7 +115,7 @@ TEST(RetryTest, PermanentErrorNotRetriedAndNotAnnotated) {
 TEST(RetryTest, PermanentErrorAfterTransientOnesStopsRetrying) {
   int calls = 0;
   Status st = RetryOp(InstantPolicy(10), nullptr, "op",
-                      [&](const RunContext*) {
+                      [&] {
                         ++calls;
                         if (calls == 1) return Status::IoError("flaky");
                         return Status::InvalidArgument("bad config");
@@ -120,7 +127,7 @@ TEST(RetryTest, PermanentErrorAfterTransientOnesStopsRetrying) {
 TEST(RetryTest, MaxAttemptsBelowOneBehavesAsOne) {
   int calls = 0;
   Status st = RetryOp(InstantPolicy(0), nullptr, "op",
-                      [&](const RunContext*) {
+                      [&] {
                         ++calls;
                         return Status::IoError("flaky");
                       });
@@ -134,7 +141,7 @@ TEST(RetryTest, CancelledContextAbandonsRemainingRetries) {
   ctx.SetCancelFlag(&cancel);
   int calls = 0;
   Status st = RetryOp(InstantPolicy(5), &ctx, "op",
-                      [&](const RunContext*) {
+                      [&] {
                         ++calls;
                         return Status::IoError("flaky");
                       });
@@ -147,10 +154,11 @@ TEST(RetryTest, CancelledContextAbandonsRemainingRetries) {
 }
 
 TEST(RetryTest, ExpiredDeadlineAbandonsRemainingRetries) {
-  RunContext ctx = RunContext::WithDeadline(-1.0);  // already expired
+  RunContext ctx;
+  ctx.SetDeadlineAfter(-1.0);  // already expired
   int calls = 0;
   Status st = RetryOp(InstantPolicy(5), &ctx, "op",
-                      [&](const RunContext*) {
+                      [&] {
                         ++calls;
                         return Status::IoError("flaky");
                       });
@@ -160,24 +168,11 @@ TEST(RetryTest, ExpiredDeadlineAbandonsRemainingRetries) {
       << st.ToString();
 }
 
-TEST(RetryTest, PerAttemptTimeoutHandsTightenedContextToOp) {
-  RetryPolicy p = InstantPolicy(1);
-  p.per_attempt_timeout_sec = 30.0;
-  bool saw_deadline = false;
-  Status st = RetryOp(p, nullptr, "op", [&](const RunContext* attempt) {
-    saw_deadline = attempt != nullptr && attempt->has_deadline();
-    return Status::OK();
-  });
-  EXPECT_TRUE(st.ok());
-  EXPECT_TRUE(saw_deadline)
-      << "per-attempt timeout must reach the op as a RunContext deadline";
-}
-
 TEST(RetryTest, ResultFlavourReturnsFirstOkValue) {
   int calls = 0;
   RetryPolicy p = InstantPolicy(4);
   Result<int> r = RetryResultOp<int>(p, nullptr, "op",
-                                     [&](const RunContext*) -> Result<int> {
+                                     [&]() -> Result<int> {
                                        ++calls;
                                        if (calls < 2) {
                                          return Status::IoError("flaky");
@@ -193,9 +188,7 @@ TEST(RetryTest, ResultFlavourSurfacesAnnotatedError) {
   RetryPolicy p = InstantPolicy(2);
   Result<int> r = RetryResultOp<int>(
       p, nullptr, "graph_io.load",
-      [&](const RunContext*) -> Result<int> {
-        return Status::IoError("unreadable");
-      });
+      []() -> Result<int> { return Status::IoError("unreadable"); });
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
   EXPECT_NE(r.status().ToString().find("after 2 attempts"),
@@ -227,7 +220,7 @@ TEST(RetryFaultTest, TransientCheckpointWriteFaultAbsorbedByRetries) {
                       /*fail_count=*/2);
   const TrainingCheckpoint ckpt = TinyCheckpoint();
   Status st = RetryOp(InstantPolicy(3), nullptr, "checkpoint.write",
-                      [&](const RunContext*) {
+                      [&] {
                         return WriteCheckpointFile(path, ckpt);
                       });
   EXPECT_TRUE(st.ok()) << st.ToString();
@@ -246,7 +239,7 @@ TEST(RetryFaultTest, PermanentCheckpointWriteFaultExhaustsPolicy) {
   fault::ArmPermanent("checkpoint.write", /*trigger_hit=*/1);
   const TrainingCheckpoint ckpt = TinyCheckpoint();
   Status st = RetryOp(InstantPolicy(3), nullptr, "checkpoint.write",
-                      [&](const RunContext*) {
+                      [&] {
                         return WriteCheckpointFile(path, ckpt);
                       });
   EXPECT_EQ(st.code(), StatusCode::kIoError);
@@ -260,11 +253,12 @@ TEST(RetryFaultTest, PermanentCheckpointWriteFaultExhaustsPolicy) {
 // --- backoff schedule properties ---------------------------------------
 
 TEST(RetryPropertyTest, BackoffIsDeterministicBoundedAndGrows) {
+  // Every policy doubles its delay per failure and jitters it by +-10%.
+  constexpr double kMultiplier = 2.0;
+  constexpr double kJitter = 0.1;
   RetryPolicy p;
   p.initial_backoff_sec = 0.01;
-  p.backoff_multiplier = 2.0;
   p.max_backoff_sec = 1.0;
-  p.jitter_fraction = 0.1;
 
   for (uint64_t seed : {uint64_t{0}, uint64_t{7}, uint64_t{123456789}}) {
     p.jitter_seed = seed;
@@ -284,13 +278,12 @@ TEST(RetryPropertyTest, BackoffIsDeterministicBoundedAndGrows) {
       // Within the jitter envelope of the un-jittered exponential.
       const double base =
           std::min(p.max_backoff_sec,
-                   p.initial_backoff_sec * std::pow(p.backoff_multiplier,
-                                                    attempt - 1));
-      EXPECT_GE(delay, base * (1.0 - p.jitter_fraction) - 1e-12)
+                   p.initial_backoff_sec * std::pow(kMultiplier, attempt - 1));
+      EXPECT_GE(delay, base * (1.0 - kJitter) - 1e-12)
           << "seed " << seed << " attempt " << attempt;
       EXPECT_LE(delay,
                 std::min(p.max_backoff_sec,
-                         base * (1.0 + p.jitter_fraction)) +
+                         base * (1.0 + kJitter)) +
                     1e-12)
           << "seed " << seed << " attempt " << attempt;
     }
@@ -311,16 +304,31 @@ TEST(RetryPropertyTest, DifferentSeedsProduceDifferentJitter) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(RetryPropertyTest, ZeroJitterIsExactExponential) {
-  RetryPolicy p;
-  p.initial_backoff_sec = 0.01;
-  p.backoff_multiplier = 2.0;
-  p.max_backoff_sec = 1.0;
-  p.jitter_fraction = 0.0;
-  EXPECT_DOUBLE_EQ(BackoffDelaySeconds(p, 1), 0.01);
-  EXPECT_DOUBLE_EQ(BackoffDelaySeconds(p, 2), 0.02);
-  EXPECT_DOUBLE_EQ(BackoffDelaySeconds(p, 3), 0.04);
-  EXPECT_DOUBLE_EQ(BackoffDelaySeconds(p, 20), 1.0);  // capped
+// The shipped schedules, pinned to the bit: coane_cli/distd's
+// MakeRetryPolicy at its default --seed=42, and coane_supervisor's restart
+// backoff at its defaults (--backoff-ms=200 --backoff-max-ms=5000
+// --seed=42). Both later attempts sit at their cap.
+TEST(RetryPropertyTest, ShippedSchedulesArePinned) {
+  const RetryPolicy cli = MakeRetryPolicy(NoFlags());
+  const double cli_delays[] = {
+      0x1.316452bd5cc67p-7, 0x1.392b9f9338146p-6, 0x1.3d7808b3fb778p-5,
+      0x1.29678329821ecp-4, 0x1.5fcfec06b76cdp-3, 0x1.3539b3ff0b935p-2,
+      0x1p-1,               0x1p-1};
+  RetryPolicy supervisor;
+  supervisor.initial_backoff_sec = 200.0 / 1000.0;
+  supervisor.max_backoff_sec = 5000.0 / 1000.0;
+  supervisor.jitter_seed = 42;
+  const double supervisor_delays[] = {
+      0x1.7dbd676cb3f8p-3, 0x1.8776877806198p-2, 0x1.8cd60ae0fa557p-1,
+      0x1.73c163f3e2a68p+0, 0x1.b7c3e7086548p+1, 0x1.4p+2,
+      0x1.4p+2,             0x1.4p+2};
+  for (int attempt = 1; attempt <= 8; ++attempt) {
+    const size_t i = static_cast<size_t>(attempt - 1);
+    EXPECT_EQ(BackoffDelaySeconds(cli, attempt), cli_delays[i])
+        << "attempt " << attempt;
+    EXPECT_EQ(BackoffDelaySeconds(supervisor, attempt), supervisor_delays[i])
+        << "attempt " << attempt;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Hang-watchdog tests: a tickled heartbeat keeps the watchdog quiet, a
-// stalled one latches the stall flag, and a RunContext carrying that flag
-// turns the stall into kDeadlineExceeded at the next Check.
+// Hang-watchdog tests: a beaten watchdog stays quiet, an unbeaten one
+// latches a stall, and a RunContext carrying it beats it on every Check
+// and turns the stall into kDeadlineExceeded.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -17,29 +18,14 @@ void SleepSec(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
-TEST(HeartbeatTest, TickleIncrements) {
-  Heartbeat hb;
-  EXPECT_EQ(hb.beats(), 0u);
-  hb.Tickle();
-  hb.Tickle();
-  EXPECT_EQ(hb.beats(), 2u);
+void WaitForStall(const Watchdog& dog) {
+  for (int i = 0; i < 100 && !dog.stalled(); ++i) SleepSec(0.01);
 }
 
-TEST(HeartbeatTest, RunContextCheckTicklesOncePerCall) {
-  Heartbeat hb;
-  RunContext ctx;
-  ctx.SetHeartbeat(hb.counter());
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(ctx.Check("test.unit").ok());
-  }
-  EXPECT_EQ(hb.beats(), 5u);
-}
-
-TEST(WatchdogTest, TickledHeartbeatStaysAlive) {
-  Heartbeat hb;
-  Watchdog dog(&hb, /*stall_seconds=*/0.2, /*poll_seconds=*/0.01);
+TEST(WatchdogTest, BeatenWatchdogStaysAlive) {
+  Watchdog dog(/*stall_seconds=*/0.2);
   for (int i = 0; i < 10; ++i) {
-    hb.Tickle();
+    dog.Beat();
     SleepSec(0.03);  // well inside the stall window
   }
   EXPECT_FALSE(dog.stalled());
@@ -47,27 +33,35 @@ TEST(WatchdogTest, TickledHeartbeatStaysAlive) {
   EXPECT_FALSE(dog.stalled());
 }
 
-TEST(WatchdogTest, StalledHeartbeatLatchesFlag) {
-  Heartbeat hb;
-  Watchdog dog(&hb, /*stall_seconds=*/0.05, /*poll_seconds=*/0.01);
-  // Never tickle: the watchdog must declare a stall.
-  for (int i = 0; i < 100 && !dog.stalled(); ++i) SleepSec(0.01);
+TEST(WatchdogTest, RunContextCheckBeatsTheWatchdog) {
+  Watchdog dog(/*stall_seconds=*/0.2);
+  RunContext ctx;
+  ctx.SetWatchdog(&dog);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_TRUE(ctx.Check("test.unit").ok());
+    SleepSec(0.03);
+  }
+  EXPECT_FALSE(dog.stalled()) << "each Check must count as progress";
+}
+
+TEST(WatchdogTest, UnbeatenWatchdogLatchesAStall) {
+  Watchdog dog(/*stall_seconds=*/0.05);
+  // Never beat: the watchdog must declare a stall.
+  WaitForStall(dog);
   EXPECT_TRUE(dog.stalled());
-  // Latched: tickling after the fact does not clear it.
-  hb.Tickle();
+  // Latched: beating after the fact does not clear it.
+  dog.Beat();
   SleepSec(0.03);
   EXPECT_TRUE(dog.stalled());
 }
 
 TEST(WatchdogTest, StallSurfacesAsDeadlineExceededThroughRunContext) {
-  Heartbeat hb;
-  Watchdog dog(&hb, /*stall_seconds=*/0.05, /*poll_seconds=*/0.01);
+  Watchdog dog(/*stall_seconds=*/0.05);
   RunContext ctx;
-  ctx.SetHeartbeat(hb.counter());
-  ctx.SetStallFlag(dog.stall_flag());
+  ctx.SetWatchdog(&dog);
 
   EXPECT_TRUE(ctx.Check("train.batch").ok());
-  for (int i = 0; i < 100 && !dog.stalled(); ++i) SleepSec(0.01);
+  WaitForStall(dog);
   ASSERT_TRUE(dog.stalled());
 
   Status st = ctx.Check("train.batch");
@@ -79,27 +73,25 @@ TEST(WatchdogTest, StallSurfacesAsDeadlineExceededThroughRunContext) {
 }
 
 TEST(WatchdogTest, StopIsIdempotentAndDestructionIsClean) {
-  Heartbeat hb;
   {
-    Watchdog dog(&hb, /*stall_seconds=*/10.0);
+    Watchdog dog(/*stall_seconds=*/10.0);
     dog.Stop();
     dog.Stop();
   }  // destructor after explicit Stop must not hang or crash
   {
-    Watchdog dog(&hb, /*stall_seconds=*/10.0);
+    Watchdog dog(/*stall_seconds=*/10.0);
   }  // destructor alone joins the monitor thread
 }
 
 TEST(WatchdogTest, CancelStillWinsOverStall) {
   // Precedence: a user cancel (SIGINT) reports kCancelled even while the
-  // stall flag is also up — the operator's intent outranks the watchdog.
-  Heartbeat hb;
+  // watchdog has also latched a stall — the operator's intent outranks it.
+  Watchdog dog(/*stall_seconds=*/0.01);
+  WaitForStall(dog);
+  ASSERT_TRUE(dog.stalled());
   std::atomic<bool> cancel{true};
-  std::atomic<bool> stall{true};
   RunContext ctx;
-  ctx.SetHeartbeat(hb.counter());
-  ctx.SetCancelFlag(&cancel);
-  ctx.SetStallFlag(&stall);
+  ctx.SetWatchdog(&dog).SetCancelFlag(&cancel);
   Status st = ctx.Check("train.batch");
   EXPECT_EQ(st.code(), StatusCode::kCancelled);
 }

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/parallel/global_pool.h"
 #include "common/parallel/parallel_for.h"
 #include "common/run_context.h"
@@ -184,7 +185,7 @@ TEST(GlobalPoolTest, SetGlobalParallelismBuildsAndTearsDown) {
 }
 
 // The epoch-boundary rollback invariant of the crash-safe training PR must
-// survive parallel execution: a budget trip mid-epoch at --threads 2 rolls
+// survive parallel execution: a stop mid-epoch at --threads 2 rolls
 // the partial epoch back, and the retry reproduces the uninterrupted epoch
 // bit-for-bit.
 TEST(ParallelTrainingTest, MidEpochStopStillRollsBackToTheEpochBoundary) {
@@ -211,11 +212,13 @@ TEST(ParallelTrainingTest, MidEpochStopStillRollsBackToTheEpochBoundary) {
 
   CoaneModel stopped(net.graph, cfg);
   ASSERT_TRUE(stopped.Preprocess().ok());
-  RunContext budget;
-  budget.SetWorkBudget(1);
-  auto stats = stopped.TrainEpoch(&budget);
+  // One batch trains, then the injected stop lands before the second.
+  fault::Reset();
+  fault::Arm("train.batch", /*trigger_hit=*/2);
+  auto stats = stopped.TrainEpoch();
+  fault::Reset();
   ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(stats.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(stopped.epochs_done(), 0);
 
   ASSERT_TRUE(stopped.TrainEpoch().ok());

@@ -169,7 +169,7 @@ TEST_F(ArtifactManifestTest, LoadRejectsBadHeaderAndMalformedLines) {
 
   const std::string missing = "/tmp/coane_manifest_does_not_exist.tsv";
   EXPECT_EQ(ArtifactManifest::Load(missing).status().code(),
-            StatusCode::kIoError);
+            StatusCode::kNotFound);
 }
 
 TEST_F(ArtifactManifestTest, SaveHonoursFaultPoint) {
@@ -194,9 +194,7 @@ TEST_F(ArtifactManifestTest, EmptyManifestRoundTrips) {
 
 // Two attempts with a negligible backoff: enough to ride out one fault.
 RetryPolicy TwoAttempts() {
-  return RetryPolicy{.max_attempts = 2,
-                     .initial_backoff_sec = 0.001,
-                     .jitter_fraction = 0.0};
+  return RetryPolicy{.max_attempts = 2, .initial_backoff_sec = 0.001};
 }
 
 TEST_F(ArtifactManifestTest, AttestRecordsInGivenOrderWithDescribeCrcs) {
@@ -293,7 +291,7 @@ TEST_F(ArtifactManifestTest, AttestMissingArtifactRecordsNothing) {
       {{"embeddings", present},
        {"checkpoint", "/tmp/coane_manifest_no_such_artifact"}},
       0, nullptr);
-  EXPECT_EQ(attested.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(attested.status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(manifest.entries().empty());
   EXPECT_FALSE(PathExists(path));
 }

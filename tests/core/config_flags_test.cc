@@ -222,6 +222,24 @@ TEST_F(LoadFromFlagsTest, MaxNodesBelowTheFileFails) {
             std::string::npos);
 }
 
+// A missing path or a directory fails the same way on every attempt, so
+// it is reported at once instead of after the retry policy's backoff.
+TEST_F(LoadFromFlagsTest, UnreadablePathIsNotRetried) {
+  const std::pair<std::string, StatusCode> cases[] = {
+      {dir_, StatusCode::kInvalidArgument},
+      {dir_ + "/missing.edges", StatusCode::kNotFound},
+  };
+  for (const auto& [path, code] : cases) {
+    auto g = LoadFromFlags(
+        MakeFlags({"--edges=" + path, "--io-retries=3"}), nullptr);
+    ASSERT_FALSE(g.ok()) << path;
+    EXPECT_EQ(g.status().code(), code) << g.status().ToString();
+    EXPECT_EQ(g.status().message().find("failed after 3 attempts"),
+              std::string::npos)
+        << g.status().ToString();
+  }
+}
+
 TEST(ExitContractTest, ApplyThreadsFlagRejectsBelowOneAndSizesThePool) {
   SetGlobalParallelism(2);
   for (const char* bad : {"--threads=0", "--threads=-1"}) {
@@ -235,18 +253,18 @@ TEST(ExitContractTest, ApplyThreadsFlagRejectsBelowOneAndSizesThePool) {
 }
 
 TEST(ExitContractTest, RunContextFromFlagsAppliesDeadlineSec) {
-  EXPECT_FALSE(RunContextFromFlags(MakeFlags({})).has_deadline());
-  EXPECT_FALSE(
-      RunContextFromFlags(MakeFlags({"--deadline-sec=0"})).has_deadline());
-
+  // No flag and --deadline-sec=0 set no deadline: a deadline of 0 s would
+  // already have passed by the Check after the sleep.
+  const RunContext unset = RunContextFromFlags(MakeFlags({}));
+  const RunContext zero =
+      RunContextFromFlags(MakeFlags({"--deadline-sec=0"}));
   const RunContext ctx = RunContextFromFlags(MakeFlags({"--deadline-sec=30"}));
-  EXPECT_TRUE(ctx.has_deadline());
-  EXPECT_GT(ctx.RemainingSeconds(), 0.0);
-  EXPECT_LE(ctx.RemainingSeconds(), 30.0);
-
   const RunContext expired =
       RunContextFromFlags(MakeFlags({"--deadline-sec=0.000001"}));
   ::usleep(1000);
+  EXPECT_TRUE(unset.Check("test").ok());
+  EXPECT_TRUE(zero.Check("test").ok());
+  EXPECT_TRUE(ctx.Check("test").ok());
   EXPECT_EQ(expired.Check("test").code(), StatusCode::kDeadlineExceeded);
 }
 

@@ -65,7 +65,7 @@ TEST_F(GraphIoTest, MissingFileFails) {
   auto g =
       LoadAttributedGraph("/tmp/definitely_not_here_coane.txt", "", "");
   EXPECT_FALSE(g.ok());
-  EXPECT_EQ(g.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(g.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(GraphIoTest, MalformedEdgeLineFails) {

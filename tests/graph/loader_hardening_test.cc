@@ -7,7 +7,9 @@
 
 #include <sys/stat.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -432,7 +434,7 @@ TEST_F(LoaderHardeningTest, DeclaredSizesOverCapsFailFast) {
 
 // A directory is not a graph file: each of the three paths, and the
 // label reader on its own, fail with IoError instead of loading nothing.
-TEST_F(LoaderHardeningTest, DirectoryPathIsIoError) {
+TEST_F(LoaderHardeningTest, DirectoryPathIsInvalidArgument) {
   const std::string dir = "/tmp/coane_harden.dir";
   ::mkdir(dir.c_str(), 0755);
   WriteFile(edges_, "0 1\n");
@@ -443,13 +445,14 @@ TEST_F(LoaderHardeningTest, DirectoryPathIsIoError) {
   };
   for (const Result<Graph>& g : loads) {
     ASSERT_FALSE(g.ok());
-    EXPECT_EQ(g.status().code(), StatusCode::kIoError);
-    EXPECT_EQ(g.status().message(), "read failure on " + dir);
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(g.status().message(),
+              "read failure on " + dir + ": " + std::strerror(EISDIR));
   }
   auto labels = LoadLabels(dir, 0, LoadOptions());
   ::rmdir(dir.c_str());
   ASSERT_FALSE(labels.ok());
-  EXPECT_EQ(labels.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(labels.status().code(), StatusCode::kInvalidArgument);
 }
 
 // A token with an embedded NUL is not a number, even where its bytes
@@ -515,7 +518,7 @@ TEST_F(LoaderHardeningTest, RunContextStopsALongLoad) {
     contents += std::to_string(i) + " " + std::to_string(i + 1) + "\n";
   }
   WriteFile(edges_, contents);
-  const RunContext expired = RunContext::WithDeadline(-1.0);
+  const RunContext expired = RunContext().SetDeadlineAfter(-1.0);
   LoadOptions options;
   options.run_context = &expired;
   auto g = LoadAttributedGraph(edges_, "", "", options);

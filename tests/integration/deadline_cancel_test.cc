@@ -1,19 +1,23 @@
 // Cooperative stop tests: every long-running stage must halt within one
-// unit of work of a cancel/deadline/budget trip, return the right status
+// unit of work of a cancel/deadline/watchdog trip, return the right status
 // code, preserve partial results where the API promises them, and leave
 // training in a state that resumes bit-identically from a checkpoint.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "common/run_context.h"
+#include "common/watchdog.h"
 #include "core/coane_model.h"
 #include "datasets/attributed_sbm.h"
 #include "eval/clustering_task.h"
@@ -55,6 +59,8 @@ CoaneConfig TinyConfig() {
   return c;
 }
 
+RunContext ExpiredContext() { return RunContext().SetDeadlineAfter(-1.0); }
+
 DenseMatrix SmoothPoints(int64_t n, int64_t d) {
   DenseMatrix m(n, d);
   for (int64_t i = 0; i < n; ++i) {
@@ -69,30 +75,15 @@ DenseMatrix SmoothPoints(int64_t n, int64_t d) {
 
 // --- Random walks and contexts.
 
-TEST(DeadlineCancelTest, WalkBudgetStopsAfterExactlyThatManyWalks) {
-  AttributedNetwork net = TinyNet();
-  RandomWalkConfig wc;
-  wc.walk_length = 5;
-  Rng rng(7);
-  RunContext ctx;
-  ctx.SetWorkBudget(5);
-  auto walks = GenerateRandomWalks(net.graph, wc, &rng, &ctx);
-  ASSERT_FALSE(walks.ok());
-  EXPECT_EQ(walks.status().code(), StatusCode::kResourceExhausted)
-      << walks.status().ToString();
-  EXPECT_EQ(ctx.work_charged(), 5) << "one work unit per walk generated";
-}
-
 TEST(DeadlineCancelTest, WalkDeadlineStopsBeforeAnyWork) {
   AttributedNetwork net = TinyNet();
   RandomWalkConfig wc;
   Rng rng(7);
-  const RunContext expired = RunContext::WithDeadline(-1.0);
+  const RunContext expired = ExpiredContext();
   auto walks = GenerateRandomWalks(net.graph, wc, &rng, &expired);
   ASSERT_FALSE(walks.ok());
   EXPECT_EQ(walks.status().code(), StatusCode::kDeadlineExceeded)
       << walks.status().ToString();
-  EXPECT_EQ(expired.work_charged(), 0);
 }
 
 TEST(DeadlineCancelTest, FaultInjectedWalkCancelReturnsCancelled) {
@@ -109,7 +100,7 @@ TEST(DeadlineCancelTest, FaultInjectedWalkCancelReturnsCancelled) {
       << walks.status().ToString();
 }
 
-TEST(DeadlineCancelTest, ContextGenerationHonoursTheBudget) {
+TEST(DeadlineCancelTest, ContextGenerationHonoursTheDeadline) {
   AttributedNetwork net = TinyNet();
   RandomWalkConfig wc;
   wc.walk_length = 10;
@@ -117,13 +108,12 @@ TEST(DeadlineCancelTest, ContextGenerationHonoursTheBudget) {
   auto walks = GenerateRandomWalks(net.graph, wc, &rng);
   ASSERT_TRUE(walks.ok());
   ContextOptions opts;
-  RunContext ctx;
-  ctx.SetWorkBudget(3);
+  const RunContext expired = ExpiredContext();
   Rng rng2(7);
   auto contexts = GenerateContexts(walks.value(), net.graph.num_nodes(),
-                                   opts, &rng2, &ctx);
+                                   opts, &rng2, &expired);
   ASSERT_FALSE(contexts.ok());
-  EXPECT_EQ(contexts.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(contexts.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 // --- Training.
@@ -131,7 +121,7 @@ TEST(DeadlineCancelTest, ContextGenerationHonoursTheBudget) {
 TEST(DeadlineCancelTest, PreprocessStopsOnExpiredDeadline) {
   AttributedNetwork net = TinyNet();
   CoaneModel model(net.graph, TinyConfig());
-  const RunContext expired = RunContext::WithDeadline(-1.0);
+  const RunContext expired = ExpiredContext();
   Status st = model.Preprocess(&expired);
   EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded) << st.ToString();
 }
@@ -150,6 +140,61 @@ TEST(DeadlineCancelTest, TrainStopsOnGlobalCancelToken) {
   EXPECT_EQ(model.epochs_done(), 0);
 }
 
+// The four ways a training epoch is stopped between batches.
+enum class StopSource {
+  kInjectedBatch,    // fault point "train.batch" armed at hit 2
+  kCancelFlag,       // a cancel flag raised before the epoch
+  kExpiredDeadline,  // a deadline already past
+  kLatchedWatchdog,  // a watchdog that has already declared a stall
+};
+
+struct StopCase {
+  StopSource source;
+  const char* name;
+  StatusCode code;
+};
+
+constexpr StopCase kStopCases[] = {
+    {StopSource::kInjectedBatch, "injected train.batch",
+     StatusCode::kCancelled},
+    {StopSource::kCancelFlag, "cancel flag", StatusCode::kCancelled},
+    {StopSource::kExpiredDeadline, "expired deadline",
+     StatusCode::kDeadlineExceeded},
+    {StopSource::kLatchedWatchdog, "latched watchdog",
+     StatusCode::kDeadlineExceeded},
+};
+
+// Runs one epoch of `model` under `source`. The injected fault lets one
+// batch (16 of the 60 nodes) train first; the others stop it before its
+// first batch, after the epoch's shuffle has drawn from the RNG.
+Result<EpochStats> TrainEpochStoppedBy(StopSource source, CoaneModel* model) {
+  fault::Reset();
+  std::atomic<bool> cancel{true};
+  std::optional<Watchdog> dog;
+  RunContext ctx;
+  switch (source) {
+    case StopSource::kInjectedBatch:
+      fault::Arm("train.batch", /*trigger_hit=*/2);
+      break;
+    case StopSource::kCancelFlag:
+      ctx.SetCancelFlag(&cancel);
+      break;
+    case StopSource::kExpiredDeadline:
+      ctx.SetDeadlineAfter(-1.0);
+      break;
+    case StopSource::kLatchedWatchdog:
+      dog.emplace(/*stall_seconds=*/0.001);
+      for (int i = 0; i < 1000 && !dog->stalled(); ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      ctx.SetWatchdog(&*dog);
+      break;
+  }
+  auto stats = model->TrainEpoch(&ctx);
+  fault::Reset();
+  return stats;
+}
+
 TEST(DeadlineCancelTest, MidEpochStopRollsBackToTheEpochBoundary) {
   AttributedNetwork net = TinyNet();
   CoaneConfig cfg = TinyConfig();
@@ -159,21 +204,22 @@ TEST(DeadlineCancelTest, MidEpochStopRollsBackToTheEpochBoundary) {
   ASSERT_TRUE(straight.TrainEpoch().ok());
   const DenseMatrix after_one = straight.embeddings();
 
-  // The budget trips after one batch of the epoch (60 nodes / batch 16 =
-  // 4 batches): the partial epoch must be rolled back entirely...
-  CoaneModel stopped(net.graph, cfg);
-  ASSERT_TRUE(stopped.Preprocess().ok());
-  RunContext budget;
-  budget.SetWorkBudget(1);
-  auto stats = stopped.TrainEpoch(&budget);
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(stopped.epochs_done(), 0);
+  for (const StopCase& stop : kStopCases) {
+    SCOPED_TRACE(stop.name);
+    // The stop lands inside the epoch: the partial epoch must be rolled
+    // back entirely...
+    CoaneModel stopped(net.graph, cfg);
+    ASSERT_TRUE(stopped.Preprocess().ok());
+    auto stats = TrainEpochStoppedBy(stop.source, &stopped);
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), stop.code) << stats.status().ToString();
+    EXPECT_EQ(stopped.epochs_done(), 0);
 
-  // ...so an unrestricted retry reproduces the uninterrupted epoch
-  // bit-for-bit (the rollback also restored the RNG stream).
-  ASSERT_TRUE(stopped.TrainEpoch().ok());
-  EXPECT_TRUE(BitIdentical(stopped.embeddings(), after_one));
+    // ...so an unrestricted retry reproduces the uninterrupted epoch
+    // bit-for-bit (the rollback also restored the RNG stream).
+    ASSERT_TRUE(stopped.TrainEpoch().ok());
+    EXPECT_TRUE(BitIdentical(stopped.embeddings(), after_one));
+  }
 }
 
 TEST(DeadlineCancelTest, CancelledTrainingResumesBitIdentically) {
@@ -186,35 +232,36 @@ TEST(DeadlineCancelTest, CancelledTrainingResumesBitIdentically) {
   ASSERT_TRUE(straight.Train().ok());
 
   const std::string path = "/tmp/coane_cancel_resume.ckpt";
-  {
-    CoaneModel cancelled(net.graph, cfg);
-    ASSERT_TRUE(cancelled.Preprocess().ok());
-    ASSERT_TRUE(cancelled.TrainEpoch().ok());
-    // The stop arrives mid-epoch 2; the model falls back to the epoch-1
-    // state and checkpoints there.
-    RunContext budget;
-    budget.SetWorkBudget(1);
-    auto stats = cancelled.TrainEpoch(&budget);
-    ASSERT_FALSE(stats.ok());
-    EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
-    EXPECT_EQ(cancelled.epochs_done(), 1);
-    ASSERT_TRUE(cancelled.SaveCheckpoint(path).ok());
-  }
+  for (const StopCase& stop : kStopCases) {
+    SCOPED_TRACE(stop.name);
+    {
+      CoaneModel cancelled(net.graph, cfg);
+      ASSERT_TRUE(cancelled.Preprocess().ok());
+      ASSERT_TRUE(cancelled.TrainEpoch().ok());
+      // The stop arrives in epoch 2; the model falls back to the epoch-1
+      // state and checkpoints there.
+      auto stats = TrainEpochStoppedBy(stop.source, &cancelled);
+      ASSERT_FALSE(stats.ok());
+      EXPECT_EQ(stats.status().code(), stop.code);
+      EXPECT_EQ(cancelled.epochs_done(), 1);
+      ASSERT_TRUE(cancelled.SaveCheckpoint(path).ok());
+    }
 
-  CoaneModel resumed(net.graph, cfg);
-  ASSERT_TRUE(resumed.Preprocess().ok());
-  ASSERT_TRUE(resumed.LoadCheckpoint(path).ok());
-  EXPECT_EQ(resumed.epochs_done(), 1);
-  auto history = resumed.Train();
-  ASSERT_TRUE(history.ok());
-  EXPECT_TRUE(BitIdentical(straight.embeddings(), resumed.embeddings()))
-      << "a run cancelled mid-epoch must resume bit-identically";
+    CoaneModel resumed(net.graph, cfg);
+    ASSERT_TRUE(resumed.Preprocess().ok());
+    ASSERT_TRUE(resumed.LoadCheckpoint(path).ok());
+    EXPECT_EQ(resumed.epochs_done(), 1);
+    auto history = resumed.Train();
+    ASSERT_TRUE(history.ok());
+    EXPECT_TRUE(BitIdentical(straight.embeddings(), resumed.embeddings()))
+        << "a run stopped mid-epoch must resume bit-identically";
+  }
   std::remove(path.c_str());
 }
 
 TEST(DeadlineCancelTest, TrainCoaneEmbeddingsPropagatesTheDeadline) {
   AttributedNetwork net = TinyNet();
-  const RunContext expired = RunContext::WithDeadline(-1.0);
+  const RunContext expired = ExpiredContext();
   auto z = TrainCoaneEmbeddings(net.graph, TinyConfig(), &expired);
   ASSERT_FALSE(z.ok());
   EXPECT_EQ(z.status().code(), StatusCode::kDeadlineExceeded);
@@ -222,18 +269,12 @@ TEST(DeadlineCancelTest, TrainCoaneEmbeddingsPropagatesTheDeadline) {
 
 // --- Evaluation loops.
 
-TEST(DeadlineCancelTest, TsneStopsOnBudgetAndInjectedCancel) {
+TEST(DeadlineCancelTest, TsneStopsOnInjectedCancel) {
   fault::Reset();
   const DenseMatrix x = SmoothPoints(20, 4);
   TsneConfig cfg;
   cfg.perplexity = 5.0;
   cfg.iterations = 50;
-
-  RunContext budget;
-  budget.SetWorkBudget(3);
-  auto y = RunTsne(x, cfg, &budget);
-  ASSERT_FALSE(y.ok());
-  EXPECT_EQ(y.status().code(), StatusCode::kResourceExhausted);
 
   fault::Arm("eval.tsne_iter", /*trigger_hit=*/2);
   auto y2 = RunTsne(x, cfg);
@@ -242,17 +283,11 @@ TEST(DeadlineCancelTest, TsneStopsOnBudgetAndInjectedCancel) {
   EXPECT_EQ(y2.status().code(), StatusCode::kCancelled);
 }
 
-TEST(DeadlineCancelTest, KMeansStopsOnBudgetAndDeadline) {
+TEST(DeadlineCancelTest, KMeansStopsOnDeadline) {
   const DenseMatrix points = SmoothPoints(12, 3);
   KMeansConfig cfg;
 
-  RunContext budget;
-  budget.SetWorkBudget(1);
-  auto r = RunKMeans(points, 2, cfg, &budget);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-
-  const RunContext expired = RunContext::WithDeadline(-1.0);
+  const RunContext expired = ExpiredContext();
   auto r2 = RunKMeans(points, 2, cfg, &expired);
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kDeadlineExceeded);
@@ -288,7 +323,7 @@ TEST(DeadlineCancelTest, EvalWrappersPropagateTheDeadline) {
   for (size_t i = 0; i < labels.size(); ++i) {
     labels[i] = static_cast<int32_t>(i % 2);
   }
-  const RunContext expired = RunContext::WithDeadline(-1.0);
+  const RunContext expired = ExpiredContext();
 
   auto f1 = EvaluateNodeClassification(z, labels, 2, 0.5, 42, 1, &expired);
   ASSERT_FALSE(f1.ok());

@@ -173,7 +173,8 @@ TEST_F(QueryEngineTest, KnnBatchIsDeterministicAcrossThreadCounts) {
 
 TEST_F(QueryEngineTest, KnnBatchHonorsExpiredDeadline) {
   auto server = MakeServer();
-  RunContext ctx = RunContext::WithDeadline(-1.0);
+  RunContext ctx;
+  ctx.SetDeadlineAfter(-1.0);
   const auto result = server->engine().KnnBatch({0, 1, 2}, 3, true,
                                                 nullptr, &ctx);
   ASSERT_FALSE(result.ok());

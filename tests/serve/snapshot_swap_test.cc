@@ -122,7 +122,7 @@ TEST_F(SnapshotSwapTest, MissingArtifactRejectsCandidateAndOldKeepsServing) {
 
   const Status st = server.Publish(v2);
   ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_EQ(st.code(), StatusCode::kNotFound);
   EXPECT_EQ(server.engine().CurrentSnapshot()->source_path, v1);
   EXPECT_TRUE(StartsWith(server.HandleLine("KNN 2 1"), "OK 2 "));
 

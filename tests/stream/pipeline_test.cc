@@ -325,7 +325,7 @@ TEST_F(PipelineTest, UnreadableStateFileFailsOpen) {
   ASSERT_EQ(::mkdir(state_path.c_str(), 0755), 0);
   auto opened = StreamPipeline::Open(options);
   ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kIoError)
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument)
       << opened.status().ToString();
   EXPECT_FALSE(PathExists(options.work_dir + "/gen_0.emb"));
   EXPECT_FALSE(PathExists(options.work_dir + "/manifest.tsv"));

@@ -174,8 +174,8 @@ Status VerifyCheckpointAgainstManifest(const std::string& manifest_path,
   // kNotFound means the manifest makes no claim about this checkpoint (or
   // the file is already gone, which LoadCheckpoint reports better): not a
   // verification failure. An unreadable or corrupt manifest keeps its own
-  // code (kIoError/kDataLoss) and fails the resume — a broken attestation
-  // must never read as "nothing to verify".
+  // code (kIoError/kInvalidArgument/kDataLoss) and fails the resume — a
+  // broken attestation must never read as "nothing to verify".
   if (st.code() == StatusCode::kNotFound) return Status::OK();
   return st;
 }
@@ -186,16 +186,14 @@ int RunTrain(const Flags& flags) {
   RunContext ctx = RunContextFromFlags(flags);
 
   // Hang watchdog: every unit of work (walk, batch, eval iteration)
-  // tickles the heartbeat through ctx.Check; a stalled heartbeat turns
-  // into a cooperative kDeadlineExceeded stop at the next check, which
-  // rolls back the partial epoch and checkpoints like any deadline.
-  Heartbeat heartbeat;
+  // beats it through ctx.Check; a stall turns into a cooperative
+  // kDeadlineExceeded stop at the next check, which rolls back the
+  // partial epoch and checkpoints like any deadline.
   std::unique_ptr<Watchdog> watchdog;
   const double watchdog_sec = flags.GetDouble("watchdog-sec", 0.0);
   if (watchdog_sec > 0.0) {
-    watchdog = std::make_unique<Watchdog>(&heartbeat, watchdog_sec);
-    ctx.SetHeartbeat(heartbeat.counter());
-    ctx.SetStallFlag(watchdog->stall_flag());
+    watchdog = std::make_unique<Watchdog>(watchdog_sec);
+    ctx.SetWatchdog(watchdog.get());
   }
 
   auto graph = LoadFromFlags(flags, &ctx);
@@ -315,7 +313,7 @@ int RunTrain(const Flags& flags) {
       if (const char* env = std::getenv("COANE_HANG_SEC")) {
         hang_sec = std::strtod(env, nullptr);
       }
-      // Deliberately does NOT tickle the heartbeat.
+      // Deliberately does NOT beat the watchdog.
       std::this_thread::sleep_for(std::chrono::duration<double>(hang_sec));
     }
     auto stats = model.TrainEpoch(&ctx);
@@ -351,7 +349,7 @@ int RunTrain(const Flags& flags) {
     return 0;
   }
 
-  st = RetryOp(retry, nullptr, "graph_io.save", [&](const RunContext*) {
+  st = RetryOp(retry, nullptr, "graph_io.save", [&] {
     return SaveEmbeddings(model.embeddings(), out);
   });
   if (!st.ok()) return ExitWith(st);
